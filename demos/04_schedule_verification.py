@@ -10,15 +10,14 @@ from blindalign import (
     ChannelConfig,
     beamforming_vectors,
     build_schedule,
+    channel_coeffs,
     check_config,
     closed_form_solution,
     dof_of_schedule,
-    draw_channels,
     group_profile,
     pattern_matrix,
+    receiver_checks,
     validate_schedule,
-    verify_alignment,
-    verify_decodability,
     verify_schedule_end_to_end,
 )
 
@@ -35,22 +34,23 @@ for t in sched.tuples:
 
 report = validate_schedule(sched)
 print(f"\nstructural validation: coverage={report.coverage_ok} "
-      f"consecutive={report.consecutive_ok} patterns={report.patterns_ok}")
+      f"consecutive={report.consecutive_ok} patterns={report.patterns_ok} "
+      f"certificate={report.certificate_ok}")
 
 # one thread in detail
 t = sched.tuples[0]
 M = pattern_matrix(cfg, t.slots)
-bf = beamforming_vectors(M)
+v = beamforming_vectors(M)
 print(f"\nthread {t.slots}: pattern matrix rows {M.tolist()}")
 print("indicator vectors (same on both transmit antennas):")
-for i, row in enumerate(bf.v, start=1):
+for i, row in enumerate(v, start=1):
     print(f"  user {i}: {row}")
 
-ch = draw_channels(cfg, seed=42, slot_range=range(min(t.slots), max(t.slots) + 1))
-al = verify_alignment(cfg, t.slots, bf, ch)
-de = verify_decodability(cfg, t.slots, bf, ch)
-print(f"\nalignment residual for this thread: {al.max_residual:.2e} (gate 1e-9)")
-print(f"decodability min singular value:    {de.min_singular:.2e} (gate 1e-9)")
+# H[i-1, trial, thread, slot] is user i's (h1, h2); the kernel takes a stack of threads
+H, _ = channel_coeffs(cfg, [t.slots], seed=42, trials=1)
+residuals, singulars = receiver_checks(H, v[None])
+print(f"\nalignment residual for this thread: {residuals.max():.2e} (gate 1e-9)")
+print(f"decodability min singular value:    {singulars.min():.2e} (gate 1e-9)")
 
 summary = verify_schedule_end_to_end(cfg, sched, seed=42, trials=200)
 print(f"\nfull schedule, {summary.trials} independent channel draws:")

@@ -50,14 +50,9 @@ from .signaling import (
     MAGNITUDE_FLOOR,
     ALIGNMENT_TOL,
     DECODABILITY_TOL,
-    BeamformingSet,
     beamforming_vectors,
-    ChannelRealization,
-    draw_channels,
-    AlignmentReport,
-    verify_alignment,
-    DecodabilityReport,
-    verify_decodability,
+    channel_coeffs,
+    receiver_checks,
     SummaryReport,
     verify_schedule_end_to_end,
 )

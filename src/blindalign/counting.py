@@ -51,6 +51,12 @@ class ProbabilityEstimate:
     half_width: float | None = None  # 95% normal-approximation CI half-width
 
 
+def _check_positive(**values: int) -> None:
+    for name, value in values.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def stirling2(k: int, mu: int) -> int:
     """Stirling number of the second kind S(k, mu), exact."""
     if not 0 <= mu <= k:
@@ -96,6 +102,7 @@ def f_low_3(N: int, K: int) -> CountResult:
     half-integer coefficients are exact rationals whose products are provably
     integral; integrality is asserted.
     """
+    _check_positive(N=N)
     if N % 4 != 0:
         raise ValueError(
             f"N={N} not divisible by 4; the closed form assumes N/4 integer "
@@ -133,6 +140,7 @@ def f_2user(N: int, K: int) -> CountResult:
     so the bad events are exactly "all balls inside one arc of at most N/3
     boxes", counted by arc length.
     """
+    _check_positive(N=N)
     if N % 3 != 0:
         raise ValueError(
             f"N={N} not divisible by 3; the closed form assumes N/3 integer "
@@ -168,6 +176,7 @@ def _rows_with_feasible_subset(offs: np.ndarray, N: int, k_target: int) -> np.nd
 def exact_count(N: int, K: int, k_target: int, guard: int = 10**8,
                 threads: int = 1) -> CountResult:
     """Enumerate all N^(K-1) placements; count those with no feasible subset."""
+    _check_positive(N=N, threads=threads)
     if not 2 <= k_target <= K:
         raise ValueError(f"k_target must be in 2..{K}")
     total = N ** (K - 1)
@@ -224,8 +233,7 @@ def monte_carlo_p(N: int, K: int, k_target: int, trials: int, seed: int = 0,
     each from its own counter-stamped stream, so the estimate is identical
     for any thread count or execution order.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_positive(N=N, trials=trials, threads=threads)
     if not 2 <= k_target <= K:
         raise ValueError(f"k_target must be in 2..{K}")
 

@@ -185,12 +185,15 @@ def pattern_matrix(cfg: ChannelConfig, slots) -> np.ndarray:
 
 
 def is_feasible_pattern(M) -> bool:
-    """True iff ``M`` is a permutation matrix (one 1 per row and per column)."""
+    """True iff ``M`` is a permutation matrix (one 1 per row and per column).
+
+    A stack ``(..., K, K)`` is accepted when every matrix in it is one.
+    """
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         return False
     binary = np.all((M == 0) | (M == 1))
-    return bool(binary and np.all(M.sum(axis=0) == 1) and np.all(M.sum(axis=1) == 1))
+    return bool(binary and np.all(M.sum(axis=-2) == 1) and np.all(M.sum(axis=-1) == 1))
 
 
 def count_feasible_patterns(K: int) -> int:

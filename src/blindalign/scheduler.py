@@ -8,6 +8,7 @@ slots carry indices past the period and are validated modulo the period.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,20 +100,23 @@ class ValidationReport:
     coverage_ok: bool
     consecutive_ok: bool
     patterns_ok: bool
+    certificate_ok: bool
     failures: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
-        return self.coverage_ok and self.consecutive_ok and self.patterns_ok
+        return (self.coverage_ok and self.consecutive_ok and self.patterns_ok
+                and self.certificate_ok)
 
 
 def validate_schedule(sched: Schedule) -> ValidationReport:
-    """Independent re-check of the three schedule invariants.
+    """Independent re-check of the schedule invariants.
 
     Coverage: every residue class modulo the period is used exactly once.
-    Consecutiveness: each thread's slots sit in K+1 consecutive groups
+    Consecutiveness: each thread has K+1 slots in K+1 consecutive groups
     starting at its declared start group. Patterns: each thread's pattern
-    matrix is a permutation.
+    matrix is a permutation. Certificate: ``lam`` has K(K+1) entries, solves
+    the group window equations and counts the threads starting at each group.
     """
     cfg = sched.cfg
     K = cfg.K
@@ -137,6 +141,7 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
             groups = None
         if (
             groups is None
+            or len(groups) != K + 1
             or groups != list(range(groups[0], groups[0] + K + 1))
             or groups[0] % m != t.start_group
         ):
@@ -147,10 +152,20 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
             patterns_ok = False
             failures.append(f"pattern: thread at group {t.start_group} is not a permutation")
 
+    certificate_ok = (
+        len(sched.lam) == m
+        and verify_solution(group_profile(cfg), sched.lam)
+        and Counter(t.start_group for t in sched.tuples) == Counter(dict(enumerate(sched.lam)))
+    )
+    if not certificate_ok:
+        failures.append("certificate: lambda does not solve the window equations "
+                        "or does not match the threads' start groups")
+
     return ValidationReport(
         coverage_ok=coverage_ok,
         consecutive_ok=consecutive_ok,
         patterns_ok=patterns_ok,
+        certificate_ok=certificate_ok,
         failures=tuple(failures),
     )
 
@@ -177,22 +192,30 @@ def schedule_to_dict(sched: Schedule) -> dict:
     }
 
 
+def _json_int(x) -> int:
+    """``x`` itself if it is a JSON integer; floats, strings and bools are refused."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def schedule_from_dict(data: dict) -> Schedule:
     """Parse the canonical form back; raises ValueError on malformed input."""
     if not isinstance(data, dict):
         raise ValueError("schedule document must be a JSON object")
     try:
-        if data["version"] != 1:
+        if _json_int(data["version"]) != 1:
             raise ValueError(f"unsupported schedule version {data['version']!r}")
-        cfg = ChannelConfig(N=int(data["N"]), offsets=tuple(int(o) for o in data["offsets"]))
-        if int(data["K"]) != cfg.K:
+        cfg = ChannelConfig(N=_json_int(data["N"]),
+                            offsets=tuple(_json_int(o) for o in data["offsets"]))
+        if _json_int(data["K"]) != cfg.K:
             raise ValueError("K does not match the number of offsets")
-        if int(data["period"]) != (cfg.K + 1) * cfg.N:
+        if _json_int(data["period"]) != (cfg.K + 1) * cfg.N:
             raise ValueError("period does not match (K+1)*N")
-        lam = tuple(int(v) for v in data["lambda"])
+        lam = tuple(_json_int(v) for v in data["lambda"])
         tuples = tuple(
-            SuperSymbol(start_group=int(t["start_group"]),
-                        slots=tuple(int(n) for n in t["slots"]))
+            SuperSymbol(start_group=_json_int(t["start_group"]),
+                        slots=tuple(_json_int(n) for n in t["slots"]))
             for t in data["tuples"]
         )
     except (KeyError, TypeError) as exc:

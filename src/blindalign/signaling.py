@@ -15,32 +15,21 @@ independent from the K-1 interference directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .pattern import (
-    ChannelConfig,
-    _block_indices,
-    block_index,
-    is_feasible_pattern,
-    pattern_matrix,
-)
+from .pattern import ChannelConfig, _block_indices, is_feasible_pattern
 from .scheduler import Schedule, validate_schedule
 
 __all__ = [
     "MAGNITUDE_FLOOR",
     "ALIGNMENT_TOL",
     "DECODABILITY_TOL",
-    "BeamformingSet",
     "beamforming_vectors",
-    "ChannelRealization",
-    "draw_channels",
-    "AlignmentReport",
-    "verify_alignment",
-    "DecodabilityReport",
-    "verify_decodability",
+    "channel_coeffs",
+    "receiver_checks",
     "SummaryReport",
     "verify_schedule_end_to_end",
 ]
@@ -53,37 +42,19 @@ _KEY_SALT = 0x9E3779B97F4A7C15  # distinguishes channel streams from other RNG u
 _CANDIDATES = 16  # rejection budget per coefficient; P(exhaust) ~ 1e-46
 
 
-@dataclass(frozen=True)
-class BeamformingSet:
-    """Per-user 0/1 signalling vectors over a thread's K+1 slots.
+def beamforming_vectors(M) -> np.ndarray:
+    """Indicator vectors from a permutation pattern matrix or a stack of them.
 
-    Row i of ``v`` is user i+1's vector; both transmit antennas use the same
-    vector (``u`` is an alias of ``v``), supported on the two slots
-    straddling that user's transition column.
-    """
-
-    v: np.ndarray
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.v
-
-
-def beamforming_vectors(M) -> BeamformingSet:
-    """Indicator vectors from a permutation pattern matrix.
-
-    If row i has its 1 in column c, user i+1 transmits on slots c and c+1.
+    ``M`` has shape (..., K, K); the result has shape (..., K, K+1). If row i
+    has its 1 in column c, user i+1 transmits on slots c and c+1, with the
+    same 0/1 vector on both transmit antennas.
     """
     M = np.asarray(M)
     if not is_feasible_pattern(M):
         raise ValueError("pattern matrix must be a permutation matrix")
-    K = M.shape[0]
-    v = np.zeros((K, K + 1), dtype=np.int64)
-    for i in range(K):
-        c = int(np.argmax(M[i]))
-        v[i, c] = 1
-        v[i, c + 1] = 1
-    return BeamformingSet(v=v)
+    c = np.argmax(M, axis=-1)[..., None]
+    slot = np.arange(M.shape[-1] + 1)
+    return ((slot == c) | (slot == c + 1)).astype(np.int64)
 
 
 def _block_coeffs(seed: int, user: int, block: int, n_trials: int) -> np.ndarray:
@@ -106,115 +77,74 @@ def _block_coeffs(seed: int, user: int, block: int, n_trials: int) -> np.ndarray
     return np.take_along_axis(h, first[..., None], axis=-1)[..., 0]
 
 
-@dataclass
-class ChannelRealization:
-    """Lazy per-block coefficient table for one trial of one seed."""
+def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
+                   trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of every user on every slot of every thread.
 
-    cfg: ChannelConfig
-    seed: int
-    trial: int = 0
-    _coeffs: dict = field(default_factory=dict, repr=False)
-
-    def coeffs(self, user: int, block: int) -> np.ndarray:
-        """2-vector (h1, h2) of the given user's coefficients on one block."""
-        key = (user, block)
-        if key not in self._coeffs:
-            self._coeffs[key] = _block_coeffs(self.seed, user, block, self.trial + 1)[self.trial]
-        return self._coeffs[key]
-
-    def slot_coeffs(self, user: int, slot: int) -> np.ndarray:
-        return self.coeffs(user, block_index(self.cfg, user, slot))
-
-
-def draw_channels(cfg: ChannelConfig, seed: int, slot_range) -> ChannelRealization:
-    """Realization with all blocks covering ``slot_range`` drawn up front."""
-    ch = ChannelRealization(cfg=cfg, seed=seed)
-    for user in range(1, cfg.K + 1):
-        for slot in slot_range:
-            ch.coeffs(user, block_index(cfg, user, slot))
-    return ch
-
-
-def _ratio_2col(A: np.ndarray) -> float:
-    """sigma_min / sigma_max of a 2-column stack; 0 for rank-deficient stacks."""
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0.0
-    return float(sv[1] / sv[0])
-
-
-def _channel_diag(ch: ChannelRealization, user: int, slots, antenna: int) -> np.ndarray:
-    return np.array([ch.slot_coeffs(user, n)[antenna] for n in slots])
-
-
-@dataclass(frozen=True)
-class AlignmentReport:
-    residuals: np.ndarray  # (K, K); entry (i-1, j-1) for receiver i, interferer j
-    max_residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < self.tol
-
-
-def verify_alignment(cfg: ChannelConfig, tuple_slots, bf: BeamformingSet,
-                     ch: ChannelRealization) -> AlignmentReport:
-    """Check that every interferer's two received columns are proportional.
-
-    For receiver i and interferer j != i the columns H_i1 * v_j and
-    H_i2 * u_j are stacked and measured by the singular-value ratio of the
-    stack (scale invariant; 0 by convention for an all-zero vector).
+    ``slots`` has shape (T, K+1). Returns ``H`` of shape (K, trials, T, K+1, 2),
+    where ``H[i-1, r, t, n]`` is user i's (h1, h2) in trial r on thread t's
+    n-th slot, and the block labels (K, T, K+1) the slots fall in. Each
+    distinct (user, block) pair is drawn once, so slots in one fading block
+    get identical coefficients.
     """
-    K = cfg.K
-    slots = list(tuple_slots)
-    res = np.zeros((K, K))
-    for i in range(1, K + 1):
-        h1 = _channel_diag(ch, i, slots, 0)
-        h2 = _channel_diag(ch, i, slots, 1)
-        for j in range(1, K + 1):
-            if j == i:
+    slots = np.asarray(slots, dtype=np.int64)
+    blocks = np.stack([_block_indices(cfg, user, slots) for user in range(1, cfg.K + 1)])
+    H = np.empty((cfg.K, trials, *slots.shape, 2), dtype=complex)
+    for i, user_blocks in enumerate(blocks):
+        ub, inv = np.unique(user_blocks, return_inverse=True)
+        table = np.stack([_block_coeffs(seed, i + 1, int(b), trials) for b in ub])
+        H[i] = np.moveaxis(table[inv.reshape(user_blocks.shape)], -2, 0)
+    return H, blocks
+
+
+def receiver_checks(H: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
+    """Alignment residuals and decodability margins of every receiver.
+
+    ``H`` comes from :func:`channel_coeffs` and ``v`` (T, K, K+1) holds each
+    thread's 0/1 indicator vectors. Returns the worst residual over trials
+    and threads per (receiver, interferer), shape (K, K) with a zero
+    diagonal, and the worst normalized smallest singular value per receiver,
+    shape (K,).
+
+    Receiver i sees interferer j through the columns H_i1 * v_j and
+    H_i2 * v_j; their residual is the singular-value ratio of the 2-column
+    stack (scale invariant; 0 for an all-zero vector). Receiver i's matrix
+    holds its two desired columns plus one aligned column per interferer;
+    the smallest singular value of the column-normalized matrix above
+    tolerance means interference-free detection.
+    """
+    K = H.shape[0]
+    mask = np.asarray(v, dtype=bool)[None]  # broadcast over trials
+    residuals = np.zeros((K, K))
+    singulars = np.empty(K)
+    for i in range(K):
+        h1, h2 = H[i, ..., 0], H[i, ..., 1]
+        # singular-value ratio of each 2-column stack, computed via an explicit
+        # orthogonal rejection: the cancellation happens on vector entries
+        # (absolute error ~eps), so exactly proportional columns come out at
+        # ~1e-16 instead of the ~sqrt(eps) floor of Gram-eigenvalue formulas
+        for j in range(K):
+            if i == j:
                 continue
-            A = np.stack([h1 * bf.v[j - 1], h2 * bf.u[j - 1]], axis=1)
-            res[i - 1, j - 1] = _ratio_2col(A)
-    return AlignmentReport(residuals=res, max_residual=float(res.max()),
-                           tol=ALIGNMENT_TOL)
+            x = np.where(mask[:, :, j], h1, 0)
+            y = np.where(mask[:, :, j], h2, 0)
+            nx2 = (x.real**2 + x.imag**2).sum(axis=-1)
+            ny2 = (y.real**2 + y.imag**2).sum(axis=-1)
+            alpha = (x.conj() * y).sum(axis=-1) / np.maximum(nx2, 1e-300)
+            yperp = y - alpha[..., None] * x
+            yperp2 = (yperp.real**2 + yperp.imag**2).sum(axis=-1)
+            det = nx2 * yperp2  # = lambda_min * lambda_max of the Gram matrix
+            tr = nx2 + ny2
+            lmax = 0.5 * (tr + np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
+            residuals[i, j] = (np.sqrt(det) / np.maximum(lmax, 1e-300)).max()
 
-
-@dataclass(frozen=True)
-class DecodabilityReport:
-    min_singulars: np.ndarray  # per receiver, after column normalization
-    min_singular: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.min_singular > self.tol
-
-
-def verify_decodability(cfg: ChannelConfig, tuple_slots, bf: BeamformingSet,
-                        ch: ChannelRealization) -> DecodabilityReport:
-    """Check each receiver resolves its two streams among the K+1 dimensions.
-
-    Receiver i's matrix has its two desired columns plus one aligned column
-    per interferer; full rank of the column-normalized matrix (smallest
-    singular value above tolerance) means interference-free detection.
-    """
-    K = cfg.K
-    slots = list(tuple_slots)
-    mins = np.zeros(K)
-    for i in range(1, K + 1):
-        h1 = _channel_diag(ch, i, slots, 0)
-        h2 = _channel_diag(ch, i, slots, 1)
-        cols = [h1 * bf.v[i - 1], h2 * bf.u[i - 1]]
-        cols += [h1 * bf.v[j - 1] for j in range(1, K + 1) if j != i]
-        B = np.stack(cols, axis=1)
-        norms = np.linalg.norm(B, axis=0)
+        cols = [np.where(mask[:, :, i], h1, 0), np.where(mask[:, :, i], h2, 0)]
+        cols += [np.where(mask[:, :, j], h1, 0) for j in range(K) if j != i]
+        B = np.stack(cols, axis=-1)  # (trials, T, K+1, K+1)
+        norms = np.linalg.norm(B, axis=-2, keepdims=True)
         B = B / np.maximum(norms, 1e-300)
-        sv = np.linalg.svd(B, compute_uv=False)
-        mins[i - 1] = sv[-1]
-    return DecodabilityReport(min_singulars=mins, min_singular=float(mins.min()),
-                              tol=DECODABILITY_TOL)
+        singulars[i] = np.linalg.svd(B, compute_uv=False)[..., -1].min()
+    return residuals, singulars
 
 
 @dataclass(frozen=True)
@@ -234,11 +164,10 @@ class SummaryReport:
 
 def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
                                trials: int) -> SummaryReport:
-    """Run both verifiers on every thread across independent realizations.
+    """Run both checks on every thread across independent realizations.
 
-    Vectorized over (trial, thread): coefficients are gathered per block,
-    alignment ratios come from stable orthogonal rejections and
-    decodability from batched SVDs of the column-normalized matrices.
+    Each thread's pattern matrix is read off the block labels of its slots:
+    entry (i, j) is 1 where user i+1's block changes between slots j and j+1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -246,64 +175,15 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
     if not report.passed:
         raise ValueError(f"schedule fails validation: {report.failures[:3]}")
     K = cfg.K
-    T = len(sched.tuples)
-    slots = np.array([t.slots for t in sched.tuples], dtype=np.int64)  # (T, K+1)
-
-    # per-user coefficient gather: H[i] has shape (trials, T, K+1, 2)
-    H = []
-    for user in range(1, K + 1):
-        blocks = _block_indices(cfg, user, slots)
-        ub, inv = np.unique(blocks, return_inverse=True)
-        table = np.stack([_block_coeffs(seed, user, int(b), trials) for b in ub])
-        H.append(table[inv.reshape(blocks.shape)].transpose(2, 0, 1, 3))
-
-    # indicator vectors per thread
-    v = np.zeros((T, K, K + 1), dtype=bool)
-    for t_idx, t in enumerate(sched.tuples):
-        M = pattern_matrix(cfg, t.slots)
-        for i in range(K):
-            c = int(np.argmax(M[i]))
-            v[t_idx, i, c] = v[t_idx, i, c + 1] = True
-
-    # singular-value ratio of each 2-column stack, computed via an explicit
-    # orthogonal rejection: the cancellation happens on vector entries
-    # (absolute error ~eps), so exactly proportional columns come out at
-    # ~1e-16 instead of the ~sqrt(eps) floor of Gram-eigenvalue formulas
-    max_residual = 0.0
-    for i in range(K):
-        for j in range(K):
-            if i == j:
-                continue
-            mask = v[None, :, j, :]
-            x = np.where(mask, H[i][..., 0], 0)
-            y = np.where(mask, H[i][..., 1], 0)
-            nx2 = (x.real**2 + x.imag**2).sum(axis=-1)
-            ny2 = (y.real**2 + y.imag**2).sum(axis=-1)
-            alpha = (x.conj() * y).sum(axis=-1) / np.maximum(nx2, 1e-300)
-            yperp = y - alpha[..., None] * x
-            yperp2 = (yperp.real**2 + yperp.imag**2).sum(axis=-1)
-            det = nx2 * yperp2  # = lambda_min * lambda_max of the Gram matrix
-            tr = nx2 + ny2
-            lmax = 0.5 * (tr + np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
-            ratio = np.sqrt(det) / np.maximum(lmax, 1e-300)
-            max_residual = max(max_residual, float(ratio.max()))
-
-    min_singular = np.inf
-    for i in range(K):
-        cols = [np.where(v[None, :, i, :], H[i][..., 0], 0),
-                np.where(v[None, :, i, :], H[i][..., 1], 0)]
-        cols += [np.where(v[None, :, j, :], H[i][..., 0], 0)
-                 for j in range(K) if j != i]
-        B = np.stack(cols, axis=-1)  # (trials, T, K+1, K+1)
-        norms = np.linalg.norm(B, axis=-2, keepdims=True)
-        B = B / np.maximum(norms, 1e-300)
-        sv = np.linalg.svd(B, compute_uv=False)
-        min_singular = min(min_singular, float(sv[..., -1].min()))
-
+    H, blocks = channel_coeffs(cfg, [t.slots for t in sched.tuples], seed, trials)
+    v = beamforming_vectors((np.diff(blocks, axis=-1) != 0).swapaxes(0, 1))
+    residuals, singulars = receiver_checks(H, v)
+    max_residual = float(residuals.max())
+    min_singular = float(singulars.min())
     aligned_ok = max_residual < ALIGNMENT_TOL
     decodable_ok = min_singular > DECODABILITY_TOL
     return SummaryReport(
-        n_tuples=T,
+        n_tuples=len(sched.tuples),
         trials=trials,
         max_residual=max_residual,
         min_singular=min_singular,

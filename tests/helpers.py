@@ -2,6 +2,8 @@
 
 from itertools import combinations
 
+import numpy as np
+
 from blindalign import ChannelConfig
 
 
@@ -44,3 +46,34 @@ def random_feasible_config(rng, K, n_max):
         pos.append((pos[-1] + g) % N)
     rest = [pos[i] for i in rng.permutation(range(1, K))]
     return ChannelConfig(N=N, offsets=(pos[0], *rest))
+
+
+def receiver_checks_oracle(H, v):
+    """Per-thread, per-trial SVD reference for ``signaling.receiver_checks``.
+
+    Residual of receiver i against interferer j: sigma_min / sigma_max of the
+    2-column stack [h1 * v_j, h2 * v_j] (0 when the stack is all zero).
+    Decodability of receiver i: smallest singular value of its K+1 columns
+    after each is scaled to unit norm (zero columns stay zero).
+    """
+    K, trials, T = H.shape[:3]
+    residuals = np.zeros((K, K))
+    singulars = np.full(K, np.inf)
+    for i in range(K):
+        for r in range(trials):
+            for t in range(T):
+                h1, h2 = H[i, r, t, :, 0], H[i, r, t, :, 1]
+                for j in range(K):
+                    if j == i:
+                        continue
+                    sv = np.linalg.svd(np.stack([h1 * v[t, j], h2 * v[t, j]], axis=1),
+                                       compute_uv=False)
+                    ratio = sv[1] / sv[0] if sv[0] > 0 else 0.0
+                    residuals[i, j] = max(residuals[i, j], ratio)
+                cols = [h1 * v[t, i], h2 * v[t, i]]
+                cols += [h1 * v[t, j] for j in range(K) if j != i]
+                B = np.stack(cols, axis=1)
+                norms = np.linalg.norm(B, axis=0)
+                B = B / np.where(norms > 0, norms, 1.0)
+                singulars[i] = min(singulars[i], np.linalg.svd(B, compute_uv=False)[-1])
+    return residuals, singulars

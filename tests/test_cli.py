@@ -124,6 +124,34 @@ class TestDecomposeVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def _verify_edited(self, tmp_path, capsys, edit):
+        path = tmp_path / "sched.json"
+        run(capsys, "decompose", "--N", "4", "--offsets", "0,1,2", "--out", str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return run(capsys, "verify", "--schedule", str(path))
+
+    @pytest.mark.parametrize("lam", [[9] * 12, [0, 0, 1, 0, 0]])
+    def test_forged_lambda_exit_1(self, tmp_path, capsys, lam):
+        code, out, err = self._verify_edited(tmp_path, capsys,
+                                             lambda doc: doc.update({"lambda": lam}))
+        assert code == 1
+        assert "FAIL (structure)" in out and "certificate" in err
+
+    def test_thread_without_slots_exit_1(self, tmp_path, capsys):
+        code, out, err = self._verify_edited(
+            tmp_path, capsys, lambda doc: doc["tuples"][0].update({"slots": []}))
+        assert code == 1
+        assert "FAIL (structure)" in out and "consecutiveness" in err
+
+    @pytest.mark.parametrize("slots", [[3.7, 4.7, 5.7, 6.7], ["3", 4, 5, 6], [True, 4, 5, 6]])
+    def test_non_integer_slots_exit_2(self, tmp_path, capsys, slots):
+        code, out, err = self._verify_edited(
+            tmp_path, capsys, lambda doc: doc["tuples"][0].update({"slots": slots}))
+        assert code == 2
+        assert out == "" and "integer" in err
+
     def test_unreadable_schedule_exit_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "verify", "--schedule", str(tmp_path / "nope.json"))
         assert code == 2
@@ -191,6 +219,19 @@ class TestProb:
         code, _, err = run(capsys, "prob", "--N", "100", "--K", "6",
                            "--k-target", "3", "--method", "exact")
         assert code == 2 and "monte_carlo" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--N", "-4", "--k-target", "3", "--method", "exact"),
+        ("--N", "0", "--k-target", "3", "--method", "bound"),
+        ("--N", "0", "--k-target", "2", "--method", "bound"),
+        ("--N", "0", "--k-target", "3", "--method", "mc"),
+        ("--N", "8", "--k-target", "3", "--method", "exact", "--threads", "0"),
+        ("--N", "8", "--k-target", "3", "--method", "mc", "--threads", "0"),
+    ])
+    def test_nonpositive_sizes_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "prob", "--K", "3", *argv)
+        assert code == 2 and out == ""
+        assert "must be >= 1" in err
 
     def test_k_flags_validation(self, capsys):
         code, _, err = run(capsys, "prob", "--N", "8", "--k-target", "3",

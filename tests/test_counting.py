@@ -206,6 +206,22 @@ class TestExactCount:
         assert exact_count(8, 4, 3).value == exact_count(8, 4, 3, threads=4).value
 
 
+@pytest.mark.parametrize("call", [
+    lambda: exact_count(-4, 3, 3),
+    lambda: exact_count(0, 3, 3),
+    lambda: exact_count(8, 3, 3, threads=0),
+    lambda: monte_carlo_p(0, 3, 3, trials=10),
+    lambda: monte_carlo_p(8, 3, 3, trials=10, threads=0),
+    lambda: f_low_3(0, 3),
+    lambda: f_low_3(-4, 3),
+    lambda: f_2user(0, 3),
+    lambda: f_2user(-3, 3),
+])
+def test_rejects_nonpositive_sizes(call):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        call()
+
+
 class TestProbabilities:
     def test_p_upper_vs_exact(self):
         # the bound must sit on or above the exact probability

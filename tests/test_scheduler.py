@@ -8,6 +8,7 @@ from blindalign import (
     ChannelConfig,
     SuperSymbol,
     Schedule,
+    brute_force_solve,
     build_schedule,
     closed_form_solution,
     dof_of_schedule,
@@ -115,6 +116,27 @@ class TestValidateSchedule:
         report = validate_schedule(Schedule(sched.cfg, sched.lam, sched.tuples[:-1]))
         assert not report.coverage_ok and not report.passed
 
+    def test_forged_lambda_fails(self):
+        # too many entries' worth, too few entries, and a genuine certificate
+        # of the same config that does not describe these threads
+        sched = build_schedule(FIG_CFG, FIG_LAMBDA)
+        for lam in ((9,) * 12, (0, 0, 1, 0, 0)):
+            report = validate_schedule(Schedule(sched.cfg, lam, sched.tuples))
+            assert not report.certificate_ok and not report.passed
+            assert report.coverage_ok and report.consecutive_ok and report.patterns_ok
+        cfg = ChannelConfig(11, (0, 3, 6))
+        sol_a, sol_b = brute_force_solve(group_profile(cfg), enumerate_all=True)[:2]
+        other = build_schedule(cfg, sol_a)
+        assert validate_schedule(other).passed
+        report = validate_schedule(Schedule(cfg, sol_b, other.tuples))
+        assert not report.certificate_ok and not report.passed
+
+    def test_thread_without_slots_fails_consecutiveness(self):
+        sched = build_schedule(FIG_CFG, FIG_LAMBDA)
+        tampered = (SuperSymbol(sched.tuples[0].start_group, ()),) + sched.tuples[1:]
+        report = validate_schedule(Schedule(sched.cfg, sched.lam, tampered))
+        assert not report.consecutive_ok and not report.passed
+
 
 class TestDof:
     def test_values(self):
@@ -159,3 +181,22 @@ class TestSerialization:
             schedule_from_dict(bad)
         with pytest.raises(ValueError):
             schedule_from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize("field, value", [
+        ("slots", [3.7, 4.7, 5.7, 6.7]),
+        ("slots", ["3", 4, 5, 6]),
+        ("slots", [True, 4, 5, 6]),
+        ("start_group", 2.0),
+        ("lambda", [0, 0, True, 0, 0, 1, 0, 0, 1, 0, 0, 1]),
+        ("N", "4"),
+        ("offsets", [0, 1.0, 2]),
+        ("version", True),
+    ])
+    def test_rejects_non_integer_values(self, field, value):
+        doc = schedule_to_dict(build_schedule(FIG_CFG, FIG_LAMBDA))
+        if field in ("slots", "start_group"):
+            doc["tuples"][0][field] = value
+        else:
+            doc[field] = value
+        with pytest.raises(ValueError, match="integer"):
+            schedule_from_dict(json.loads(json.dumps(doc)))

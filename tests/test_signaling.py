@@ -5,136 +5,156 @@ import pytest
 
 from blindalign import (
     MAGNITUDE_FLOOR,
-    BeamformingSet,
     ChannelConfig,
     beamforming_vectors,
     block_index,
     brute_force_solve,
     build_schedule,
+    channel_coeffs,
     check_config,
     closed_form_solution,
-    draw_channels,
+    enumerate_feasible_patterns,
     group_profile,
     pattern_matrix,
-    verify_alignment,
-    verify_decodability,
+    receiver_checks,
     verify_schedule_end_to_end,
 )
+from helpers import random_feasible_config, receiver_checks_oracle
 
 FIG_CFG = ChannelConfig(4, (0, 1, 2))
 FIG_LAMBDA = (0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
 
 
+def thread_inputs(cfg, slots, seed, trials=1):
+    """Kernel inputs for one thread: H (K, trials, 1, K+1, 2) and v (1, K, K+1)."""
+    H, _ = channel_coeffs(cfg, [slots], seed, trials)
+    return H, beamforming_vectors(pattern_matrix(cfg, slots))[None]
+
+
 class TestBeamforming:
     def test_classic_3user_example(self):
-        bf = beamforming_vectors([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        assert bf.v.tolist() == [[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]]
+        v = beamforming_vectors([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        assert v.tolist() == [[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]]
 
     def test_2user_examples(self):
-        assert beamforming_vectors([[1, 0], [0, 1]]).v.tolist() == [[1, 1, 0], [0, 1, 1]]
-        assert beamforming_vectors([[0, 1], [1, 0]]).v.tolist() == [[0, 1, 1], [1, 1, 0]]
+        assert beamforming_vectors([[1, 0], [0, 1]]).tolist() == [[1, 1, 0], [0, 1, 1]]
+        assert beamforming_vectors([[0, 1], [1, 0]]).tolist() == [[0, 1, 1], [1, 1, 0]]
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             beamforming_vectors([[1, 0, 0], [1, 0, 0], [0, 1, 0]])
-
-    def test_vectors_identical_on_both_antennas(self):
-        bf = beamforming_vectors(np.eye(4, dtype=int))
-        assert bf.u is bf.v
+        with pytest.raises(ValueError):
+            beamforming_vectors([np.eye(3, dtype=int), [[1, 0, 0], [1, 0, 0], [0, 1, 0]]])
+        with pytest.raises(ValueError):
+            beamforming_vectors(np.ones((2, 3), dtype=int))
 
     def test_straddle_property(self):
-        from blindalign import enumerate_feasible_patterns
-
-        for M in enumerate_feasible_patterns(4):
-            bf = beamforming_vectors(M)
+        patterns = list(enumerate_feasible_patterns(4))
+        stacked = beamforming_vectors(np.stack(patterns))
+        assert stacked.shape == (24, 4, 5)
+        for M, v in zip(patterns, stacked):
+            assert np.array_equal(beamforming_vectors(M), v)
             for i in range(4):
                 c = int(np.argmax(M[i]))
-                support = np.flatnonzero(bf.v[i])
-                assert support.tolist() == [c, c + 1]
+                assert np.flatnonzero(v[i]).tolist() == [c, c + 1]
 
 
 class TestChannelDraws:
+    SLOTS = [[3, 4, 5, 6], [1, 3, 5, 7]]
+
     def test_deterministic(self):
-        a = draw_channels(FIG_CFG, seed=5, slot_range=range(0, 16))
-        b = draw_channels(FIG_CFG, seed=5, slot_range=range(0, 16))
-        for user in (1, 2, 3):
-            for block in range(4):
-                assert np.array_equal(a.coeffs(user, block), b.coeffs(user, block))
+        H, blocks = channel_coeffs(FIG_CFG, self.SLOTS, seed=5, trials=3)
+        H2, blocks2 = channel_coeffs(FIG_CFG, self.SLOTS, seed=5, trials=3)
+        assert np.array_equal(H, H2) and np.array_equal(blocks, blocks2)
+        assert H.shape == (3, 3, 2, 4, 2) and blocks.shape == (3, 2, 4)
+        # trial r reads a fixed slice: fewer trials give a prefix
+        assert np.array_equal(channel_coeffs(FIG_CFG, self.SLOTS, seed=5, trials=1)[0],
+                              H[:, :1])
 
     def test_block_fading_semantics(self):
-        ch = draw_channels(FIG_CFG, seed=9, slot_range=range(0, 16))
+        H, blocks = channel_coeffs(FIG_CFG, self.SLOTS, seed=9, trials=2)
+        for user in (1, 2, 3):
+            for t, slots in enumerate(self.SLOTS):
+                assert blocks[user - 1, t].tolist() == [
+                    block_index(FIG_CFG, user, n) for n in slots]
         # slots 1 and 3 sit in the same block of user 2; slot 5 does not
-        assert np.array_equal(ch.slot_coeffs(2, 1), ch.slot_coeffs(2, 3))
-        assert not np.array_equal(ch.slot_coeffs(2, 1), ch.slot_coeffs(2, 5))
+        assert np.array_equal(H[1, :, 1, 0], H[1, :, 1, 1])
+        assert not np.array_equal(H[1, :, 1, 0], H[1, :, 1, 2])
+        # slot 5 in either thread is one block of user 2, so one draw
+        assert np.array_equal(H[1, :, 0, 2], H[1, :, 1, 2])
 
     def test_seeds_differ(self):
-        a = draw_channels(FIG_CFG, seed=1, slot_range=range(4))
-        b = draw_channels(FIG_CFG, seed=2, slot_range=range(4))
-        assert not np.array_equal(a.coeffs(1, 0), b.coeffs(1, 0))
+        a, _ = channel_coeffs(FIG_CFG, [[0, 1, 2, 3]], seed=1, trials=1)
+        b, _ = channel_coeffs(FIG_CFG, [[0, 1, 2, 3]], seed=2, trials=1)
+        assert not np.array_equal(a[0, 0, 0, 0], b[0, 0, 0, 0])
 
     def test_magnitude_floor(self):
-        ch = draw_channels(ChannelConfig(2, (0, 1)), seed=3, slot_range=range(0, 2000))
-        mags = [abs(h) for (u, b), pair in ch._coeffs.items() for h in pair]
-        assert min(mags) >= MAGNITUDE_FLOOR
+        slots = np.arange(2001).reshape(-1, 3)
+        H, _ = channel_coeffs(ChannelConfig(2, (0, 1)), slots, seed=3, trials=1)
+        assert np.abs(H).min() >= MAGNITUDE_FLOOR
 
 
 class TestTupleVerifiers:
+    """Negative and positive cases on ``receiver_checks``, the verifier kernel."""
+
     def test_alignment_structural(self):
-        slots = (3, 4, 5, 6)
-        bf = beamforming_vectors(pattern_matrix(FIG_CFG, slots))
         for seed in range(20):
-            ch = draw_channels(FIG_CFG, seed=seed, slot_range=range(3, 7))
-            rep = verify_alignment(FIG_CFG, slots, bf, ch)
-            assert rep.passed and rep.max_residual < 1e-12
+            residuals, _ = receiver_checks(*thread_inputs(FIG_CFG, (3, 4, 5, 6), seed))
+            assert residuals.max() < 1e-12
 
     def test_misaligned_tuple_detected(self):
         # slots (3,5,6,7) cross two users in one transition; vectors built as
         # if the pattern were the identity straddle a real channel change
-        bad_slots = (3, 5, 6, 7)
-        fake = beamforming_vectors(np.eye(3, dtype=int))
-        ch = draw_channels(FIG_CFG, seed=4, slot_range=range(3, 8))
-        rep = verify_alignment(FIG_CFG, bad_slots, fake, ch)
-        assert not rep.passed and rep.max_residual > 1e-3
+        H, _ = channel_coeffs(FIG_CFG, [(3, 5, 6, 7)], seed=4, trials=1)
+        fake = beamforming_vectors(np.eye(3, dtype=int))[None]
+        residuals, _ = receiver_checks(H, fake)
+        assert residuals.max() > 1e-3
 
     def test_zero_vector_convention(self):
-        slots = (3, 4, 5, 6)
-        bf = beamforming_vectors(pattern_matrix(FIG_CFG, slots))
-        v = bf.v.copy()
-        v[2] = 0
-        ch = draw_channels(FIG_CFG, seed=4, slot_range=range(3, 7))
-        rep = verify_alignment(FIG_CFG, slots, BeamformingSet(v=v), ch)
-        assert rep.residuals[0, 2] == 0.0 and rep.residuals[1, 2] == 0.0
+        H, v = thread_inputs(FIG_CFG, (3, 4, 5, 6), seed=4)
+        v[0, 2] = 0
+        residuals, _ = receiver_checks(H, v)
+        assert residuals[0, 2] == 0.0 and residuals[1, 2] == 0.0
 
     def test_decodability_many_seeds(self):
-        slots = (3, 4, 5, 6)
-        bf = beamforming_vectors(pattern_matrix(FIG_CFG, slots))
         for seed in range(100):
-            ch = draw_channels(FIG_CFG, seed=seed, slot_range=range(3, 7))
-            assert verify_alignment(FIG_CFG, slots, bf, ch).passed
-            assert verify_decodability(FIG_CFG, slots, bf, ch).passed
+            residuals, singulars = receiver_checks(*thread_inputs(FIG_CFG, (3, 4, 5, 6), seed))
+            assert residuals.max() < 1e-9 and singulars.min() > 1e-9
 
     def test_frozen_block_breaks_decodability(self):
         # force user 1's channel to repeat across its transition: its two
         # desired columns become proportional at receiver 1
-        slots = (3, 4, 5, 6)
-        bf = beamforming_vectors(pattern_matrix(FIG_CFG, slots))
-        ch = draw_channels(FIG_CFG, seed=8, slot_range=range(3, 7))
-        b0 = block_index(FIG_CFG, 1, 3)
-        b1 = block_index(FIG_CFG, 1, 4)
-        ch._coeffs[(1, b1)] = ch._coeffs[(1, b0)]
-        rep = verify_decodability(FIG_CFG, slots, bf, ch)
-        assert not rep.passed
-        assert rep.min_singulars[0] < 1e-12
+        H, v = thread_inputs(FIG_CFG, (3, 4, 5, 6), seed=8)
+        assert block_index(FIG_CFG, 1, 3) != block_index(FIG_CFG, 1, 4)
+        H[0, :, :, 1:] = H[0, :, :, :1]
+        _, singulars = receiver_checks(H, v)
+        assert singulars[0] < 1e-12
 
     def test_2user_tuple(self):
         cfg = ChannelConfig(3, (0, 1))
         sched = build_schedule(cfg, closed_form_solution(group_profile(cfg)))
-        slots = sched.tuples[0].slots
-        bf = beamforming_vectors(pattern_matrix(cfg, slots))
         for seed in range(50):
-            ch = draw_channels(cfg, seed=seed, slot_range=range(min(slots), max(slots) + 1))
-            assert verify_alignment(cfg, slots, bf, ch).passed
-            assert verify_decodability(cfg, slots, bf, ch).passed
+            residuals, singulars = receiver_checks(*thread_inputs(cfg, sched.tuples[0].slots, seed))
+            assert residuals.max() < 1e-9 and singulars.min() > 1e-9
+
+    def test_matches_svd_oracle(self):
+        # true, fake (random permutation) and partly zeroed indicator vectors
+        rng = np.random.default_rng(61)
+        for _ in range(12):
+            cfg = random_feasible_config(rng, int(rng.integers(2, 6)), 30)
+            K = cfg.K
+            sched = build_schedule(cfg, closed_form_solution(group_profile(cfg)))
+            threads = sched.tuples[:3]
+            H, _ = channel_coeffs(cfg, [t.slots for t in threads], int(rng.integers(100)), 3)
+            v = np.stack([beamforming_vectors(pattern_matrix(cfg, t.slots)) for t in threads])
+            fake = beamforming_vectors(np.eye(K, dtype=int)[rng.permutation(K)])
+            zeroed = v.copy()
+            zeroed[0, int(rng.integers(K))] = 0
+            for vec in (v, np.broadcast_to(fake, v.shape), zeroed):
+                got = receiver_checks(H, vec)
+                want = receiver_checks_oracle(H, vec)
+                for g, w in zip(got, want):
+                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
 class TestEndToEnd:
@@ -145,6 +165,21 @@ class TestEndToEnd:
         assert summary.max_residual < 1e-9
         assert summary.min_singular > 1e-9
         assert summary.symbols_per_slot == Fraction(3, 2)
+
+    def test_matches_kernel_on_pattern_matrices(self):
+        # the summary is the kernel's worst case, with indicator vectors taken
+        # from each thread's pattern matrix
+        rng = np.random.default_rng(67)
+        for _ in range(10):
+            cfg = random_feasible_config(rng, int(rng.integers(2, 6)), 40)
+            sched = build_schedule(cfg, closed_form_solution(group_profile(cfg)))
+            summary = verify_schedule_end_to_end(cfg, sched, seed=3, trials=4)
+            H, _ = channel_coeffs(cfg, [t.slots for t in sched.tuples], 3, 4)
+            v = np.stack([beamforming_vectors(pattern_matrix(cfg, t.slots))
+                          for t in sched.tuples])
+            residuals, singulars = receiver_checks(H, v)
+            assert summary.max_residual == residuals.max()
+            assert summary.min_singular == singulars.min()
 
     def test_deterministic(self):
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
