@@ -173,10 +173,6 @@ def _cmd_prob(args) -> int:
                     return 2
                 est = counting.p_upper_3(args.N, K)
             else:
-                if args.N % 3 != 0:
-                    print(f"--method bound with --k-target 2 needs N divisible by 3 "
-                          f"(got N={args.N}); use --method mc", file=sys.stderr)
-                    return 2
                 f = counting.f_2user(args.N, K).value
                 est = counting.ProbabilityEstimate(
                     p=float(1 - Fraction(f, args.N ** (K - 1))),

@@ -40,7 +40,7 @@ _MC_CHUNK = 1 << 15  # fixed: estimates are bit-identical for any thread count
 @dataclass(frozen=True)
 class CountResult:
     value: int
-    kind: str  # formula_lower_bound | formula | exact_enumeration
+    kind: str  # formula_lower_bound | formula | exact_occupancy
 
 
 @dataclass(frozen=True)
@@ -134,23 +134,19 @@ def f_low_3(N: int, K: int) -> CountResult:
 
 
 def f_2user(N: int, K: int) -> CountResult:
-    """Exact count of placements with no feasible 2-user subset.
+    """Exact count of placements with no feasible 2-user subset, for every N.
 
-    A pair works iff its circular distance lies in [ceil(N/3), floor(2N/3)],
-    so the bad events are exactly "all balls inside one arc of at most N/3
-    boxes", counted by arc length.
+    A pair works iff its circular distance is at least L = ceil(N/3), so
+    the bad events are exactly "all balls inside one arc of at most L
+    boxes", counted by arc length. The arc is unique: its span, below L,
+    is less than N/2.
     """
     _check_positive(N=N)
-    if N % 3 != 0:
-        raise ValueError(
-            f"N={N} not divisible by 3; the closed form assumes N/3 integer "
-            "(use exact_count or monte_carlo_p instead)"
-        )
     if K < 2:
         raise ValueError("defined for K >= 2")
     T = K - 1
     total = 1
-    for n in range(2, N // 3 + 1):
+    for n in range(2, -(-N // 3) + 1):
         total += 2 * (n**T - (n - 1) ** T) + (n - 2) * gamma_count(n, T, 2)
     return CountResult(value=total, kind="formula")
 
@@ -173,41 +169,63 @@ def _rows_with_feasible_subset(offs: np.ndarray, N: int, k_target: int) -> np.nd
     return ok
 
 
+def _occupied_sets(N: int, j: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the sets {0} ∪ S, S a (j-1)-subset of 1..N-1 in colex
+    order: S's i-th element is the largest c with C(c, i) <= the rank left."""
+    rank = np.arange(lo, hi, dtype=np.int64)
+    rows = np.zeros((hi - lo, j), dtype=np.int64)
+    for i in range(j - 1, 0, -1):
+        # capped at hi, above every rank, to stay in int64
+        table = np.array([min(math.comb(c, i), hi) for c in range(N - 1)],
+                         dtype=np.int64)
+        c = np.searchsorted(table, rank, side="right") - 1
+        rows[:, i] = c + 1
+        rank -= table[c]
+    return rows
+
+
 def exact_count(N: int, K: int, k_target: int, guard: int = 10**8,
                 threads: int = 1) -> CountResult:
-    """Enumerate all N^(K-1) placements; count those with no feasible subset."""
+    """Exact count of the N^(K-1) placements with no feasible subset.
+
+    Feasibility depends only on the set of occupied boxes, so the count runs
+    over occupied sets {0} ∪ S of each size j, not over labeled placements:
+    bad = sum_j c_j * gamma_count(j, K-1, j-1), where c_j counts the sets
+    with no feasible k_target-subset and the multiplier counts the ways the
+    K-1 labeled balls land on {0} ∪ S covering S. Sets with j < k_target
+    have no subset to test and are all bad. ``guard`` bounds the subset
+    tests run, sum_j C(N-1, j-1) * C(j, k_target).
+    """
     _check_positive(N=N, threads=threads)
     if not 2 <= k_target <= K:
         raise ValueError(f"k_target must be in 2..{K}")
-    total = N ** (K - 1)
-    if total > guard:
+    sizes = range(1, min(K, N) + 1)
+    work = sum(math.comb(N - 1, j - 1) * math.comb(j, k_target) for j in sizes)
+    if work > guard:
         raise SearchBudgetExceeded(
-            f"N^(K-1) = {total} placements exceed the enumeration guard "
+            f"{work} subset tests over occupied sets exceed the guard "
             f"{guard}; use monte_carlo_p instead"
         )
     chunk = 1 << 20
+    tasks = [(j, lo) for j in sizes for lo in range(0, math.comb(N - 1, j - 1), chunk)]
 
-    def count_chunk(base: int) -> int:
-        end = min(base + chunk, total)
-        idx = np.arange(base, end, dtype=np.int64)
-        digits = np.stack(np.unravel_index(idx, (N,) * (K - 1)), axis=1)
-        offs = np.concatenate(
-            [np.zeros((end - base, 1), dtype=np.int64), digits], axis=1
-        )
-        return int((~_rows_with_feasible_subset(offs, N, k_target)).sum())
+    def count_chunk(task: tuple[int, int]) -> int:
+        j, lo = task
+        rows = _occupied_sets(N, j, lo, min(lo + chunk, math.comb(N - 1, j - 1)))
+        bad = int((~_rows_with_feasible_subset(rows, N, k_target)).sum())
+        return bad * gamma_count(j, K - 1, j - 1)
 
-    starts = range(0, total, chunk)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            bad = sum(pool.map(count_chunk, starts))
+            value = sum(pool.map(count_chunk, tasks))
     else:
-        bad = sum(count_chunk(b) for b in starts)
-    return CountResult(value=bad, kind="exact_enumeration")
+        value = sum(map(count_chunk, tasks))
+    return CountResult(value=value, kind="exact_occupancy")
 
 
 def probability_exact(N: int, K: int, k_target: int, guard: int = 10**8,
                       threads: int = 1) -> ProbabilityEstimate:
-    """P(some k_target-user subset is feasible), by full enumeration."""
+    """P(some k_target-user subset is feasible), exactly, from ``exact_count``."""
     bad = exact_count(N, K, k_target, guard=guard, threads=threads).value
     p = float(1 - Fraction(bad, N ** (K - 1)))
     return ProbabilityEstimate(p=p, method="exact")
@@ -261,7 +279,7 @@ def monte_carlo_p(N: int, K: int, k_target: int, trials: int, seed: int = 0,
 
 
 def two_user_formula_report(N: int, K: int, guard: int = 10**8) -> dict:
-    """Compatibility check of the 2-user closed form against enumeration.
+    """Compatibility check of the 2-user closed form against ``exact_count``.
 
     The closed form is claimed exact; any mismatch is surfaced here rather
     than silently accepted.

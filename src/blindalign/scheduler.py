@@ -114,9 +114,10 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
 
     Coverage: every residue class modulo the period is used exactly once.
     Consecutiveness: each thread has K+1 slots in K+1 consecutive groups
-    starting at its declared start group. Patterns: each thread's pattern
-    matrix is a permutation. Certificate: ``lam`` has K(K+1) entries, solves
-    the group window equations and counts the threads starting at each group.
+    starting exactly at its declared start group, not periods later.
+    Patterns: each thread's pattern matrix is a permutation. Certificate:
+    ``lam`` has K(K+1) entries, solves the group window equations and counts
+    the threads starting at each group.
     """
     cfg = sched.cfg
     K = cfg.K
@@ -143,7 +144,7 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
             groups is None
             or len(groups) != K + 1
             or groups != list(range(groups[0], groups[0] + K + 1))
-            or groups[0] % m != t.start_group
+            or groups[0] != t.start_group
         ):
             consecutive_ok = False
             failures.append(f"consecutiveness: thread at group {t.start_group}, slots {t.slots}")

@@ -3,10 +3,11 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from blindalign import p_upper_3, probability_exact
+from blindalign import exact_count, p_upper_3, probability_exact
 from blindalign.cli import main
 
 
@@ -145,6 +146,15 @@ class TestDecomposeVerify:
         assert code == 1
         assert "FAIL (structure)" in out and "consecutiveness" in err
 
+    def test_thread_shifted_by_periods_exit_1(self, tmp_path, capsys):
+        # slots past int64 used to pass validation and crash the verifier
+        def shift(doc):
+            doc["tuples"][0]["slots"] = [n + 16 * 10**18 for n in doc["tuples"][0]["slots"]]
+        code, out, err = self._verify_edited(tmp_path, capsys, shift)
+        assert code == 1
+        assert "FAIL (structure)" in out and "consecutiveness" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("slots", [[3.7, 4.7, 5.7, 6.7], ["3", 4, 5, 6], [True, 4, 5, 6]])
     def test_non_integer_slots_exit_2(self, tmp_path, capsys, slots):
         code, out, err = self._verify_edited(
@@ -211,9 +221,15 @@ class TestProb:
         code, _, err = run(capsys, "prob", "--N", "9", "--K", "3",
                            "--k-target", "3", "--method", "bound")
         assert code == 2 and "divisible by 4" in err
-        code, _, err = run(capsys, "prob", "--N", "8", "--K", "3",
-                           "--k-target", "2", "--method", "bound")
-        assert code == 2 and "divisible by 3" in err
+
+    def test_bound_2user_any_n(self, capsys):
+        # the 2-user closed form is exact for every N, multiple of 3 or not
+        for N in (8, 10, 11):
+            code, out, _ = run(capsys, "prob", "--N", str(N), "--K", "4",
+                               "--k-target", "2", "--method", "bound", "--format", "json")
+            assert code == 0
+            bad = exact_count(N, 4, 2).value
+            assert json.loads(out)[0]["p"] == float(1 - Fraction(bad, N**3))
 
     def test_exact_guard_exit_2(self, capsys):
         code, _, err = run(capsys, "prob", "--N", "100", "--K", "6",

@@ -1,10 +1,13 @@
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindalign import (
+    CountResult,
     SearchBudgetExceeded,
     exact_count,
     f_2user,
@@ -18,6 +21,8 @@ from blindalign import (
     stirling2,
     two_user_formula_report,
 )
+from blindalign.counting import _occupied_sets
+from helpers import enumeration_count
 
 
 def stirling2_recurrence(n, k):
@@ -168,9 +173,11 @@ class TestF2User:
             report = two_user_formula_report(N, K)
             assert report["match"], report
 
-    def test_divisibility_guard(self):
-        with pytest.raises(ValueError, match="divisible by 3"):
-            f_2user(8, 3)
+    def test_any_n_matches_exact_count(self):
+        # the arc length runs to ceil(N/3), so N need not be a multiple of 3
+        for N in (1, 2, 4, 5, 7, 8, 10, 11, 20, 22, 23, 37, 40):
+            for K in (2, 3, 4, 5):
+                assert f_2user(N, K).value == exact_count(N, K, 2).value, (N, K)
 
 
 class TestExactCount:
@@ -184,7 +191,7 @@ class TestExactCount:
         # is feasible: 6 of 16, leaving 10 without a feasible triple
         assert exact_count(4, 3, 3).value == 16 - feasible_region(4).count == 10
         assert exact_count(8, 3, 3).value == 52
-        assert exact_count(6, 2, 2).value == 3
+        assert exact_count(6, 2, 2) == CountResult(value=3, kind="exact_occupancy")
 
     def test_value_bounded_by_placements(self):
         for N, K in ((8, 3), (8, 4), (6, 5)):
@@ -202,8 +209,51 @@ class TestExactCount:
         with pytest.raises(SearchBudgetExceeded, match="monte_carlo"):
             exact_count(100, 6, 3, guard=10**6)
 
+    def test_guard_counts_subset_tests(self):
+        # sum_j C(15, j-1) * C(j, 3) over j = 3..6 is 75,635 at (16,6,3)
+        assert exact_count(16, 6, 3, guard=75635).value == 334126
+        with pytest.raises(SearchBudgetExceeded, match="monte_carlo"):
+            exact_count(16, 6, 3, guard=75634)
+
     def test_threads_do_not_change_result(self):
         assert exact_count(8, 4, 3).value == exact_count(8, 4, 3, threads=4).value
+        for N, K, k in ((16, 6, 3), (36, 5, 2)):
+            assert exact_count(N, K, k) == exact_count(N, K, k, threads=4)
+
+    def test_matches_enumeration_grid(self):
+        for N in range(1, 13):
+            for K in range(2, 7):
+                if N ** (K - 1) > 2 * 10**5:
+                    continue
+                for k in range(2, min(K, 4) + 1):
+                    assert exact_count(N, K, k).value == enumeration_count(N, K, k), \
+                        (N, K, k)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_enumeration_property(self, data):
+        # N up to 40, capped so that N^(K-1) stays within 10^5 placements
+        K = data.draw(st.integers(2, 6), label="K")
+        N = data.draw(st.integers(1, {2: 40, 3: 40, 4: 40, 5: 17, 6: 10}[K]), label="N")
+        k = data.draw(st.integers(2, K), label="k")
+        assert exact_count(N, K, k).value == enumeration_count(N, K, k)
+
+    def test_pinned_values(self):
+        # 1 - 723901/60^4 is the 2-user probability behind gate 8b;
+        # 3299206 was checked once against all 16^6 labeled placements
+        assert exact_count(60, 5, 2).value == 723901 == f_2user(60, 5).value
+        assert exact_count(16, 7, 3).value == 3299206
+
+    def test_occupied_sets_unrank_every_subset(self):
+        # each chunk boundary must continue the same order without gaps
+        for N, j in ((1, 1), (5, 1), (7, 3), (9, 4), (12, 6)):
+            total = math.comb(N - 1, j - 1)
+            rows = _occupied_sets(N, j, 0, total)
+            expected = sorted(((0, *c) for c in combinations(range(1, N), j - 1)),
+                              key=lambda r: r[::-1])
+            assert [tuple(r) for r in rows.tolist()] == expected
+            for lo, hi in ((0, 1), (1, total), (total // 3, total // 2 + 1)):
+                assert np.array_equal(_occupied_sets(N, j, lo, hi), rows[lo:hi])
 
 
 @pytest.mark.parametrize("call", [

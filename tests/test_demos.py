@@ -1,6 +1,6 @@
 """Smoke test: the demo scripts run against the current API and exit 0.
 
-Demo 05 is left out: it enumerates and samples probabilities for several
+Demo 05 is left out: it counts and samples probabilities for several
 seconds, and its numbers are already checked by the counting tests and the
 threshold gates.
 """

@@ -76,7 +76,8 @@ class TestBuildSchedule:
             sched = build(cfg)
             for t in sched.tuples:
                 groups = [slot_group(cfg, n) for n in t.slots]
-                assert groups == list(range(groups[0], groups[0] + cfg.K + 1))
+                # exactly at the declared group, as validate_schedule requires
+                assert groups == list(range(t.start_group, t.start_group + cfg.K + 1))
 
 
 class TestValidateSchedule:
@@ -135,6 +136,17 @@ class TestValidateSchedule:
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
         tampered = (SuperSymbol(sched.tuples[0].start_group, ()),) + sched.tuples[1:]
         report = validate_schedule(Schedule(sched.cfg, sched.lam, tampered))
+        assert not report.consecutive_ok and not report.passed
+
+    def test_thread_shifted_by_periods_fails_consecutiveness(self):
+        # 16 * 10^18 is a multiple of the period 16, so coverage modulo the
+        # period still holds, but the thread no longer starts at its group
+        sched = build_schedule(FIG_CFG, FIG_LAMBDA)
+        t0 = sched.tuples[0]
+        shifted = SuperSymbol(t0.start_group, tuple(n + 16 * 10**18 for n in t0.slots))
+        report = validate_schedule(Schedule(sched.cfg, sched.lam,
+                                            (shifted,) + sched.tuples[1:]))
+        assert report.coverage_ok and report.certificate_ok
         assert not report.consecutive_ok and not report.passed
 
 
