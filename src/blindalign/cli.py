@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from . import counting
 from .diophantine import brute_force_solve, closed_form_solution
@@ -165,30 +164,15 @@ def _parse_k_values(args) -> list[int]:
 def _cmd_prob(args) -> int:
     rows = []
     for K in _parse_k_values(args):
-        if args.method == "bound":
-            if args.k_target == 3:
-                if args.N % 4 != 0:
-                    print(f"--method bound with --k-target 3 needs N divisible by 4 "
-                          f"(got N={args.N}); use --method mc", file=sys.stderr)
-                    return 2
-                est = counting.p_upper_3(args.N, K)
-            else:
-                f = counting.f_2user(args.N, K).value
-                est = counting.ProbabilityEstimate(
-                    p=float(1 - Fraction(f, args.N ** (K - 1))),
-                    method="closed_form_bound",
-                )
-        elif args.method == "exact":
-            try:
-                est = counting.probability_exact(args.N, K, args.k_target,
-                                                 threads=args.threads)
-            except SearchBudgetExceeded as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
-        else:
+        if args.method == "mc":
             est = counting.monte_carlo_p(args.N, K, args.k_target,
                                          trials=args.trials, seed=args.seed,
                                          threads=args.threads)
+        elif args.method == "bound" and args.k_target == 3:
+            est = counting.p_upper_3(args.N, K)
+        else:  # the pair closed form is exact, so it is also the pair bound
+            est = counting.probability_exact(args.N, K, args.k_target,
+                                             threads=args.threads)
         rows.append({
             "N": args.N, "K": K, "k_target": args.k_target,
             "method": args.method, "p": est.p,

@@ -13,11 +13,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
 from .errors import SearchBudgetExceeded
+from .feasibility import feasible_subset_rows
 
 __all__ = [
     "CountResult",
@@ -151,24 +151,6 @@ def f_2user(N: int, K: int) -> CountResult:
     return CountResult(value=total, kind="formula")
 
 
-def _subset_threshold(N: int, k_target: int) -> int:
-    return -(-N // (k_target + 1))
-
-
-def _rows_with_feasible_subset(offs: np.ndarray, N: int, k_target: int) -> np.ndarray:
-    """Boolean mask over placement rows; column 0 is the benchmark user."""
-    R, K = offs.shape
-    need = _subset_threshold(N, k_target)
-    ok = np.zeros(R, dtype=bool)
-    for sub in combinations(range(K), k_target):
-        srt = np.sort(offs[:, sub], axis=1)
-        min_gap = np.minimum(
-            np.diff(srt, axis=1).min(axis=1), N - srt[:, -1] + srt[:, 0]
-        )
-        ok |= min_gap >= need
-    return ok
-
-
 def _occupied_sets(N: int, j: int, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of the sets {0} ∪ S, S a (j-1)-subset of 1..N-1 in colex
     order: S's i-th element is the largest c with C(c, i) <= the rank left."""
@@ -212,7 +194,7 @@ def exact_count(N: int, K: int, k_target: int, guard: int = 10**8,
     def count_chunk(task: tuple[int, int]) -> int:
         j, lo = task
         rows = _occupied_sets(N, j, lo, min(lo + chunk, math.comb(N - 1, j - 1)))
-        bad = int((~_rows_with_feasible_subset(rows, N, k_target)).sum())
+        bad = int((~feasible_subset_rows(rows, N, k_target)).sum())
         return bad * gamma_count(j, K - 1, j - 1)
 
     if threads > 1:
@@ -225,8 +207,13 @@ def exact_count(N: int, K: int, k_target: int, guard: int = 10**8,
 
 def probability_exact(N: int, K: int, k_target: int, guard: int = 10**8,
                       threads: int = 1) -> ProbabilityEstimate:
-    """P(some k_target-user subset is feasible), exactly, from ``exact_count``."""
-    bad = exact_count(N, K, k_target, guard=guard, threads=threads).value
+    """P(some k_target-user subset is feasible), exactly: pairs from the
+    closed form ``f_2user`` (no guard needed), larger subsets by ``exact_count``."""
+    _check_positive(N=N, threads=threads)
+    if k_target == 2:
+        bad = f_2user(N, K).value
+    else:
+        bad = exact_count(N, K, k_target, guard=guard, threads=threads).value
     p = float(1 - Fraction(bad, N ** (K - 1)))
     return ProbabilityEstimate(p=p, method="exact")
 
@@ -263,7 +250,7 @@ def monte_carlo_p(N: int, K: int, k_target: int, trials: int, seed: int = 0,
         gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
         draws = gen.integers(0, N, size=(size, K - 1), dtype=np.int64)
         offs = np.concatenate([np.zeros((size, 1), dtype=np.int64), draws], axis=1)
-        return int(_rows_with_feasible_subset(offs, N, k_target).sum())
+        return int(feasible_subset_rows(offs, N, k_target).sum())
 
     chunks = range((trials + _MC_CHUNK - 1) // _MC_CHUNK)
     if threads > 1:

@@ -3,7 +3,7 @@
 The governing condition for K users is sum(s) <= (K+1) * min(s) on the
 circular gap vector s, equivalently: every gap >= ceil(N / (K+1)). The
 functions here are three views of that one condition plus region/subset
-enumeration built on it.
+enumeration built on it; every gap test on offsets runs through one kernel.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from .pattern import ChannelConfig, GroupProfile, group_profile
 
@@ -23,7 +25,10 @@ __all__ = [
     "FeasibleRegion",
     "feasible_region",
     "find_feasible_subset",
+    "feasible_subset_rows",
 ]
+
+_ROW_BLOCK = 4096  # rows per kernel pass: bounds its temporaries, not its result
 
 
 def check_weak(s) -> bool:
@@ -50,11 +55,42 @@ def check_feasible(s) -> bool:
     return sum(s) <= (K + 1) * min(s)
 
 
-def _min_circular_gap(offsets, N: int) -> int:
-    rel = sorted(int(o) % N for o in offsets)
-    gaps = [rel[k + 1] - rel[k] for k in range(len(rel) - 1)]
-    gaps.append(N - rel[-1] + rel[0])
-    return min(gaps)
+def feasible_subset_rows(offsets, N: int, k_target: int) -> np.ndarray:
+    """Per row of ``offsets`` (R, K), entries in [0, N): do some k_target of
+    its offsets have every circular gap >= ceil(N/(k_target+1))?
+
+    Each row is sorted once and its ring unrolled to two laps; from every
+    start the kernel jumps k_target-1 times to the earliest point at least
+    the threshold further on. Greedy leaves the largest closing gap any
+    selection from that start can, so a row is feasible iff some start keeps
+    that wrap gap at the threshold. Differences stay within (-N, N], so
+    int64 holds them for N < 2^63; larger N falls back to Python integers.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64 if N < 2**63 else object)
+    need = -(-N // (k_target + 1))
+    K = offsets.shape[1]
+    start = np.arange(K)
+    ok = np.empty(len(offsets), dtype=bool)
+    for lo in range(0, len(offsets), _ROW_BLOCK):
+        a = np.sort(offsets[lo:lo + _ROW_BLOCK], axis=1)
+        # nxt[:, m]: the first index in (a, a + N) at least `need` past a[m];
+        # distances from a[m] never decrease, so count those below `need`
+        nxt = np.tile(start + 1, (len(a), 1))
+        for d in range(1, K):
+            dist = np.roll(a, -d, axis=1) - a
+            dist[:, K - d:] += N  # these points lie on the second lap
+            below = dist < need
+            if not below.any():
+                break
+            nxt += below
+        # second lap, then a sentinel column 2K where overshoots stay
+        nxt = np.concatenate([nxt, np.minimum(nxt + K, 2 * K), np.full((len(a), 1), 2 * K)], 1)
+        end = np.tile(start, (len(a), 1))
+        for _ in range(k_target - 1):
+            end = np.take_along_axis(nxt, end, axis=1)
+        wrap = (a - np.take_along_axis(a, end % K, axis=1)) % N
+        ok[lo:lo + _ROW_BLOCK] = ((end < start + K) & (wrap >= need)).any(axis=1)
+    return ok
 
 
 @dataclass(frozen=True)
@@ -99,8 +135,7 @@ def circular_gap_check(offsets, N: int) -> bool:
         raise ValueError("need at least 2 offsets")
     if N < 1:
         raise ValueError("N must be >= 1")
-    need = -(-N // (K + 1))
-    return _min_circular_gap(offsets, N) >= need
+    return bool(feasible_subset_rows([[int(o) % N for o in offsets]], N, K)[0])
 
 
 @dataclass(frozen=True)
@@ -126,14 +161,9 @@ def feasible_region(N: int) -> FeasibleRegion:
     """Enumerate the feasible (n2, n3) grid for 3 users with benchmark offset 0."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    need = -(-N // 4)
-    pts = []
-    for n2 in range(N):
-        for n3 in range(N):
-            lo, hi = (n2, n3) if n2 <= n3 else (n3, n2)
-            if lo >= need and hi - lo >= need and N - hi >= need:
-                pts.append((n2, n3))
-    return FeasibleRegion(N=N, points=tuple(pts))
+    n2, n3 = np.divmod(np.arange(N * N), N)
+    ok = feasible_subset_rows(np.stack([np.zeros_like(n2), n2, n3], axis=1), N, 3)
+    return FeasibleRegion(N=N, points=tuple(zip(n2[ok].tolist(), n3[ok].tolist())))
 
 
 def find_feasible_subset(offsets, N: int, k_target: int):
@@ -146,9 +176,7 @@ def find_feasible_subset(offsets, N: int, k_target: int):
     K = len(offsets)
     if not 2 <= k_target <= K:
         raise ValueError(f"k_target must be in 2..{K}")
-    need = -(-N // (k_target + 1))
-    for users in combinations(range(1, K + 1), k_target):
-        sub = [offsets[u - 1] for u in users]
-        if _min_circular_gap(sub, N) >= need:
-            return users
-    return None
+    subsets = list(combinations(range(1, K + 1), k_target))
+    rows = [[int(offsets[u - 1]) % N for u in users] for users in subsets]
+    ok = feasible_subset_rows(rows, N, k_target)
+    return subsets[int(ok.argmax())] if ok.any() else None

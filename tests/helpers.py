@@ -25,22 +25,29 @@ def min_circular_gap(offsets, N):
     return min(gaps)
 
 
+def subset_rows_oracle(offs, N, k_target):
+    """Slow oracle for ``feasible_subset_rows``: per row, does some k_target
+    of its offsets have every circular gap >= ceil(N/(k_target+1))? Every
+    subset is checked with ``itertools.combinations``."""
+    offs = np.asarray(offs, dtype=np.int64)
+    need = -(-N // (k_target + 1))
+    ok = np.zeros(len(offs), dtype=bool)
+    for sub in combinations(range(offs.shape[1]), k_target):
+        srt = np.sort(offs[:, sub], axis=1)
+        gaps = np.diff(srt, axis=1, append=srt[:, :1] + N)
+        ok |= gaps.min(axis=1) >= need
+    return ok
+
+
 def enumeration_count(N, K, k_target):
     """Slow oracle for ``exact_count``: all N^(K-1) labeled placements.
 
     User 1 sits at box 0; a placement is bad when no k_target of its users
-    have every circular gap >= ceil(N/(k_target+1)), checked per subset with
-    ``itertools.combinations``.
+    have every circular gap >= ceil(N/(k_target+1)).
     """
-    need = -(-N // (k_target + 1))
     digits = np.indices((N,) * (K - 1)).reshape(K - 1, -1).T
     offs = np.concatenate([np.zeros((len(digits), 1), dtype=digits.dtype), digits], axis=1)
-    ok = np.zeros(len(offs), dtype=bool)
-    for sub in combinations(range(K), k_target):
-        srt = np.sort(offs[:, sub], axis=1)
-        gaps = np.diff(srt, axis=1, append=srt[:, :1] + N)
-        ok |= gaps.min(axis=1) >= need
-    return int((~ok).sum())
+    return int((~subset_rows_oracle(offs, N, k_target)).sum())
 
 
 def random_feasible_gaps(rng, K, n_max):

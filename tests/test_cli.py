@@ -231,6 +231,18 @@ class TestProb:
             bad = exact_count(N, 4, 2).value
             assert json.loads(out)[0]["p"] == float(1 - Fraction(bad, N**3))
 
+    def test_exact_2user_past_guard(self, capsys):
+        # 4.4e11 subset tests would exceed the guard; the pair closed form
+        # answers exactly, and --method bound gives the same value
+        rows = []
+        for method in ("exact", "bound"):
+            code, out, _ = run(capsys, "prob", "--N", "100", "--K", "8", "--k-target", "2",
+                               "--method", method, "--format", "json")
+            assert code == 0
+            rows.append(json.loads(out)[0])
+        assert rows[0]["p"] == rows[1]["p"] == probability_exact(100, 8, 2).p
+        assert rows[0]["p"] == pytest.approx(0.996206147, abs=1e-9)
+
     def test_exact_guard_exit_2(self, capsys):
         code, _, err = run(capsys, "prob", "--N", "100", "--K", "6",
                            "--k-target", "3", "--method", "exact")

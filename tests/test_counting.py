@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -298,6 +299,32 @@ class TestProbabilities:
         assert a == b == c
         d = monte_carlo_p(12, 4, 3, trials=100_000, seed=4)
         assert d.p != a.p
+
+    @pytest.mark.parametrize("case, expected", [
+        ((60, 11, 3, 65536), "0x1.eaf2000000000p-1"),
+        ((60, 20, 3, 16384), "0x1.fff8000000000p-1"),
+        ((30, 12, 4, 32768), "0x1.924c000000000p-1"),
+    ])
+    def test_monte_carlo_pinned_values(self, case, expected):
+        # the values the C(K,k) subset loop gave, to the last bit
+        for threads in (1, 2):
+            assert monte_carlo_p(*case, seed=1, threads=threads).p.hex() == expected
+
+    @pytest.mark.parametrize("N", [2**50, 2**62, 2**63 - 1])
+    def test_monte_carlo_large_n(self, N):
+        # the two-lap ring arithmetic must stay inside int64 for every N
+        assert monte_carlo_p(N, 8, 3, 4096, seed=1).p == 0.779052734375
+
+    def test_exact_pairs_past_the_guard(self):
+        # pairs come from the closed form, so no subset-test guard applies
+        est = probability_exact(100, 8, 2)
+        assert est.method == "exact"
+        assert est.p == float(1 - Fraction(f_2user(100, 8).value, 100**7))
+        for N, K in ((8, 4), (11, 5), (36, 5)):
+            p = float(1 - Fraction(exact_count(N, K, 2).value, N ** (K - 1)))
+            assert probability_exact(N, K, 2).p == p
+        with pytest.raises(ValueError, match="must be >= 1"):
+            probability_exact(8, 3, 2, threads=0)
 
     def test_monte_carlo_fields(self):
         est = monte_carlo_p(8, 3, 3, trials=10_000, seed=0)

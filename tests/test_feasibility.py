@@ -2,6 +2,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindalign import (
     ChannelConfig,
@@ -14,7 +16,8 @@ from blindalign import (
     find_feasible_subset,
     group_profile,
 )
-from helpers import compositions, min_circular_gap
+from blindalign.feasibility import _ROW_BLOCK, feasible_subset_rows
+from helpers import compositions, min_circular_gap, subset_rows_oracle
 
 
 class TestWeakCondition:
@@ -95,6 +98,14 @@ class TestCircularGapCheck:
         assert circular_gap_check((0, 1, 2), 4)
         assert circular_gap_check((0, 4, 8), 16)
         assert not circular_gap_check((0, 2, 8), 16)
+
+    def test_offsets_past_int64(self):
+        N = 3 * 2**63
+        for offsets in ((0, 2**63, 2**64), (0, 2**63, 2**64 + 5), (5, -1, 2**70)):
+            expected = check_config(ChannelConfig(N, offsets)).feasible
+            assert circular_gap_check(offsets, N) == expected
+        assert circular_gap_check((0, 2**63, 2**64), N)
+        assert find_feasible_subset((0, 1, 2**63, 2**64), N, 3) == (1, 3, 4)
 
     def test_circular_not_linear_differences(self):
         # pairwise |differences| are all >= 5 here, but the ring gap 20-18=2
@@ -184,3 +195,33 @@ class TestFindFeasibleSubset:
             find_feasible_subset((0, 1, 2), 8, 1)
         with pytest.raises(ValueError):
             find_feasible_subset((0, 1, 2), 8, 4)
+
+
+class TestFeasibleSubsetRows:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_combinations_oracle(self, data):
+        N = data.draw(st.integers(1, 40), label="N")
+        K = data.draw(st.integers(2, 9), label="K")
+        k = data.draw(st.integers(2, K), label="k")
+        rows = data.draw(st.lists(st.lists(st.integers(0, N - 1), min_size=K, max_size=K),
+                                  min_size=1, max_size=12), label="rows")
+        offs = np.array(rows, dtype=np.int64)
+        if data.draw(st.booleans(), label="duplicate"):
+            offs[:, -1] = offs[:, 0]
+        if data.draw(st.booleans(), label="presorted"):
+            offs.sort(axis=1)
+        assert np.array_equal(feasible_subset_rows(offs, N, k), subset_rows_oracle(offs, N, k))
+
+    def test_every_row_across_blocks(self):
+        # more rows than one kernel pass takes, so verdicts cross block edges
+        rng = np.random.default_rng(41)
+        for N, K, k in ((60, 11, 3), (30, 12, 4), (12, 6, 6), (5, 7, 5)):
+            offs = rng.integers(0, N, (3 * _ROW_BLOCK + 7, K))
+            assert np.array_equal(feasible_subset_rows(offs, N, k),
+                                  subset_rows_oracle(offs, N, k)), (N, K, k)
+
+    def test_more_targets_than_points_never_feasible(self):
+        offs = np.array([[0], [3]])
+        assert not feasible_subset_rows(offs, 12, 2).any()
+        assert not feasible_subset_rows(np.array([[0, 4, 8]]), 12, 4).any()
