@@ -13,7 +13,6 @@ from blindalign import (
     channel_coeffs,
     check_config,
     closed_form_solution,
-    dof_of_schedule,
     group_profile,
     pattern_matrix,
     receiver_checks,
@@ -58,7 +57,7 @@ print(f"  worst alignment residual {summary.max_residual:.2e}")
 print(f"  worst decodability sigma {summary.min_singular:.2e}")
 print(f"  verdict: {'PASS' if summary.passed else 'FAIL'}, "
       f"{summary.symbols_per_slot} symbols/slot "
-      f"(= 2K/(K+1) = {float(dof_of_schedule(sched)):g})")
+      f"(= 2K/(K+1) = {float(summary.symbols_per_slot):g})")
 
 print("\nsame pipeline at K=4 (8/5 symbols per slot):")
 cfg4 = ChannelConfig(N=10, offsets=(0, 2, 5, 8))

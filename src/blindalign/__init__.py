@@ -13,6 +13,7 @@ from .pattern import (
     GroupProfile,
     block_index,
     group_profile,
+    slot_map,
     group_slots,
     slot_group,
     pattern_matrix,
@@ -42,7 +43,6 @@ from .scheduler import (
     build_schedule,
     ValidationReport,
     validate_schedule,
-    dof_of_schedule,
     schedule_to_dict,
     schedule_from_dict,
 )

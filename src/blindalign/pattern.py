@@ -20,6 +20,7 @@ __all__ = [
     "GroupProfile",
     "block_index",
     "group_profile",
+    "slot_map",
     "group_slots",
     "slot_group",
     "pattern_matrix",
@@ -58,24 +59,17 @@ class ChannelConfig:
 class GroupProfile:
     """Circular gaps between sorted offsets, one base period of group sizes.
 
-    ``s[k]`` is the size of group ``k``; the extended view repeats with
-    period K, so group ``i`` of the long pattern has size ``s[i % K]``.
-    Entries sum to N. A zero entry marks duplicated offsets.
+    ``s[k]`` is the size of group ``k``; the long pattern repeats with
+    period K, so group ``i`` of it has size ``s[i % K]``. Entries sum to N.
+    A zero entry marks duplicated offsets.
     """
 
     s: tuple[int, ...]
 
     @property
-    def K(self) -> int:
-        return len(self.s)
-
-    @property
-    def N(self) -> int:
-        return sum(self.s)
-
-    def ext(self, i: int) -> int:
-        """Size of group ``i`` in the extended (period-K) view."""
-        return self.s[i % len(self.s)]
+    def starts(self) -> tuple[int, ...]:
+        """Group starts relative to the benchmark boundary, then N: K+1 entries."""
+        return (0, *itertools.accumulate(self.s))
 
     def __len__(self):
         return len(self.s)
@@ -85,33 +79,6 @@ class GroupProfile:
 
     def __iter__(self):
         return iter(self.s)
-
-
-def block_index(cfg: ChannelConfig, user: int, slot: int) -> int:
-    """Label of the fading block user ``user`` sees at absolute ``slot``.
-
-    Two slots share a label exactly when the user's channel vector is
-    identical across them. A user with offset 0 has full blocks from slot 0
-    on; a positive offset prepends a short block 0 of that many slots.
-    """
-    if not 1 <= user <= cfg.K:
-        raise ValueError(f"user index {user} out of range 1..{cfg.K}")
-    if slot < 0:
-        raise ValueError("slot must be nonnegative")
-    delta = cfg.offsets[user - 1]
-    if delta == 0:
-        return slot // cfg.N
-    if slot < delta:
-        return 0
-    return 1 + (slot - delta) // cfg.N
-
-
-def _block_indices(cfg: ChannelConfig, user: int, slots: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`block_index` over an array of nonnegative slots."""
-    delta = cfg.offsets[user - 1]
-    if delta == 0:
-        return slots // cfg.N
-    return np.where(slots < delta, 0, 1 + (slots - delta) // cfg.N)
 
 
 def group_profile(cfg: ChannelConfig) -> GroupProfile:
@@ -128,60 +95,70 @@ def group_profile(cfg: ChannelConfig) -> GroupProfile:
     return GroupProfile(tuple(gaps))
 
 
-def _group_starts(cfg: ChannelConfig) -> tuple[int, ...]:
-    """Cumulative start offsets (relative to the benchmark) of groups 0..K."""
-    s = group_profile(cfg).s
-    starts = [0]
-    for g in s:
-        starts.append(starts[-1] + g)
-    return tuple(starts)
+def slot_map(cfg: ChannelConfig, slots) -> tuple[np.ndarray, np.ndarray]:
+    """Long group index and per-user block label of every slot.
+
+    ``slots`` is an int64 array of any shape, or an object array of Python
+    integers where int64 could overflow. Returns the groups (same shape) and
+    the block labels (K, *slots.shape). Groups start at the benchmark offset
+    and repeat every K groups / N slots; a zero-size group holds no slot.
+    User i's label is 0 at slot 0 and steps by 1 at each slot congruent to its offset.
+    """
+    slots = np.asarray(slots)
+    rel = slots - cfg.offsets[0]
+    starts = np.array(group_profile(cfg).starts, dtype=slots.dtype)
+    groups = (rel // cfg.N) * cfg.K + np.searchsorted(starts, rel % cfg.N, side="right") - 1
+    delta = np.array(cfg.offsets, dtype=slots.dtype).reshape((-1,) + (1,) * slots.ndim)
+    return np.asarray(groups), (slots - delta) // cfg.N + (delta != 0)
+
+
+def _as_slots(slots) -> np.ndarray:
+    """Arrays as given; ints and sequences as Python integers, exact at any size."""
+    return slots if isinstance(slots, np.ndarray) else np.array(slots, dtype=object)
+
+
+def block_index(cfg: ChannelConfig, user: int, slot: int) -> int:
+    """Label of user ``user``'s fading block at ``slot`` (see :func:`slot_map`)."""
+    if not 1 <= user <= cfg.K:
+        raise ValueError(f"user index {user} out of range 1..{cfg.K}")
+    if slot < 0:
+        raise ValueError("slot must be nonnegative")
+    return int(slot_map(cfg, _as_slots(slot))[1][user - 1])
 
 
 def group_slots(cfg: ChannelConfig, group: int) -> range:
-    """Absolute slot range of group ``group`` (any nonnegative long index).
-
-    Group 0 starts at the benchmark offset; the group sequence extends
-    indefinitely with period K groups / N slots.
-    """
+    """Absolute slot range of group ``group`` (any nonnegative long index)."""
     if group < 0:
         raise ValueError("group index must be nonnegative")
-    K = cfg.K
-    starts = _group_starts(cfg)
-    period_no, k = divmod(group, K)
+    starts = group_profile(cfg).starts
+    period_no, k = divmod(group, cfg.K)
     base = cfg.offsets[0] + period_no * cfg.N
     return range(base + starts[k], base + starts[k + 1])
 
 
-def slot_group(cfg: ChannelConfig, slot: int) -> int:
-    """Long group index containing ``slot`` (slot must be >= the benchmark offset)."""
-    rel = slot - cfg.offsets[0]
-    if rel < 0:
+def slot_group(cfg: ChannelConfig, slot):
+    """Long group index of each slot (all >= the benchmark offset); int in, int out."""
+    slots = _as_slots(slot)
+    if (slots < cfg.offsets[0]).any():
         raise ValueError("slot precedes the benchmark user's first block boundary")
-    q, r = divmod(rel, cfg.N)
-    starts = _group_starts(cfg)
-    # exactly one group contains r; zero-size groups contain nothing
-    k = next(i for i in range(cfg.K) if starts[i] <= r < starts[i + 1])
-    return q * cfg.K + k
+    groups = slot_map(cfg, slots)[0]
+    return groups if slots is slot else int(groups)
 
 
 def pattern_matrix(cfg: ChannelConfig, slots) -> np.ndarray:
-    """K x K 0/1 matrix of per-user channel changes between selected slots.
+    """K x K 0/1 matrices of per-user channel changes between selected slots.
 
-    Entry (i, j) is 1 when user i+1's block changes between ``slots[j]`` and
-    ``slots[j+1]``. Expects K+1 strictly increasing slot indices.
+    ``slots`` holds K+1 strictly increasing slots, or a stack (..., K+1) of
+    them. Entry (..., i, j) is 1 when user i+1's block changes between
+    ``slots[..., j]`` and ``slots[..., j+1]``.
     """
-    slots = [int(n) for n in slots]
-    K = cfg.K
-    if len(slots) != K + 1:
-        raise ValueError(f"expected {K + 1} slots, got {len(slots)}")
-    if any(b <= a for a, b in zip(slots, slots[1:])):
+    slots = _as_slots(slots)
+    if slots.ndim < 1 or slots.shape[-1] != cfg.K + 1:
+        raise ValueError(f"expected {cfg.K + 1} slots, got shape {slots.shape}")
+    if (np.diff(slots, axis=-1) <= 0).any():
         raise ValueError("slots must be strictly increasing")
-    M = np.zeros((K, K), dtype=np.int64)
-    for i in range(K):
-        blocks = [block_index(cfg, i + 1, n) for n in slots]
-        for j in range(K):
-            M[i, j] = 1 if blocks[j] != blocks[j + 1] else 0
-    return M
+    changed = np.diff(slot_map(cfg, slots)[1], axis=-1) != 0  # (K, ..., K)
+    return np.moveaxis(changed, 0, -2).astype(np.int64)
 
 
 def is_feasible_pattern(M) -> bool:
@@ -208,7 +185,4 @@ def enumerate_feasible_patterns(K: int):
     if K < 2:
         raise ValueError("K must be >= 2")
     for perm in itertools.permutations(range(K)):
-        M = np.zeros((K, K), dtype=np.int64)
-        for i, c in enumerate(perm):
-            M[i, c] = 1
-        yield M
+        yield np.eye(K, dtype=np.int64)[list(perm)]

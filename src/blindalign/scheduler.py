@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
+
+import numpy as np
 
 from .diophantine import verify_solution
 from .pattern import (
@@ -28,7 +31,6 @@ __all__ = [
     "build_schedule",
     "ValidationReport",
     "validate_schedule",
-    "dof_of_schedule",
     "schedule_to_dict",
     "schedule_from_dict",
 ]
@@ -110,71 +112,69 @@ class ValidationReport:
 
 
 def validate_schedule(sched: Schedule) -> ValidationReport:
-    """Independent re-check of the schedule invariants.
+    """Independent re-check of the schedule invariants, on arrays.
 
     Coverage: every residue class modulo the period is used exactly once.
     Consecutiveness: each thread has K+1 slots in K+1 consecutive groups
     starting exactly at its declared start group, not periods later.
     Patterns: each thread's pattern matrix is a permutation. Certificate:
     ``lam`` has K(K+1) entries, solves the group window equations and counts
-    the threads starting at each group.
+    the threads starting at each group. Values too large for int64
+    arithmetic are checked as Python integers.
     """
-    cfg = sched.cfg
-    K = cfg.K
-    m = K * (K + 1)
-    period = sched.period
+    cfg, K, period = sched.cfg, sched.cfg.K, sched.period
+    rows = list(map(attrgetter("slots"), sched.tuples))
+    firsts = list(map(attrgetter("start_group"), sched.tuples))
+    flat = list(chain.from_iterable(rows))
+    wide = (K + 1) * (max(map(abs, chain(flat, firsts)), default=0) + cfg.N) >= 2**62
+    flat = np.array(flat, dtype=object if wide else np.int64)
     failures: list[str] = []
 
-    residues = [slot % period for t in sched.tuples for slot in t.slots]
-    coverage_ok = len(residues) == period and len(set(residues)) == period
-    if len(sched.tuples) != cfg.N:
+    coverage_ok = flat.size == period and np.bincount(
+        (flat % period).astype(np.int64), minlength=period).max() == 1
+    if len(rows) != cfg.N:
         coverage_ok = False
-        failures.append(f"coverage: {len(sched.tuples)} tuples, expected {cfg.N}")
+        failures.append(f"coverage: {len(rows)} tuples, expected {cfg.N}")
     if not coverage_ok and not failures:
         failures.append("coverage: residues modulo the period are not a partition")
 
-    consecutive_ok = True
-    patterns_ok = True
-    for t in sched.tuples:
-        try:
-            groups = [slot_group(cfg, n) for n in t.slots]
-        except ValueError:
-            groups = None
-        if (
-            groups is None
-            or len(groups) != K + 1
-            or groups != list(range(groups[0], groups[0] + K + 1))
-            or groups[0] != t.start_group
-        ):
-            consecutive_ok = False
+    # threads of K+1 slots, stacked; one reaching below the benchmark maps to a single group
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    full = lens == K + 1
+    S = flat[(np.cumsum(lens) - lens)[full, None] + np.arange(K + 1)]
+    inside = (S >= cfg.offsets[0]).all(axis=1, keepdims=True)
+    groups = slot_group(cfg, np.where(inside, S, cfg.offsets[0]))
+    consecutive = np.zeros(len(rows), dtype=bool)
+    consecutive[full] = ((groups[:, 0] == np.array(firsts, dtype=flat.dtype)[full])
+                         & (np.diff(groups, axis=1) == 1).all(axis=1))
+
+    patterned = np.ones(len(rows), dtype=bool)
+    M = pattern_matrix(cfg, S[consecutive[full]])
+    if not is_feasible_pattern(M):  # name the threads one by one
+        patterned[consecutive] = [is_feasible_pattern(x) for x in M]
+    for i in np.flatnonzero(~consecutive | ~patterned):
+        t = sched.tuples[i]
+        if not consecutive[i]:
             failures.append(f"consecutiveness: thread at group {t.start_group}, slots {t.slots}")
-            continue
-        if not is_feasible_pattern(pattern_matrix(cfg, t.slots)):
-            patterns_ok = False
+        else:
             failures.append(f"pattern: thread at group {t.start_group} is not a permutation")
 
     certificate_ok = (
-        len(sched.lam) == m
+        len(sched.lam) == K * (K + 1)
         and verify_solution(group_profile(cfg), sched.lam)
-        and Counter(t.start_group for t in sched.tuples) == Counter(dict(enumerate(sched.lam)))
+        and Counter(firsts) == Counter(dict(enumerate(sched.lam)))
     )
     if not certificate_ok:
         failures.append("certificate: lambda does not solve the window equations "
                         "or does not match the threads' start groups")
 
     return ValidationReport(
-        coverage_ok=coverage_ok,
-        consecutive_ok=consecutive_ok,
-        patterns_ok=patterns_ok,
+        coverage_ok=bool(coverage_ok),
+        consecutive_ok=bool(consecutive.all()),
+        patterns_ok=bool(patterned.all()),
         certificate_ok=certificate_ok,
         failures=tuple(failures),
     )
-
-
-def dof_of_schedule(sched: Schedule) -> Fraction:
-    """Delivered symbols per slot: 2K symbols per thread, N threads, (K+1)N slots."""
-    K = sched.cfg.K
-    return Fraction(2 * K, K + 1)
 
 
 def schedule_to_dict(sched: Schedule) -> dict:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pattern import ChannelConfig, _block_indices, is_feasible_pattern
+from .pattern import ChannelConfig, is_feasible_pattern, pattern_matrix, slot_map
 from .scheduler import Schedule, validate_schedule
 
 __all__ = [
@@ -88,7 +88,7 @@ def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
     get identical coefficients.
     """
     slots = np.asarray(slots, dtype=np.int64)
-    blocks = np.stack([_block_indices(cfg, user, slots) for user in range(1, cfg.K + 1)])
+    blocks = slot_map(cfg, slots)[1]
     H = np.empty((cfg.K, trials, *slots.shape, 2), dtype=complex)
     for i, user_blocks in enumerate(blocks):
         ub, inv = np.unique(user_blocks, return_inverse=True)
@@ -166,17 +166,17 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
                                trials: int) -> SummaryReport:
     """Run both checks on every thread across independent realizations.
 
-    Each thread's pattern matrix is read off the block labels of its slots:
-    entry (i, j) is 1 where user i+1's block changes between slots j and j+1.
+    Each thread's vectors come from its pattern matrix, the same pattern
+    definition :func:`validate_schedule` checks.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     report = validate_schedule(sched)
     if not report.passed:
         raise ValueError(f"schedule fails validation: {report.failures[:3]}")
-    K = cfg.K
-    H, blocks = channel_coeffs(cfg, [t.slots for t in sched.tuples], seed, trials)
-    v = beamforming_vectors((np.diff(blocks, axis=-1) != 0).swapaxes(0, 1))
+    slots = np.array([t.slots for t in sched.tuples], dtype=np.int64)
+    H, _ = channel_coeffs(cfg, slots, seed, trials)
+    v = beamforming_vectors(pattern_matrix(cfg, slots))
     residuals, singulars = receiver_checks(H, v)
     max_residual = float(residuals.max())
     min_singular = float(singulars.min())
@@ -189,5 +189,5 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
         min_singular=min_singular,
         aligned_ok=aligned_ok,
         decodable_ok=decodable_ok,
-        symbols_per_slot=Fraction(2 * K, K + 1) if (aligned_ok and decodable_ok) else None,
+        symbols_per_slot=Fraction(2 * cfg.K, cfg.K + 1) if (aligned_ok and decodable_ok) else None,
     )

@@ -1,10 +1,19 @@
 """Shared oracles and samplers for the test suite."""
 
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 
-from blindalign import ChannelConfig
+from blindalign import (
+    ChannelConfig,
+    Schedule,
+    SuperSymbol,
+    ValidationReport,
+    group_profile,
+    is_feasible_pattern,
+    verify_solution,
+)
 
 
 def compositions(total, parts):
@@ -102,3 +111,129 @@ def receiver_checks_oracle(H, v):
                 B = B / np.where(norms > 0, norms, 1.0)
                 singulars[i] = min(singulars[i], np.linalg.svd(B, compute_uv=False)[-1])
     return residuals, singulars
+
+
+def block_index_oracle(cfg, user, slot):
+    """Scalar reference for the block labels of ``slot_map``.
+
+    A user with offset 0 has full blocks from slot 0 on; a positive offset
+    prepends a short block 0 of that many slots.
+    """
+    if not 1 <= user <= cfg.K:
+        raise ValueError(f"user index {user} out of range 1..{cfg.K}")
+    if slot < 0:
+        raise ValueError("slot must be nonnegative")
+    delta = cfg.offsets[user - 1]
+    if delta == 0:
+        return slot // cfg.N
+    if slot < delta:
+        return 0
+    return 1 + (slot - delta) // cfg.N
+
+
+def slot_group_oracle(cfg, slot):
+    """Scalar reference for the groups of ``slot_map``: the one group whose
+    cumulative start range holds the slot's position past the benchmark."""
+    rel = slot - cfg.offsets[0]
+    if rel < 0:
+        raise ValueError("slot precedes the benchmark user's first block boundary")
+    q, r = divmod(rel, cfg.N)
+    starts = [0]
+    for g in group_profile(cfg).s:
+        starts.append(starts[-1] + g)
+    # exactly one group contains r; zero-size groups contain nothing
+    k = next(i for i in range(cfg.K) if starts[i] <= r < starts[i + 1])
+    return q * cfg.K + k
+
+
+def pattern_matrix_oracle(cfg, slots):
+    """Scalar reference for ``pattern_matrix`` on one thread of K+1 slots."""
+    slots = [int(n) for n in slots]
+    K = cfg.K
+    if len(slots) != K + 1:
+        raise ValueError(f"expected {K + 1} slots, got {len(slots)}")
+    if any(b <= a for a, b in zip(slots, slots[1:])):
+        raise ValueError("slots must be strictly increasing")
+    M = np.zeros((K, K), dtype=np.int64)
+    for i in range(K):
+        blocks = [block_index_oracle(cfg, i + 1, n) for n in slots]
+        for j in range(K):
+            M[i, j] = 1 if blocks[j] != blocks[j + 1] else 0
+    return M
+
+
+def validate_schedule_oracle(sched):
+    """Per-thread reference for ``validate_schedule``, on Python integers."""
+    cfg = sched.cfg
+    K = cfg.K
+    m = K * (K + 1)
+    period = sched.period
+    failures = []
+
+    residues = [slot % period for t in sched.tuples for slot in t.slots]
+    coverage_ok = len(residues) == period and len(set(residues)) == period
+    if len(sched.tuples) != cfg.N:
+        coverage_ok = False
+        failures.append(f"coverage: {len(sched.tuples)} tuples, expected {cfg.N}")
+    if not coverage_ok and not failures:
+        failures.append("coverage: residues modulo the period are not a partition")
+
+    consecutive_ok = True
+    patterns_ok = True
+    for t in sched.tuples:
+        try:
+            groups = [slot_group_oracle(cfg, n) for n in t.slots]
+        except ValueError:
+            groups = None
+        if (
+            groups is None
+            or len(groups) != K + 1
+            or groups != list(range(groups[0], groups[0] + K + 1))
+            or groups[0] != t.start_group
+        ):
+            consecutive_ok = False
+            failures.append(f"consecutiveness: thread at group {t.start_group}, slots {t.slots}")
+            continue
+        if not is_feasible_pattern(pattern_matrix_oracle(cfg, t.slots)):
+            patterns_ok = False
+            failures.append(f"pattern: thread at group {t.start_group} is not a permutation")
+
+    certificate_ok = (
+        len(sched.lam) == m
+        and verify_solution(group_profile(cfg), sched.lam)
+        and Counter(t.start_group for t in sched.tuples) == Counter(dict(enumerate(sched.lam)))
+    )
+    if not certificate_ok:
+        failures.append("certificate: lambda does not solve the window equations "
+                        "or does not match the threads' start groups")
+    return ValidationReport(coverage_ok, consecutive_ok, patterns_ok, certificate_ok,
+                            tuple(failures))
+
+
+TAMPERINGS = ("moved slot", "changed lambda", "shifted thread", "swapped start groups")
+
+
+def tamper_schedule(sched, kind, a, b):
+    """``sched`` with one of the ``TAMPERINGS``; ``a`` and ``b`` pick the
+    thread, the slot, the other thread and the amount. Every result breaks
+    coverage, the certificate or consecutiveness."""
+    tuples, lam = list(sched.tuples), list(sched.lam)
+    i = a % len(tuples)
+    t = tuples[i]
+    if kind == "moved slot":  # by a nonzero amount below one period, up or down
+        slots = list(t.slots)
+        step = 1 + b % (sched.period - 1)
+        slots[b % len(slots)] += step if a % 2 else -step
+        tuples[i] = SuperSymbol(t.start_group, tuple(slots))
+    elif kind == "changed lambda":
+        lam[b % len(lam)] += (1 + a % 2) * (1 if b % 2 else -1)
+    elif kind == "shifted thread":
+        tuples[i] = SuperSymbol(t.start_group, tuple(n + sched.period for n in t.slots))
+    elif kind == "swapped start groups":
+        others = [j for j, u in enumerate(tuples) if u.start_group != t.start_group]
+        j = others[b % len(others)]
+        tuples[i] = SuperSymbol(tuples[j].start_group, t.slots)
+        tuples[j] = SuperSymbol(t.start_group, tuples[j].slots)
+    else:
+        raise ValueError(f"unknown tampering {kind!r}")
+    return Schedule(sched.cfg, tuple(lam), tuple(tuples))

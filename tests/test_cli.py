@@ -1,14 +1,29 @@
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blindalign import exact_count, p_upper_3, probability_exact
+from blindalign import (
+    build_schedule,
+    closed_form_solution,
+    exact_count,
+    group_profile,
+    p_upper_3,
+    probability_exact,
+    schedule_to_dict,
+)
 from blindalign.cli import main
+from helpers import TAMPERINGS, random_feasible_config, tamper_schedule
 
 
 def run(capsys, *argv):
@@ -173,6 +188,55 @@ class TestDecomposeVerify:
         wrong.write_text(json.dumps({"version": 7}))
         code, _, _ = run(capsys, "verify", "--schedule", str(wrong))
         assert code == 2
+
+
+def verify_in_subprocess(tmp_path, doc):
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(doc))
+    return subprocess.run([sys.executable, "-m", "blindalign.cli", "verify", "--schedule",
+                           str(path), "--trials", "2"], capture_output=True, text=True)
+
+
+def tampered_doc(seed, K, kind, a, b):
+    cfg = random_feasible_config(np.random.default_rng(seed), K, 40)
+    sched = build_schedule(cfg, closed_form_solution(group_profile(cfg)))
+    return schedule_to_dict(tamper_schedule(sched, kind, a, b))
+
+
+class TestHostileSchedules:
+    """Outside documents fail with exit 1 or 2, never with a traceback."""
+
+    def test_huge_n_exit_1(self, tmp_path):
+        # N, offsets and slots past int64
+        N = 10**20
+        doc = {"version": 1, "N": N, "K": 3, "offsets": [0, 3 * 10**19, 6 * 10**19],
+               "period": 4 * N, "lambda": [0, 0, 1] * 4,
+               "tuples": [{"start_group": 1, "slots": [6 * 10**19 - 1, 6 * 10**19,
+                                                       10**20, 13 * 10**19]}]}
+        proc = verify_in_subprocess(tmp_path, doc)
+        assert proc.returncode == 1, proc.stderr
+        assert "FAIL (structure)" in proc.stdout and "coverage" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind", TAMPERINGS)
+    def test_tampered_exit_1_or_2(self, tmp_path, kind):
+        proc = verify_in_subprocess(tmp_path, tampered_doc(5, 4, kind, 7, 11))
+        assert proc.returncode in (1, 2)
+        assert "Traceback" not in proc.stderr
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 5),
+           kind=st.sampled_from(TAMPERINGS), a=st.integers(0, 10**6),
+           b=st.integers(0, 10**6))
+    def test_tampered_in_process(self, seed, K, kind, a, b):
+        # an exception escaping main() would be the traceback
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sched.json"
+            path.write_text(json.dumps(tampered_doc(seed, K, kind, a, b)))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["verify", "--schedule", str(path), "--trials", "2"])
+        assert code in (1, 2)
 
 
 class TestProb:

@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindalign import (
     ChannelConfig,
@@ -14,8 +16,14 @@ from blindalign import (
     is_feasible_pattern,
     pattern_matrix,
     slot_group,
+    slot_map,
 )
-from helpers import random_feasible_config
+from helpers import (
+    block_index_oracle,
+    pattern_matrix_oracle,
+    random_feasible_config,
+    slot_group_oracle,
+)
 
 
 class TestBlockIndex:
@@ -52,6 +60,61 @@ class TestBlockIndex:
                     step = labels[slot] - labels[slot - 1]
                     expected = 1 if slot % N == cfg.offsets[user - 1] else 0
                     assert step == expected
+
+
+class TestSlotMap:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_scalar_oracles(self, data):
+        N = data.draw(st.integers(1, 40), label="N")
+        K = data.draw(st.integers(2, 6), label="K")
+        offsets = data.draw(st.lists(st.integers(0, N - 1), min_size=K, max_size=K),
+                            label="offsets")
+        if data.draw(st.booleans(), label="duplicate"):  # a zero-size group
+            i, j = data.draw(st.lists(st.integers(0, K - 1), min_size=2, max_size=2,
+                                      unique=True), label="pair")
+            offsets[j] = offsets[i]
+        if data.draw(st.booleans(), label="benchmark at 0"):
+            offsets[0] = 0
+        cfg = ChannelConfig(N, tuple(offsets))
+        slots = np.arange(4 * N + 1)
+        groups, blocks = slot_map(cfg, slots)
+        assert groups.shape == slots.shape and blocks.shape == (K, slots.size)
+        for user in range(1, K + 1):
+            expected = [block_index_oracle(cfg, user, n) for n in range(4 * N + 1)]
+            assert blocks[user - 1].tolist() == expected
+            assert [block_index(cfg, user, n) for n in range(4 * N + 1)] == expected
+        inside = slots[slots >= cfg.offsets[0]]
+        expected = [slot_group_oracle(cfg, int(n)) for n in inside]
+        assert groups[slots >= cfg.offsets[0]].tolist() == expected
+        assert slot_group(cfg, inside).tolist() == expected
+        assert [slot_group(cfg, int(n)) for n in inside] == expected
+
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, 4 * N + K), min_size=K + 1, max_size=K + 1,
+                     unique=True).map(sorted), min_size=1, max_size=6), label="threads")
+        stack = pattern_matrix(cfg, np.array(rows))
+        assert stack.shape == (len(rows), K, K)
+        for row, M in zip(rows, stack):
+            assert M.tolist() == pattern_matrix_oracle(cfg, row).tolist()
+            assert pattern_matrix(cfg, tuple(row)).tolist() == M.tolist()
+        assert pattern_matrix(cfg, np.array([rows, rows])).shape == (2, len(rows), K, K)
+
+    def test_beyond_int64(self):
+        # Python integers are mapped exactly at any size
+        N = 10**20
+        cfg = ChannelConfig(N, (0, 3 * 10**19, 6 * 10**19))
+        slots = (6 * 10**19 - 1, 6 * 10**19, 10**20, 13 * 10**19)
+        assert [slot_group(cfg, n) for n in slots] == [slot_group_oracle(cfg, n) for n in slots]
+        assert pattern_matrix(cfg, slots).tolist() == pattern_matrix_oracle(cfg, slots).tolist()
+        assert block_index(cfg, 3, 2 * N) == block_index_oracle(cfg, 3, 2 * N) == 2
+
+    def test_slot_group_input_errors(self):
+        cfg = ChannelConfig(8, (3, 5))
+        with pytest.raises(ValueError):
+            slot_group(cfg, 2)
+        with pytest.raises(ValueError):
+            slot_group(cfg, np.array([3, 4, 2]))
 
 
 class TestGroupProfile:
@@ -104,7 +167,7 @@ class TestGroupSlots:
             seen = []
             for g in range(3 * K):
                 slots = list(group_slots(cfg, g))
-                assert len(slots) == prof.ext(g)
+                assert len(slots) == prof[g % K]
                 for n in slots:
                     assert slot_group(cfg, n) == g
                 seen.extend(slots)

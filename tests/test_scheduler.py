@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blindalign import scheduler
 from blindalign import (
     ChannelConfig,
     SuperSymbol,
@@ -11,14 +14,21 @@ from blindalign import (
     brute_force_solve,
     build_schedule,
     closed_form_solution,
-    dof_of_schedule,
     group_profile,
+    group_slots,
+    pattern_matrix,
     schedule_from_dict,
     schedule_to_dict,
     slot_group,
     validate_schedule,
+    verify_schedule_end_to_end,
 )
-from helpers import random_feasible_config
+from helpers import (
+    TAMPERINGS,
+    random_feasible_config,
+    tamper_schedule,
+    validate_schedule_oracle,
+)
 
 FIG_CFG = ChannelConfig(4, (0, 1, 2))
 FIG_LAMBDA = (0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
@@ -67,7 +77,7 @@ class TestBuildSchedule:
                     norm = base + (n - base) % sched.period
                     per_group[slot_group(cfg, norm)] += 1
             for g in range(m):
-                assert per_group[g] == prof.ext(g)
+                assert per_group[g] == prof[g % cfg.K]
 
     def test_threads_span_consecutive_groups(self):
         rng = np.random.default_rng(43)
@@ -150,11 +160,90 @@ class TestValidateSchedule:
         assert not report.consecutive_ok and not report.passed
 
 
+class TestValidateAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 5),
+           kind=st.sampled_from((None,) + TAMPERINGS),
+           a=st.integers(0, 10**6), b=st.integers(0, 10**6))
+    def test_reports_equal(self, seed, K, kind, a, b):
+        # field for field, including the order of the failure messages
+        sched = build(random_feasible_config(np.random.default_rng(seed), K, 40))
+        if kind is not None:
+            sched = tamper_schedule(sched, kind, a, b)
+        report = validate_schedule(sched)
+        assert report == validate_schedule_oracle(sched)
+        assert report.passed == (kind is None)
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: SuperSymbol(t.start_group, ()),
+        lambda t: SuperSymbol(t.start_group, t.slots[:-1]),
+        lambda t: SuperSymbol(t.start_group, t.slots + (t.slots[-1] + 1,)),
+        lambda t: SuperSymbol(t.start_group, tuple(n - 5 for n in t.slots)),
+        lambda t: SuperSymbol(-1, t.slots),
+        lambda t: SuperSymbol(t.start_group + 10**30, tuple(n + 10**30 for n in t.slots)),
+        lambda t: SuperSymbol(t.start_group, tuple(reversed(t.slots))),
+    ])
+    def test_malformed_threads_equal(self, edit):
+        cfg = ChannelConfig(12, (5, 9, 1))
+        sched = build(cfg)
+        tampered = Schedule(cfg, sched.lam, (edit(sched.tuples[0]),) + sched.tuples[1:])
+        report = validate_schedule(tampered)
+        assert report == validate_schedule_oracle(tampered) and not report.passed
+
+    @pytest.mark.parametrize("cfg, first", [(FIG_CFG, -1), (ChannelConfig(12, (5, 9, 1)), 4)])
+    def test_slot_below_benchmark_offset_equal(self, cfg, first):
+        # the other slots lie in groups 1..K, so only the first one is wrong
+        sched = build(cfg)
+        thread = SuperSymbol(0, (first,) + tuple(group_slots(cfg, g)[0] for g in range(1, 4)))
+        tampered = Schedule(cfg, sched.lam, (thread,) + sched.tuples[1:])
+        report = validate_schedule(tampered)
+        assert report == validate_schedule_oracle(tampered) and not report.consecutive_ok
+
+    def test_failing_patterns_are_named(self, monkeypatch):
+        # consecutive threads always have permutation patterns, so break the
+        # matrix of the thread at index 1 to reach the per-thread walk
+        def broken(cfg, slots):
+            M = pattern_matrix(cfg, slots)
+            M[1] = 0
+            return M
+        monkeypatch.setattr(scheduler, "pattern_matrix", broken)
+        sched = build_schedule(FIG_CFG, FIG_LAMBDA)
+        report = validate_schedule(sched)
+        assert report.coverage_ok and report.consecutive_ok and report.certificate_ok
+        assert not report.patterns_ok
+        assert report.failures == ("pattern: thread at group 5 is not a permutation",)
+
+    def test_duplicate_offsets_equal(self):
+        # zero-size groups hold no slot, so no thread can be consecutive
+        cfg = ChannelConfig(6, (0, 2, 2))
+        sched = Schedule(cfg, (1,) + (0,) * 11,
+                         tuple(SuperSymbol(g, tuple(range(g, g + 4))) for g in range(6)))
+        report = validate_schedule(sched)
+        assert report == validate_schedule_oracle(sched) and not report.consecutive_ok
+
+    def test_one_map_call_per_validation(self, monkeypatch):
+        # the passing path maps all threads at once, not one thread at a time
+        calls = []
+
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            return call
+        for name in ("slot_group", "pattern_matrix", "is_feasible_pattern"):
+            monkeypatch.setattr(scheduler, name, counted(name, getattr(scheduler, name)))
+        assert validate_schedule(build(ChannelConfig(600, (0, 150, 300, 450)))).passed
+        assert sorted(calls) == ["is_feasible_pattern", "pattern_matrix", "slot_group"]
+
+
 class TestDof:
     def test_values(self):
-        assert dof_of_schedule(build(ChannelConfig(4, (0, 1, 2)))) == Fraction(3, 2)
-        assert dof_of_schedule(build(ChannelConfig(3, (0, 1)))) == Fraction(4, 3)
-        assert dof_of_schedule(build(ChannelConfig(5, (0, 1, 2, 3)))) == Fraction(8, 5)
+        # 2K symbols per thread, N threads, (K+1)N slots
+        for cfg, dof in ((ChannelConfig(4, (0, 1, 2)), Fraction(3, 2)),
+                         (ChannelConfig(3, (0, 1)), Fraction(4, 3)),
+                         (ChannelConfig(5, (0, 1, 2, 3)), Fraction(8, 5))):
+            summary = verify_schedule_end_to_end(cfg, build(cfg), seed=0, trials=2)
+            assert summary.symbols_per_slot == dof
 
 
 class TestSerialization:
