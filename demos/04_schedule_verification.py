@@ -54,7 +54,11 @@ print(f"decodability min singular value:    {singulars.min():.2e} (gate 1e-9)")
 summary = verify_schedule_end_to_end(cfg, sched, seed=42, trials=200)
 print(f"\nfull schedule, {summary.trials} independent channel draws:")
 print(f"  worst alignment residual {summary.max_residual:.2e}")
+print(f"    at {summary.residual_witness}")
 print(f"  worst decodability sigma {summary.min_singular:.2e}")
+print(f"    at {summary.singular_witness}")
+print(f"  {summary.n_distinct} of {summary.n_tuples} threads have distinct block "
+      f"labels; only those are checked")
 print(f"  verdict: {'PASS' if summary.passed else 'FAIL'}, "
       f"{summary.symbols_per_slot} symbols/slot "
       f"(= 2K/(K+1) = {float(summary.symbols_per_slot):g})")
@@ -65,3 +69,11 @@ sched4 = build_schedule(cfg4, closed_form_solution(group_profile(cfg4)))
 summary4 = verify_schedule_end_to_end(cfg4, sched4, seed=1, trials=100)
 print(f"  N={cfg4.N} offsets={cfg4.offsets}: passed={summary4.passed}, "
       f"{summary4.symbols_per_slot} symbols/slot")
+
+print("\nevenly spread offsets: many threads, few distinct ones")
+cfg_even = ChannelConfig(N=6000, offsets=(0, 1500, 3000, 4500))
+summary_even = verify_schedule_end_to_end(
+    cfg_even, build_schedule(cfg_even, closed_form_solution(group_profile(cfg_even))),
+    seed=1, trials=2)
+print(f"  N={cfg_even.N} offsets={cfg_even.offsets}: {summary_even.n_tuples} threads, "
+      f"{summary_even.n_distinct} distinct, passed={summary_even.passed}")

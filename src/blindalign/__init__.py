@@ -54,6 +54,7 @@ from .signaling import (
     channel_coeffs,
     receiver_checks,
     SummaryReport,
+    Witness,
     verify_schedule_end_to_end,
 )
 from .counting import (

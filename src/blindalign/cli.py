@@ -142,6 +142,9 @@ def _cmd_verify(args) -> int:
     print(f"min normalized singular value: {summary.min_singular:.3e}")
     dof = Fraction(2 * sched.cfg.K, sched.cfg.K + 1)
     print(f"symbols per slot: {dof} ({float(dof):g})")
+    print(f"distinct threads={summary.n_distinct}")
+    print(f"worst residual at {summary.residual_witness}")
+    print(f"worst singular value at {summary.singular_witness}")
     return 0 if summary.passed else 1
 
 

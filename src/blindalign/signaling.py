@@ -31,6 +31,7 @@ __all__ = [
     "channel_coeffs",
     "receiver_checks",
     "SummaryReport",
+    "Witness",
     "verify_schedule_end_to_end",
 ]
 
@@ -97,26 +98,16 @@ def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
     return H, blocks
 
 
-def receiver_checks(H: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
-    """Alignment residuals and decodability margins of every receiver.
+def _receiver_margins(H: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial, per-thread form of :func:`receiver_checks`.
 
-    ``H`` comes from :func:`channel_coeffs` and ``v`` (T, K, K+1) holds each
-    thread's 0/1 indicator vectors. Returns the worst residual over trials
-    and threads per (receiver, interferer), shape (K, K) with a zero
-    diagonal, and the worst normalized smallest singular value per receiver,
-    shape (K,).
-
-    Receiver i sees interferer j through the columns H_i1 * v_j and
-    H_i2 * v_j; their residual is the singular-value ratio of the 2-column
-    stack (scale invariant; 0 for an all-zero vector). Receiver i's matrix
-    holds its two desired columns plus one aligned column per interferer;
-    the smallest singular value of the column-normalized matrix above
-    tolerance means interference-free detection.
+    Returns residuals (K, K, trials, T), zero on the receiver = interferer
+    diagonal, and normalized smallest singular values (K, trials, T).
     """
     K = H.shape[0]
     mask = np.asarray(v, dtype=bool)[None]  # broadcast over trials
-    residuals = np.zeros((K, K))
-    singulars = np.empty(K)
+    residuals = np.zeros((K, K, *H.shape[1:3]))
+    singulars = np.empty((K, *H.shape[1:3]))
     for i in range(K):
         h1, h2 = H[i, ..., 0], H[i, ..., 1]
         # singular-value ratio of each 2-column stack, computed via an explicit
@@ -136,26 +127,72 @@ def receiver_checks(H: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
             det = nx2 * yperp2  # = lambda_min * lambda_max of the Gram matrix
             tr = nx2 + ny2
             lmax = 0.5 * (tr + np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
-            residuals[i, j] = (np.sqrt(det) / np.maximum(lmax, 1e-300)).max()
+            residuals[i, j] = np.sqrt(det) / np.maximum(lmax, 1e-300)
 
         cols = [np.where(mask[:, :, i], h1, 0), np.where(mask[:, :, i], h2, 0)]
         cols += [np.where(mask[:, :, j], h1, 0) for j in range(K) if j != i]
         B = np.stack(cols, axis=-1)  # (trials, T, K+1, K+1)
         norms = np.linalg.norm(B, axis=-2, keepdims=True)
         B = B / np.maximum(norms, 1e-300)
-        singulars[i] = np.linalg.svd(B, compute_uv=False)[..., -1].min()
+        singulars[i] = np.linalg.svd(B, compute_uv=False)[..., -1]
     return residuals, singulars
+
+
+def receiver_checks(H: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
+    """Alignment residuals and decodability margins of every receiver.
+
+    ``H`` comes from :func:`channel_coeffs` and ``v`` (T, K, K+1) holds each
+    thread's 0/1 indicator vectors. Returns the worst residual over trials
+    and threads per (receiver, interferer), shape (K, K) with a zero
+    diagonal, and the worst normalized smallest singular value per receiver,
+    shape (K,).
+
+    Receiver i sees interferer j through the columns H_i1 * v_j and
+    H_i2 * v_j; their residual is the singular-value ratio of the 2-column
+    stack (scale invariant; 0 for an all-zero vector). Receiver i's matrix
+    holds its two desired columns plus one aligned column per interferer;
+    the smallest singular value of the column-normalized matrix above
+    tolerance means interference-free detection.
+    """
+    residuals, singulars = _receiver_margins(H, v)
+    return residuals.max(axis=(2, 3)), singulars.min(axis=(1, 2))
+
+
+@dataclass(frozen=True)
+class Witness:
+    """Where a worst value occurs.
+
+    ``thread`` indexes ``sched.tuples`` (the first thread in schedule order
+    with the witness's block labels); ``trial`` counts from 0; ``receiver``
+    and ``interferer`` are 1-based users, ``interferer`` is None for a
+    decodability witness.
+    """
+
+    thread: int
+    start_group: int
+    slots: tuple[int, ...]
+    trial: int
+    receiver: int
+    interferer: int | None = None
+
+    def __str__(self) -> str:
+        against = "" if self.interferer is None else f", interferer {self.interferer}"
+        return (f"thread {self.thread} (start group {self.start_group}, slots {self.slots}), "
+                f"trial {self.trial}, receiver {self.receiver}{against}")
 
 
 @dataclass(frozen=True)
 class SummaryReport:
     n_tuples: int
+    n_distinct: int  # threads with distinct block labels, the ones checked
     trials: int
     max_residual: float
     min_singular: float
     aligned_ok: bool
     decodable_ok: bool
     symbols_per_slot: Fraction | None  # 2K/(K+1) when everything passed
+    residual_witness: Witness
+    singular_witness: Witness
 
     @property
     def passed(self) -> bool:
@@ -167,27 +204,51 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
     """Run both checks on every thread across independent realizations.
 
     Each thread's vectors come from its pattern matrix, the same pattern
-    definition :func:`validate_schedule` checks.
+    definition :func:`validate_schedule` checks. Threads whose block labels
+    agree get the same coefficients and the same pattern, hence the same
+    receiver matrices, so the checks run once per distinct label row, on the
+    first such thread in schedule order; the worst values are exactly those
+    of checking every thread.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if cfg != sched.cfg:
+        raise ValueError(f"config {cfg} differs from the schedule's config {sched.cfg}")
     report = validate_schedule(sched)
     if not report.passed:
         raise ValueError(f"schedule fails validation: {report.failures[:3]}")
     slots = np.array([t.slots for t in sched.tuples], dtype=np.int64)
-    H, _ = channel_coeffs(cfg, slots, seed, trials)
-    v = beamforming_vectors(pattern_matrix(cfg, slots))
-    residuals, singulars = receiver_checks(H, v)
-    max_residual = float(residuals.max())
-    min_singular = float(singulars.min())
+    labels = slot_map(cfg, slots)[1]  # (K, T, K+1)
+    rows = np.moveaxis(labels, 0, 1).reshape(len(slots), -1)
+    keep = np.sort(np.unique(rows, axis=0, return_index=True)[1])
+    H, _ = channel_coeffs(cfg, slots[keep], seed, trials)
+    v = beamforming_vectors(pattern_matrix(cfg, slots[keep]))
+    residuals, singulars = _receiver_margins(H, v)
+
+    def witness(d, trial, receiver, interferer=None):
+        t = sched.tuples[keep[d]]
+        return Witness(int(keep[d]), t.start_group, t.slots, int(trial), int(receiver) + 1,
+                       None if interferer is None else int(interferer) + 1)
+
+    # the diagonal is no interferer; worst entries are found in (thread, trial,
+    # receiver, interferer) order, so ties go to the earliest thread
+    residuals[range(cfg.K), range(cfg.K)] = -1.0
+    res = residuals.transpose(3, 2, 0, 1)
+    sig = singulars.transpose(2, 1, 0)
+    at_res = np.unravel_index(res.argmax(), res.shape)
+    at_sig = np.unravel_index(sig.argmin(), sig.shape)
+    max_residual, min_singular = float(res[at_res]), float(sig[at_sig])
     aligned_ok = max_residual < ALIGNMENT_TOL
     decodable_ok = min_singular > DECODABILITY_TOL
     return SummaryReport(
         n_tuples=len(sched.tuples),
+        n_distinct=len(keep),
         trials=trials,
         max_residual=max_residual,
         min_singular=min_singular,
         aligned_ok=aligned_ok,
         decodable_ok=decodable_ok,
         symbols_per_slot=Fraction(2 * cfg.K, cfg.K + 1) if (aligned_ok and decodable_ok) else None,
+        residual_witness=witness(*at_res),
+        singular_witness=witness(*at_sig),
     )

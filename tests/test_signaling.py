@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blindalign import (
     MAGNITUDE_FLOOR,
@@ -17,12 +19,38 @@ from blindalign import (
     group_profile,
     pattern_matrix,
     receiver_checks,
+    signaling,
+    slot_map,
     verify_schedule_end_to_end,
 )
 from helpers import random_feasible_config, receiver_checks_oracle
 
 FIG_CFG = ChannelConfig(4, (0, 1, 2))
 FIG_LAMBDA = (0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
+
+
+def evenly_spread(N, K):
+    return ChannelConfig(N, tuple(N * u // K for u in range(K)))
+
+
+@st.composite
+def feasible_configs(draw):
+    """Random feasible configs, and evenly spread ones with few distinct threads."""
+    K = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        # N >= K(K+1) keeps every gap >= ceil(N/(K+1))
+        return evenly_spread(draw(st.integers(K * (K + 1), 60)), K)
+    return random_feasible_config(np.random.default_rng(draw(st.integers(0, 2**32))), K, 40)
+
+
+def schedule_of(cfg):
+    return build_schedule(cfg, closed_form_solution(group_profile(cfg)))
+
+
+def label_rows(cfg, sched):
+    """Each thread's block labels as one row (T, K*(K+1))."""
+    labels = slot_map(cfg, np.array([t.slots for t in sched.tuples]))[1]
+    return np.moveaxis(labels, 0, 1).reshape(len(sched.tuples), -1)
 
 
 def thread_inputs(cfg, slots, seed, trials=1):
@@ -166,20 +194,70 @@ class TestEndToEnd:
         assert summary.min_singular > 1e-9
         assert summary.symbols_per_slot == Fraction(3, 2)
 
-    def test_matches_kernel_on_pattern_matrices(self):
-        # the summary is the kernel's worst case, with indicator vectors taken
-        # from each thread's pattern matrix
-        rng = np.random.default_rng(67)
-        for _ in range(10):
-            cfg = random_feasible_config(rng, int(rng.integers(2, 6)), 40)
-            sched = build_schedule(cfg, closed_form_solution(group_profile(cfg)))
-            summary = verify_schedule_end_to_end(cfg, sched, seed=3, trials=4)
-            H, _ = channel_coeffs(cfg, [t.slots for t in sched.tuples], 3, 4)
-            v = np.stack([beamforming_vectors(pattern_matrix(cfg, t.slots))
-                          for t in sched.tuples])
-            residuals, singulars = receiver_checks(H, v)
-            assert summary.max_residual == residuals.max()
-            assert summary.min_singular == singulars.min()
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=feasible_configs(), seed=st.integers(0, 1000))
+    @example(cfg=evenly_spread(60, 4), seed=3)
+    def test_matches_kernel_on_pattern_matrices(self, cfg, seed):
+        # the summary is the kernel's worst case over every thread, with
+        # indicator vectors taken from each thread's pattern matrix, although
+        # only threads with distinct block labels are checked
+        assert check_config(cfg).feasible
+        sched = schedule_of(cfg)
+        summary = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=4)
+        H, _ = channel_coeffs(cfg, [t.slots for t in sched.tuples], seed, 4)
+        v = np.stack([beamforming_vectors(pattern_matrix(cfg, t.slots))
+                      for t in sched.tuples])
+        residuals, singulars = receiver_checks(H, v)
+        assert summary.max_residual == residuals.max()
+        assert summary.min_singular == singulars.min()
+        assert summary.n_tuples == len(sched.tuples) == cfg.N
+        assert summary.n_distinct == len(np.unique(label_rows(cfg, sched), axis=0))
+        if cfg == evenly_spread(cfg.N, cfg.K) and cfg.N % cfg.K == 0:
+            assert summary.n_distinct == cfg.K
+
+    def test_svd_batch_holds_distinct_threads(self, monkeypatch):
+        # the benchmark's tracer counts SVD matrices at the same call
+        batches = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            batches.append(np.asarray(a).shape[:-2])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(signaling.np.linalg, "svd", counting_svd)
+        for cfg, distinct in ((evenly_spread(60, 4), 4), (evenly_spread(600, 3), 3),
+                              (FIG_CFG, 4)):
+            batches.clear()
+            summary = verify_schedule_end_to_end(cfg, schedule_of(cfg), seed=1, trials=5)
+            assert summary.n_distinct == distinct
+            assert batches == [(5, distinct)] * cfg.K
+
+    @pytest.mark.parametrize("cfg, seed, trials", [
+        (FIG_CFG, 0, 100),
+        (evenly_spread(60, 4), 2, 10),
+        (ChannelConfig(11, (0, 3, 6)), 21, 30),
+        (ChannelConfig(23, (4, 9, 13, 18, 0)), 5, 20),
+    ])
+    def test_witness_reproduces_worst_values(self, cfg, seed, trials):
+        sched = schedule_of(cfg)
+        summary = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=trials)
+        rows = label_rows(cfg, sched)
+        res_w, sig_w = summary.residual_witness, summary.singular_witness
+        assert res_w.interferer not in (None, res_w.receiver) and sig_w.interferer is None
+        for w in (res_w, sig_w):
+            t = sched.tuples[w.thread]
+            assert (w.start_group, w.slots) == (t.start_group, t.slots)
+            # the first thread in schedule order with these block labels
+            assert not (rows[:w.thread] == rows[w.thread]).all(axis=1).any()
+        # each receiver matrix recomputed alone, on its own trial
+        H, _ = channel_coeffs(cfg, [res_w.slots], seed, trials)
+        v = beamforming_vectors(pattern_matrix(cfg, res_w.slots))[None]
+        residuals, _ = receiver_checks(H[:, res_w.trial:res_w.trial + 1], v)
+        assert residuals[res_w.receiver - 1, res_w.interferer - 1] == summary.max_residual
+        H, _ = channel_coeffs(cfg, [sig_w.slots], seed, trials)
+        v = beamforming_vectors(pattern_matrix(cfg, sig_w.slots))[None]
+        _, singulars = receiver_checks(H[:, sig_w.trial:sig_w.trial + 1], v)
+        assert singulars[sig_w.receiver - 1] == summary.min_singular
 
     def test_deterministic(self):
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
@@ -207,3 +285,13 @@ class TestEndToEnd:
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
         with pytest.raises(ValueError):
             verify_schedule_end_to_end(FIG_CFG, sched, seed=0, trials=0)
+
+    def test_config_must_match_schedule(self):
+        sched = build_schedule(FIG_CFG, FIG_LAMBDA)
+        other = ChannelConfig(5, (0, 1, 2))
+        with pytest.raises(ValueError, match="differs") as info:
+            verify_schedule_end_to_end(other, sched, seed=0, trials=1)
+        assert str(other) in str(info.value) and str(FIG_CFG) in str(info.value)
+        # offsets are compared after normalization modulo N
+        assert verify_schedule_end_to_end(ChannelConfig(4, (4, 5, 6)), sched,
+                                          seed=0, trials=1).passed
