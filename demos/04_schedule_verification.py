@@ -57,8 +57,8 @@ print(f"  worst alignment residual {summary.max_residual:.2e}")
 print(f"    at {summary.residual_witness}")
 print(f"  worst decodability sigma {summary.min_singular:.2e}")
 print(f"    at {summary.singular_witness}")
-print(f"  {summary.n_distinct} of {summary.n_tuples} threads have distinct block "
-      f"labels; only those are checked")
+print(f"  {summary.n_tuples} threads in {summary.n_distinct} start groups; only the "
+      f"first thread of each is checked")
 print(f"  verdict: {'PASS' if summary.passed else 'FAIL'}, "
       f"{summary.symbols_per_slot} symbols/slot "
       f"(= 2K/(K+1) = {float(summary.symbols_per_slot):g})")

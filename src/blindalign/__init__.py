@@ -68,7 +68,6 @@ from .counting import (
     probability_exact,
     p_upper_3,
     monte_carlo_p,
-    two_user_formula_report,
 )
 
 __version__ = "0.1.0"

@@ -30,7 +30,6 @@ __all__ = [
     "probability_exact",
     "p_upper_3",
     "monte_carlo_p",
-    "two_user_formula_report",
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -264,19 +263,3 @@ def monte_carlo_p(N: int, K: int, k_target: int, trials: int, seed: int = 0,
     return ProbabilityEstimate(p=p, method="monte_carlo", trials=trials,
                                half_width=half_width)
 
-
-def two_user_formula_report(N: int, K: int, guard: int = 10**8) -> dict:
-    """Compatibility check of the 2-user closed form against ``exact_count``.
-
-    The closed form is claimed exact; any mismatch is surfaced here rather
-    than silently accepted.
-    """
-    formula = f_2user(N, K).value
-    enumerated = exact_count(N, K, 2, guard=guard).value
-    return {
-        "N": N,
-        "K": K,
-        "formula": formula,
-        "enumeration": enumerated,
-        "match": formula == enumerated,
-    }

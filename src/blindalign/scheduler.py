@@ -56,13 +56,18 @@ class Schedule:
 
 
 def build_schedule(cfg: ChannelConfig, lam) -> Schedule:
-    """Greedy slot assignment walking the groups of one period in order.
+    """Every thread's slots in closed form, from prefix sums of ``lam``.
 
-    Within a group, slots go in increasing order to open threads by start
-    group (earliest first, creation order breaking ties), then to newly
-    opened threads. Threads whose start group lies within K of the period
-    end also consume the leading slots of groups 0..K-1 shifted by one
-    period, which is how the infinite-horizon wraparound is represented.
+    Thread (g, c) is the c-th of the ``lam[g]`` threads starting at group g.
+    Long group G hands its slots, in increasing order, to the threads that
+    started at groups G-K..G (modulo K(K+1)), earliest start group first,
+    so the thread's slot in group g+d is the group's first slot plus the
+    threads of groups g+d-K..g-1 plus c. The window equations make every
+    group's count its size. Threads whose start group lies within K of the
+    period end take their trailing slots in long groups K(K+1)..K(K+1)+K-1,
+    groups 0..K-1 shifted by one period, which is how the infinite-horizon
+    wraparound is represented. Threads come in (start group, first slot)
+    order.
     """
     s = group_profile(cfg)
     lam = tuple(int(v) for v in lam)
@@ -70,31 +75,19 @@ def build_schedule(cfg: ChannelConfig, lam) -> Schedule:
         raise ValueError("lambda does not solve the group window equations")
     K = cfg.K
     m = K * (K + 1)
-    period = (K + 1) * cfg.N
+    if cfg.offsets[0] + (K + 2) * cfg.N > np.iinfo(np.int64).max:
+        raise ValueError(f"N={cfg.N} is too large: the schedule's slots do not fit int64")
 
-    slot_lists: dict[tuple[int, int], list[int]] = {
-        (g, c): [] for g in range(m) for c in range(lam[g])
-    }
-    for i in range(m):
-        slots_i = list(group_slots(cfg, i))
-        pos = 0
-        for j in range(i - K, i + 1):
-            jm = j % m
-            shift = period if j < 0 else 0
-            for c in range(lam[jm]):
-                if pos >= len(slots_i):
-                    raise RuntimeError(f"group {i} oversubscribed")
-                slot_lists[(jm, c)].append(slots_i[pos] + shift)
-                pos += 1
-        if pos != len(slots_i):
-            raise RuntimeError(f"group {i} undersubscribed")
-
-    tuples = sorted(
-        (SuperSymbol(start_group=g, slots=tuple(sorted(sl)))
-         for (g, _), sl in slot_lists.items()),
-        key=lambda t: (t.start_group, t.slots[0]),
-    )
-    return Schedule(cfg=cfg, lam=lam, tuples=tuple(tuples))
+    counts = np.array(lam, dtype=np.int64)
+    g = np.repeat(np.arange(m), counts)
+    c = np.arange(len(g)) - np.repeat(np.cumsum(counts) - counts, counts)
+    cum = np.concatenate(([0], np.cumsum(np.tile(counts, 2))))  # two laps
+    first = np.array([group_slots(cfg, G).start for G in range(m + K)], dtype=np.int64)
+    G = g[:, None] + np.arange(K + 1)
+    slots = first[G] + (cum[g + m, None] - cum[G - K + m]) + c[:, None]
+    tuples = tuple(SuperSymbol(start_group=a, slots=tuple(row))
+                   for a, row in zip(g.tolist(), slots.tolist()))
+    return Schedule(cfg=cfg, lam=lam, tuples=tuples)
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ class Witness:
     """Where a worst value occurs.
 
     ``thread`` indexes ``sched.tuples`` (the first thread in schedule order
-    with the witness's block labels); ``trial`` counts from 0; ``receiver``
+    with the witness's start group); ``trial`` counts from 0; ``receiver``
     and ``interferer`` are 1-based users, ``interferer`` is None for a
     decodability witness.
     """
@@ -184,7 +184,7 @@ class Witness:
 @dataclass(frozen=True)
 class SummaryReport:
     n_tuples: int
-    n_distinct: int  # threads with distinct block labels, the ones checked
+    n_distinct: int  # threads with distinct start groups, the ones checked
     trials: int
     max_residual: float
     min_singular: float
@@ -204,9 +204,12 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
     """Run both checks on every thread across independent realizations.
 
     Each thread's vectors come from its pattern matrix, the same pattern
-    definition :func:`validate_schedule` checks. Threads whose block labels
-    agree get the same coefficients and the same pattern, hence the same
-    receiver matrices, so the checks run once per distinct label row, on the
+    definition :func:`validate_schedule` checks. A validated thread lies in
+    long groups g..g+K of its start group g; slots in one group share every
+    user's block label and each group step raises exactly one label by 1, so
+    threads share their block labels exactly when they share a start group.
+    Such threads get the same coefficients and the same pattern, hence the
+    same receiver matrices, so the checks run once per start group, on the
     first such thread in schedule order; the worst values are exactly those
     of checking every thread.
     """
@@ -217,12 +220,11 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
     report = validate_schedule(sched)
     if not report.passed:
         raise ValueError(f"schedule fails validation: {report.failures[:3]}")
-    slots = np.array([t.slots for t in sched.tuples], dtype=np.int64)
-    labels = slot_map(cfg, slots)[1]  # (K, T, K+1)
-    rows = np.moveaxis(labels, 0, 1).reshape(len(slots), -1)
-    keep = np.sort(np.unique(rows, axis=0, return_index=True)[1])
-    H, _ = channel_coeffs(cfg, slots[keep], seed, trials)
-    v = beamforming_vectors(pattern_matrix(cfg, slots[keep]))
+    starts = np.array([t.start_group for t in sched.tuples], dtype=np.int64)
+    keep = np.sort(np.unique(starts, return_index=True)[1])
+    slots = np.array([sched.tuples[i].slots for i in keep], dtype=np.int64)
+    H, _ = channel_coeffs(cfg, slots, seed, trials)
+    v = beamforming_vectors(pattern_matrix(cfg, slots))
     residuals, singulars = _receiver_margins(H, v)
 
     def witness(d, trial, receiver, interferer=None):

@@ -1,7 +1,7 @@
 """Shared oracles and samplers for the test suite."""
 
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -10,7 +10,10 @@ from blindalign import (
     Schedule,
     SuperSymbol,
     ValidationReport,
+    brute_force_solve,
+    check_feasible,
     group_profile,
+    group_slots,
     is_feasible_pattern,
     verify_solution,
 )
@@ -80,6 +83,19 @@ def random_feasible_config(rng, K, n_max):
         pos.append((pos[-1] + g) % N)
     rest = [pos[i] for i in rng.permutation(range(1, K))]
     return ChannelConfig(N=N, offsets=(pos[0], *rest))
+
+
+def small_certificates():
+    """(config, lambda) for every certificate of every feasible gap vector
+    with sum <= 20 and K in 2..4, the offsets laid out from 0 in gap order."""
+    for K in (2, 3, 4):
+        for N in range(1, 21):
+            for s in compositions(N, K):
+                if not check_feasible(s):
+                    continue
+                cfg = ChannelConfig(N, tuple(accumulate(s[:-1], initial=0)))
+                for lam in brute_force_solve(s, enumerate_all=True):
+                    yield cfg, lam
 
 
 def receiver_checks_oracle(H, v):
@@ -160,6 +176,41 @@ def pattern_matrix_oracle(cfg, slots):
         for j in range(K):
             M[i, j] = 1 if blocks[j] != blocks[j + 1] else 0
     return M
+
+
+def build_schedule_oracle(cfg, lam):
+    """Greedy reference for ``build_schedule``: walk the groups of one period.
+
+    Within a group, slots go in increasing order to the open threads by start
+    group (earliest first, creation order breaking ties), then to the newly
+    opened ones. Threads whose start group lies within K of the period end
+    also take the leading slots of groups 0..K-1 shifted by one period.
+    """
+    lam = tuple(int(v) for v in lam)
+    if not verify_solution(group_profile(cfg), lam):
+        raise ValueError("lambda does not solve the group window equations")
+    K = cfg.K
+    m = K * (K + 1)
+    period = (K + 1) * cfg.N
+    slot_lists = {(g, c): [] for g in range(m) for c in range(lam[g])}
+    for i in range(m):
+        slots_i = list(group_slots(cfg, i))
+        pos = 0
+        for j in range(i - K, i + 1):
+            shift = period if j < 0 else 0
+            for c in range(lam[j % m]):
+                if pos >= len(slots_i):
+                    raise RuntimeError(f"group {i} oversubscribed")
+                slot_lists[(j % m, c)].append(slots_i[pos] + shift)
+                pos += 1
+        if pos != len(slots_i):
+            raise RuntimeError(f"group {i} undersubscribed")
+    tuples = sorted(
+        (SuperSymbol(start_group=g, slots=tuple(sorted(sl)))
+         for (g, _), sl in slot_lists.items()),
+        key=lambda t: (t.start_group, t.slots[0]),
+    )
+    return Schedule(cfg=cfg, lam=lam, tuples=tuple(tuples))
 
 
 def validate_schedule_oracle(sched):

@@ -121,6 +121,13 @@ class TestDecomposeVerify:
         assert code == 1
         assert "infeasible" in err and "min(s)" in err
 
+    def test_huge_n_exit_2(self, capsys):
+        # feasible, but the slots do not fit int64: refused before any allocation
+        N = 10**20
+        code, out, err = run(capsys, "decompose", "--N", str(N), "--offsets", f"0,{N // 2}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "int64" in err
+
     def test_all_solutions(self, capsys):
         code, out, _ = run(capsys, "decompose", "--N", "11", "--offsets", "0,3,6")
         assert code == 0

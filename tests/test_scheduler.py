@@ -25,7 +25,9 @@ from blindalign import (
 )
 from helpers import (
     TAMPERINGS,
+    build_schedule_oracle,
     random_feasible_config,
+    small_certificates,
     tamper_schedule,
     validate_schedule_oracle,
 )
@@ -36,6 +38,14 @@ FIG_LAMBDA = (0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
 
 def build(cfg):
     return build_schedule(cfg, closed_form_solution(group_profile(cfg)))
+
+
+def assert_round_trips(sched):
+    # equal after a trip through JSON text, and the same text a second time
+    text = json.dumps(schedule_to_dict(sched), sort_keys=True)
+    back = schedule_from_dict(json.loads(text))
+    assert back == sched
+    assert json.dumps(schedule_to_dict(back), sort_keys=True) == text
 
 
 class TestBuildSchedule:
@@ -78,6 +88,17 @@ class TestBuildSchedule:
                     per_group[slot_group(cfg, norm)] += 1
             for g in range(m):
                 assert per_group[g] == prof[g % cfg.K]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 6))
+    def test_matches_greedy_oracle(self, seed, K):
+        cfg = random_feasible_config(np.random.default_rng(seed), K, 80)
+        lam = closed_form_solution(group_profile(cfg))
+        assert build_schedule(cfg, lam) == build_schedule_oracle(cfg, lam)
+
+    def test_matches_greedy_oracle_on_every_small_certificate(self):
+        for cfg, lam in small_certificates():
+            assert build_schedule(cfg, lam) == build_schedule_oracle(cfg, lam), (cfg, lam)
 
     def test_threads_span_consecutive_groups(self):
         rng = np.random.default_rng(43)
@@ -256,6 +277,15 @@ class TestSerialization:
         back = schedule_from_dict(json.loads(text))
         assert back == sched
         assert validate_schedule(back).passed
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 6))
+    def test_round_trip_property(self, seed, K):
+        assert_round_trips(build(random_feasible_config(np.random.default_rng(seed), K, 80)))
+
+    def test_round_trip_every_small_certificate(self):
+        for cfg, lam in small_certificates():
+            assert_round_trips(build_schedule(cfg, lam))
 
     def test_canonical_tuple_order(self):
         rng = np.random.default_rng(53)

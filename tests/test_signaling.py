@@ -200,7 +200,7 @@ class TestEndToEnd:
     def test_matches_kernel_on_pattern_matrices(self, cfg, seed):
         # the summary is the kernel's worst case over every thread, with
         # indicator vectors taken from each thread's pattern matrix, although
-        # only threads with distinct block labels are checked
+        # only the first thread of each start group is checked
         assert check_config(cfg).feasible
         sched = schedule_of(cfg)
         summary = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=4)
@@ -212,6 +212,7 @@ class TestEndToEnd:
         assert summary.min_singular == singulars.min()
         assert summary.n_tuples == len(sched.tuples) == cfg.N
         assert summary.n_distinct == len(np.unique(label_rows(cfg, sched), axis=0))
+        assert summary.n_distinct == sum(v > 0 for v in sched.lam)
         if cfg == evenly_spread(cfg.N, cfg.K) and cfg.N % cfg.K == 0:
             assert summary.n_distinct == cfg.K
 
