@@ -165,15 +165,20 @@ class TestF2User:
                 bad &= close.reshape(axes_ij)
         assert int(bad.sum()) == f_2user(N, T + 1).value == 723901
 
+    def test_matches_enumeration(self):
+        # (27,5) and (30,5) are the multiples of 3 on either side of 95%
+        # for K=5: P = 0.950548 and 0.949443
+        for N, K in ((6, 2), (9, 3), (9, 4), (12, 3), (12, 4), (15, 3),
+                     (27, 5), (30, 5)):
+            formula = f_2user(N, K).value
+            assert formula == exact_count(N, K, 2).value, (N, K)
+            assert formula == enumeration_count(N, K, 2), (N, K)
+
     def test_any_n_matches_exact_count(self):
-        # the arc length runs to ceil(N/3), so N need not be a multiple of 3;
-        # (27,5) and (30,5) are the multiples of 3 on either side of 95% for
-        # K=5: P = 0.950548 and 0.949443
-        grid = [(N, K) for N in (1, 2, 4, 5, 7, 8, 10, 11, 20, 22, 23, 37, 40)
-                for K in (2, 3, 4, 5)]
-        for N, K in grid + [(6, 2), (9, 3), (9, 4), (12, 3), (12, 4), (15, 3),
-                            (27, 5), (30, 5)]:
-            assert f_2user(N, K).value == exact_count(N, K, 2).value, (N, K)
+        # the arc length runs to ceil(N/3), so N need not be a multiple of 3
+        for N in (1, 2, 4, 5, 7, 8, 10, 11, 20, 22, 23, 37, 40):
+            for K in (2, 3, 4, 5):
+                assert f_2user(N, K).value == exact_count(N, K, 2).value, (N, K)
 
 
 class TestExactCount:
