@@ -26,10 +26,11 @@ lam = closed_form_solution(rep.s)
 sched = build_schedule(cfg, lam)
 
 print(f"N={cfg.N}, offsets={cfg.offsets}, lambda={lam}")
-print(f"period = (K+1)*N = {sched.period} slots, {len(sched.tuples)} threads:")
-for t in sched.tuples:
-    wrapped = " (wraps past the period)" if max(t.slots) >= sched.period else ""
-    print(f"  start group {t.start_group:2d}: slots {t.slots}{wrapped}")
+# a schedule is two arrays: start_groups (T,) and slots (T, K+1)
+print(f"period = (K+1)*N = {sched.period} slots, {len(sched.slots)} threads:")
+for g, row in zip(sched.start_groups.tolist(), sched.slots.tolist()):
+    wrapped = " (wraps past the period)" if max(row) >= sched.period else ""
+    print(f"  start group {g:2d}: slots {tuple(row)}{wrapped}")
 
 report = validate_schedule(sched)
 print(f"\nstructural validation: coverage={report.coverage_ok} "
@@ -37,16 +38,16 @@ print(f"\nstructural validation: coverage={report.coverage_ok} "
       f"certificate={report.certificate_ok}")
 
 # one thread in detail
-t = sched.tuples[0]
-M = pattern_matrix(cfg, t.slots)
+slots = sched.slots[0]
+M = pattern_matrix(cfg, slots)
 v = beamforming_vectors(M)
-print(f"\nthread {t.slots}: pattern matrix rows {M.tolist()}")
+print(f"\nthread {tuple(slots.tolist())}: pattern matrix rows {M.tolist()}")
 print("indicator vectors (same on both transmit antennas):")
 for i, row in enumerate(v, start=1):
     print(f"  user {i}: {row}")
 
 # H[i-1, trial, thread, slot] is user i's (h1, h2); the kernel takes a stack of threads
-H, _ = channel_coeffs(cfg, [t.slots], seed=42, trials=1)
+H, _ = channel_coeffs(cfg, [slots], seed=42, trials=1)
 residuals, singulars = receiver_checks(H, v[None])
 print(f"\nalignment residual for this thread: {residuals.max():.2e} (gate 1e-9)")
 print(f"decodability min singular value:    {singulars.min():.2e} (gate 1e-9)")

@@ -38,7 +38,6 @@ from .diophantine import (
     brute_force_solve,
 )
 from .scheduler import (
-    SuperSymbol,
     Schedule,
     build_schedule,
     ValidationReport,

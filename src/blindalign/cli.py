@@ -3,8 +3,8 @@
 Subcommands: check, region, decompose, verify, prob. Machine-readable
 output (JSON/CSV) goes to stdout; diagnostics go to stderr. Exit codes:
 0 success, 1 a requested property does not hold (infeasible under
---fail-on-infeasible, failed verification), 2 malformed input or an
-enumeration guard.
+--fail-on-infeasible, failed verification), 2 malformed input, a schedule
+file that cannot be read or written, or an enumeration guard.
 """
 
 from __future__ import annotations
@@ -112,11 +112,15 @@ def _cmd_decompose(args) -> int:
     text = json.dumps(doc, sort_keys=True)
     if args.out == "-":
         print(text)
-    else:
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        n = len(doc) if args.all_solutions else 1
-        print(f"wrote {n} schedule(s) to {args.out}", file=sys.stderr)
+    except OSError as exc:
+        print(f"cannot write schedule: {exc}", file=sys.stderr)
+        return 2
+    n = len(doc) if args.all_solutions else 1
+    print(f"wrote {n} schedule(s) to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -124,7 +128,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.schedule, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"cannot read schedule: {exc}", file=sys.stderr)
         return 2
     sched = schedule_from_dict(data)  # ValueError -> exit 2 via main()

@@ -8,10 +8,8 @@ slots carry indices past the period and are validated modulo the period.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -26,7 +24,6 @@ from .pattern import (
 )
 
 __all__ = [
-    "SuperSymbol",
     "Schedule",
     "build_schedule",
     "ValidationReport",
@@ -36,19 +33,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SuperSymbol:
-    """One thread: K+1 increasing slots, one per consecutive group."""
-
-    start_group: int
-    slots: tuple[int, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
+    """Certificate ``lam`` and T threads: thread t takes the slots ``slots[t]``, one in
+    each of K+1 consecutive groups from long group ``start_groups[t]``. Shapes (T, K+1)
+    and (T,); int64, or Python integers where a document's values do not fit int64."""
+
     cfg: ChannelConfig
     lam: tuple[int, ...]
-    tuples: tuple[SuperSymbol, ...]
+    start_groups: np.ndarray
+    slots: np.ndarray
 
     @property
     def period(self) -> int:
@@ -85,9 +79,7 @@ def build_schedule(cfg: ChannelConfig, lam) -> Schedule:
     first = np.array([group_slots(cfg, G).start for G in range(m + K)], dtype=np.int64)
     G = g[:, None] + np.arange(K + 1)
     slots = first[G] + (cum[g + m, None] - cum[G - K + m]) + c[:, None]
-    tuples = tuple(SuperSymbol(start_group=a, slots=tuple(row))
-                   for a, row in zip(g.tolist(), slots.tolist()))
-    return Schedule(cfg=cfg, lam=lam, tuples=tuples)
+    return Schedule(cfg=cfg, lam=lam, start_groups=g, slots=slots)
 
 
 @dataclass(frozen=True)
@@ -116,46 +108,40 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
     arithmetic are checked as Python integers.
     """
     cfg, K, period = sched.cfg, sched.cfg.K, sched.period
-    rows = list(map(attrgetter("slots"), sched.tuples))
-    firsts = list(map(attrgetter("start_group"), sched.tuples))
-    flat = list(chain.from_iterable(rows))
-    wide = (K + 1) * (max(map(abs, chain(flat, firsts)), default=0) + cfg.N) >= 2**62
-    flat = np.array(flat, dtype=object if wide else np.int64)
+    firsts, S = sched.start_groups, sched.slots
+    ends = [int(x) for a in (S, firsts) if a.size for x in (a.min(), a.max())]
+    if (K + 1) * (max(map(abs, ends), default=0) + cfg.N) >= 2**62:
+        S = S.astype(object)
     failures: list[str] = []
 
-    coverage_ok = flat.size == period and np.bincount(
-        (flat % period).astype(np.int64), minlength=period).max() == 1
-    if len(rows) != cfg.N:
+    coverage_ok = S.size == period and np.bincount(
+        (S % period).astype(np.int64).ravel(), minlength=period).max() == 1
+    if len(S) != cfg.N:
         coverage_ok = False
-        failures.append(f"coverage: {len(rows)} tuples, expected {cfg.N}")
+        failures.append(f"coverage: {len(S)} tuples, expected {cfg.N}")
     if not coverage_ok and not failures:
         failures.append("coverage: residues modulo the period are not a partition")
 
-    # threads of K+1 slots, stacked; one reaching below the benchmark maps to a single group
-    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    full = lens == K + 1
-    S = flat[(np.cumsum(lens) - lens)[full, None] + np.arange(K + 1)]
+    # a thread reaching below the benchmark maps to a single group
     inside = (S >= cfg.offsets[0]).all(axis=1, keepdims=True)
     groups = slot_group(cfg, np.where(inside, S, cfg.offsets[0]))
-    consecutive = np.zeros(len(rows), dtype=bool)
-    consecutive[full] = ((groups[:, 0] == np.array(firsts, dtype=flat.dtype)[full])
-                         & (np.diff(groups, axis=1) == 1).all(axis=1))
+    consecutive = (groups[:, 0] == firsts) & (np.diff(groups, axis=1) == 1).all(axis=1)
 
-    patterned = np.ones(len(rows), dtype=bool)
-    M = pattern_matrix(cfg, S[consecutive[full]])
+    patterned = np.ones(len(S), dtype=bool)
+    M = pattern_matrix(cfg, S[consecutive])
     if not is_feasible_pattern(M):  # name the threads one by one
         patterned[consecutive] = [is_feasible_pattern(x) for x in M]
     for i in np.flatnonzero(~consecutive | ~patterned):
-        t = sched.tuples[i]
-        if not consecutive[i]:
-            failures.append(f"consecutiveness: thread at group {t.start_group}, slots {t.slots}")
-        else:
-            failures.append(f"pattern: thread at group {t.start_group} is not a permutation")
+        at = f"thread at group {firsts[i]}"
+        failures.append(f"pattern: {at} is not a permutation" if consecutive[i]
+                        else f"consecutiveness: {at}, slots {tuple(S[i].tolist())}")
 
-    certificate_ok = (
-        len(sched.lam) == K * (K + 1)
+    m = K * (K + 1)
+    certificate_ok = bool(
+        len(sched.lam) == m
         and verify_solution(group_profile(cfg), sched.lam)
-        and Counter(firsts) == Counter(dict(enumerate(sched.lam)))
+        and ((firsts >= 0) & (firsts < m)).all()
+        and (np.bincount(firsts.astype(np.int64), minlength=m) == sched.lam).all()
     )
     if not certificate_ok:
         failures.append("certificate: lambda does not solve the window equations "
@@ -180,8 +166,8 @@ def schedule_to_dict(sched: Schedule) -> dict:
         "period": sched.period,
         "lambda": list(sched.lam),
         "tuples": [
-            {"start_group": t.start_group, "slots": list(t.slots)}
-            for t in sched.tuples
+            {"start_group": g, "slots": row}
+            for g, row in zip(sched.start_groups.tolist(), sched.slots.tolist())
         ],
     }
 
@@ -191,6 +177,14 @@ def _json_int(x) -> int:
     if type(x) is not int:
         raise ValueError(f"expected an integer, got {x!r}")
     return x
+
+
+def _int_array(values) -> np.ndarray:
+    """int64, or Python integers where a value does not fit int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def schedule_from_dict(data: dict) -> Schedule:
@@ -207,11 +201,14 @@ def schedule_from_dict(data: dict) -> Schedule:
         if _json_int(data["period"]) != (cfg.K + 1) * cfg.N:
             raise ValueError("period does not match (K+1)*N")
         lam = tuple(_json_int(v) for v in data["lambda"])
-        tuples = tuple(
-            SuperSymbol(start_group=_json_int(t["start_group"]),
-                        slots=tuple(_json_int(n) for n in t["slots"]))
-            for t in data["tuples"]
-        )
+        starts = [t["start_group"] for t in data["tuples"]]
+        rows = [t["slots"] for t in data["tuples"]]
+        if set(map(type, chain(starts, *rows))) - {int}:  # name the first culprit
+            _json_int(next(x for g, r in zip(starts, rows) for x in (g, *r) if type(x) is not int))
+        if set(map(len, rows)) - {cfg.K + 1}:
+            i = next(i for i, row in enumerate(rows) if len(row) != cfg.K + 1)
+            raise ValueError(f"thread {i} has {len(rows[i])} slots, expected K+1 = {cfg.K + 1}")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed schedule document: {exc!r}") from exc
-    return Schedule(cfg=cfg, lam=lam, tuples=tuples)
+    return Schedule(cfg=cfg, lam=lam, start_groups=_int_array(starts),
+                    slots=_int_array(rows).reshape(-1, cfg.K + 1))

@@ -162,7 +162,7 @@ def receiver_checks(H: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
 class Witness:
     """Where a worst value occurs.
 
-    ``thread`` indexes ``sched.tuples`` (the first thread in schedule order
+    ``thread`` indexes a row of ``sched.slots`` (the first thread in schedule order
     with the witness's start group); ``trial`` counts from 0; ``receiver``
     and ``interferer`` are 1-based users, ``interferer`` is None for a
     decodability witness.
@@ -220,16 +220,15 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
     report = validate_schedule(sched)
     if not report.passed:
         raise ValueError(f"schedule fails validation: {report.failures[:3]}")
-    starts = np.array([t.start_group for t in sched.tuples], dtype=np.int64)
-    keep = np.sort(np.unique(starts, return_index=True)[1])
-    slots = np.array([sched.tuples[i].slots for i in keep], dtype=np.int64)
+    keep = np.sort(np.unique(sched.start_groups, return_index=True)[1])
+    slots = np.asarray(sched.slots[keep], dtype=np.int64)
     H, _ = channel_coeffs(cfg, slots, seed, trials)
     v = beamforming_vectors(pattern_matrix(cfg, slots))
     residuals, singulars = _receiver_margins(H, v)
 
     def witness(d, trial, receiver, interferer=None):
-        t = sched.tuples[keep[d]]
-        return Witness(int(keep[d]), t.start_group, t.slots, int(trial), int(receiver) + 1,
+        return Witness(int(keep[d]), int(sched.start_groups[keep[d]]), tuple(slots[d].tolist()),
+                       int(trial), int(receiver) + 1,
                        None if interferer is None else int(interferer) + 1)
 
     # the diagonal is no interferer; worst entries are found in (thread, trial,
@@ -243,7 +242,7 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
     aligned_ok = max_residual < ALIGNMENT_TOL
     decodable_ok = min_singular > DECODABILITY_TOL
     return SummaryReport(
-        n_tuples=len(sched.tuples),
+        n_tuples=len(sched.slots),
         n_distinct=len(keep),
         trials=trials,
         max_residual=max_residual,

@@ -8,7 +8,6 @@ import numpy as np
 from blindalign import (
     ChannelConfig,
     Schedule,
-    SuperSymbol,
     ValidationReport,
     brute_force_solve,
     check_feasible,
@@ -205,12 +204,21 @@ def build_schedule_oracle(cfg, lam):
                 pos += 1
         if pos != len(slots_i):
             raise RuntimeError(f"group {i} undersubscribed")
-    tuples = sorted(
-        (SuperSymbol(start_group=g, slots=tuple(sorted(sl)))
-         for (g, _), sl in slot_lists.items()),
-        key=lambda t: (t.start_group, t.slots[0]),
-    )
-    return Schedule(cfg=cfg, lam=lam, tuples=tuple(tuples))
+    threads = sorted(((g, sorted(sl)) for (g, _), sl in slot_lists.items()),
+                     key=lambda t: (t[0], t[1][0]))
+    return schedule_of_threads(cfg, lam, [g for g, _ in threads], [sl for _, sl in threads])
+
+
+def schedule_of_threads(cfg, lam, starts, rows):
+    """A ``Schedule`` from per-thread Python integers, with the arrays
+    ``schedule_from_dict`` builds: int64, or Python integers where a value
+    does not fit int64. ``rows`` must hold K+1 slots each."""
+    def as_array(values):
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            return np.array(values, dtype=object)
+    return Schedule(cfg, tuple(lam), as_array(starts), as_array(rows).reshape(-1, cfg.K + 1))
 
 
 def validate_schedule_oracle(sched):
@@ -221,38 +229,40 @@ def validate_schedule_oracle(sched):
     period = sched.period
     failures = []
 
-    residues = [slot % period for t in sched.tuples for slot in t.slots]
+    starts = sched.start_groups.tolist()
+    rows = [tuple(row) for row in sched.slots.tolist()]
+    residues = [slot % period for row in rows for slot in row]
     coverage_ok = len(residues) == period and len(set(residues)) == period
-    if len(sched.tuples) != cfg.N:
+    if len(rows) != cfg.N:
         coverage_ok = False
-        failures.append(f"coverage: {len(sched.tuples)} tuples, expected {cfg.N}")
+        failures.append(f"coverage: {len(rows)} tuples, expected {cfg.N}")
     if not coverage_ok and not failures:
         failures.append("coverage: residues modulo the period are not a partition")
 
     consecutive_ok = True
     patterns_ok = True
-    for t in sched.tuples:
+    for start, row in zip(starts, rows):
         try:
-            groups = [slot_group_oracle(cfg, n) for n in t.slots]
+            groups = [slot_group_oracle(cfg, n) for n in row]
         except ValueError:
             groups = None
         if (
             groups is None
             or len(groups) != K + 1
             or groups != list(range(groups[0], groups[0] + K + 1))
-            or groups[0] != t.start_group
+            or groups[0] != start
         ):
             consecutive_ok = False
-            failures.append(f"consecutiveness: thread at group {t.start_group}, slots {t.slots}")
+            failures.append(f"consecutiveness: thread at group {start}, slots {row}")
             continue
-        if not is_feasible_pattern(pattern_matrix_oracle(cfg, t.slots)):
+        if not is_feasible_pattern(pattern_matrix_oracle(cfg, row)):
             patterns_ok = False
-            failures.append(f"pattern: thread at group {t.start_group} is not a permutation")
+            failures.append(f"pattern: thread at group {start} is not a permutation")
 
     certificate_ok = (
         len(sched.lam) == m
         and verify_solution(group_profile(cfg), sched.lam)
-        and Counter(t.start_group for t in sched.tuples) == Counter(dict(enumerate(sched.lam)))
+        and Counter(starts) == Counter(dict(enumerate(sched.lam)))
     )
     if not certificate_ok:
         failures.append("certificate: lambda does not solve the window equations "
@@ -268,23 +278,19 @@ def tamper_schedule(sched, kind, a, b):
     """``sched`` with one of the ``TAMPERINGS``; ``a`` and ``b`` pick the
     thread, the slot, the other thread and the amount. Every result breaks
     coverage, the certificate or consecutiveness."""
-    tuples, lam = list(sched.tuples), list(sched.lam)
-    i = a % len(tuples)
-    t = tuples[i]
+    starts, rows, lam = sched.start_groups.tolist(), sched.slots.tolist(), list(sched.lam)
+    i = a % len(rows)
     if kind == "moved slot":  # by a nonzero amount below one period, up or down
-        slots = list(t.slots)
         step = 1 + b % (sched.period - 1)
-        slots[b % len(slots)] += step if a % 2 else -step
-        tuples[i] = SuperSymbol(t.start_group, tuple(slots))
+        rows[i][b % len(rows[i])] += step if a % 2 else -step
     elif kind == "changed lambda":
         lam[b % len(lam)] += (1 + a % 2) * (1 if b % 2 else -1)
     elif kind == "shifted thread":
-        tuples[i] = SuperSymbol(t.start_group, tuple(n + sched.period for n in t.slots))
+        rows[i] = [n + sched.period for n in rows[i]]
     elif kind == "swapped start groups":
-        others = [j for j, u in enumerate(tuples) if u.start_group != t.start_group]
+        others = [j for j, g in enumerate(starts) if g != starts[i]]
         j = others[b % len(others)]
-        tuples[i] = SuperSymbol(tuples[j].start_group, t.slots)
-        tuples[j] = SuperSymbol(t.start_group, tuples[j].slots)
+        starts[i], starts[j] = starts[j], starts[i]
     else:
         raise ValueError(f"unknown tampering {kind!r}")
-    return Schedule(sched.cfg, tuple(lam), tuple(tuples))
+    return schedule_of_threads(sched.cfg, lam, starts, rows)

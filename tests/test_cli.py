@@ -163,10 +163,20 @@ class TestDecomposeVerify:
         assert "FAIL (structure)" in out and "certificate" in err
 
     def test_thread_without_slots_exit_1(self, tmp_path, capsys):
+        # named for its old exit code: a thread without K+1 slots is malformed input
         code, out, err = self._verify_edited(
             tmp_path, capsys, lambda doc: doc["tuples"][0].update({"slots": []}))
-        assert code == 1
-        assert "FAIL (structure)" in out and "consecutiveness" in err
+        assert code == 2 and out == ""
+        assert err == "error: thread 0 has 0 slots, expected K+1 = 4\n"
+
+    @pytest.mark.parametrize("n_slots", [3, 5])
+    def test_wrong_length_thread_exit_2(self, tmp_path, capsys, n_slots):
+        # K and K+2 slots, in increasing order
+        def edit(doc):
+            doc["tuples"][2]["slots"] = list(range(11, 11 + n_slots))
+        code, out, err = self._verify_edited(tmp_path, capsys, edit)
+        assert code == 2 and out == ""
+        assert err == f"error: thread 2 has {n_slots} slots, expected K+1 = 4\n"
 
     def test_thread_shifted_by_periods_exit_1(self, tmp_path, capsys):
         # slots past int64 used to pass validation and crash the verifier
@@ -195,6 +205,22 @@ class TestDecomposeVerify:
         wrong.write_text(json.dumps({"version": 7}))
         code, _, _ = run(capsys, "verify", "--schedule", str(wrong))
         assert code == 2
+
+    def test_deeply_nested_schedule_exit_2(self, tmp_path, capsys):
+        # the JSON parser runs out of recursion: unreadable, not a failed verification
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run(capsys, "verify", "--schedule", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("cannot read schedule: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["missing/sched.json", "."])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, target):
+        # a missing directory, and a directory in place of the file
+        code, out, err = run(capsys, "decompose", "--N", "4", "--offsets", "0,1,2",
+                             "--out", str(tmp_path / target))
+        assert code == 2 and out == ""
+        assert err.startswith("cannot write schedule: ") and err.count("\n") == 1
 
 
 def verify_in_subprocess(tmp_path, doc):

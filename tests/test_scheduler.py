@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from blindalign import scheduler
 from blindalign import (
     ChannelConfig,
-    SuperSymbol,
     Schedule,
     brute_force_solve,
     build_schedule,
@@ -27,6 +26,7 @@ from helpers import (
     TAMPERINGS,
     build_schedule_oracle,
     random_feasible_config,
+    schedule_of_threads,
     small_certificates,
     tamper_schedule,
     validate_schedule_oracle,
@@ -40,30 +40,34 @@ def build(cfg):
     return build_schedule(cfg, closed_form_solution(group_profile(cfg)))
 
 
+def assert_same_schedule(got, want):
+    assert (got.cfg, got.lam) == (want.cfg, want.lam)
+    for a, b in ((got.start_groups, want.start_groups), (got.slots, want.slots)):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
+
 def assert_round_trips(sched):
     # equal after a trip through JSON text, and the same text a second time
     text = json.dumps(schedule_to_dict(sched), sort_keys=True)
     back = schedule_from_dict(json.loads(text))
-    assert back == sched
+    assert_same_schedule(back, sched)
     assert json.dumps(schedule_to_dict(back), sort_keys=True) == text
 
 
 class TestBuildSchedule:
     def test_reference_tiles(self):
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
-        assert [t.slots for t in sched.tuples] == [
-            (3, 4, 5, 6), (7, 8, 9, 10), (11, 12, 13, 14), (15, 16, 17, 18)]
-        assert [t.start_group for t in sched.tuples] == [2, 5, 8, 11]
+        assert sched.slots.tolist() == [
+            [3, 4, 5, 6], [7, 8, 9, 10], [11, 12, 13, 14], [15, 16, 17, 18]]
+        assert sched.start_groups.tolist() == [2, 5, 8, 11]
         assert sched.period == 16
-        residues = sorted(n % 16 for t in sched.tuples for n in t.slots)
-        assert residues == list(range(16))
+        assert sorted((sched.slots % 16).ravel().tolist()) == list(range(16))
 
     def test_two_user_period(self):
         cfg = ChannelConfig(3, (0, 1))
         sched = build(cfg)
-        assert len(sched.tuples) == 3
-        assert all(len(t.slots) == 3 for t in sched.tuples)
-        assert len({n % 9 for t in sched.tuples for n in t.slots}) == 9
+        assert sched.slots.shape == (3, 3) and sched.start_groups.shape == (3,)
+        assert len(set((sched.slots % 9).ravel().tolist())) == 9
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(ValueError):
@@ -82,10 +86,9 @@ class TestBuildSchedule:
             m = cfg.K * (cfg.K + 1)
             base = cfg.offsets[0]
             per_group = {g: 0 for g in range(m)}
-            for t in sched.tuples:
-                for n in t.slots:
-                    norm = base + (n - base) % sched.period
-                    per_group[slot_group(cfg, norm)] += 1
+            for n in sched.slots.ravel().tolist():
+                norm = base + (n - base) % sched.period
+                per_group[slot_group(cfg, norm)] += 1
             for g in range(m):
                 assert per_group[g] == prof[g % cfg.K]
 
@@ -94,21 +97,23 @@ class TestBuildSchedule:
     def test_matches_greedy_oracle(self, seed, K):
         cfg = random_feasible_config(np.random.default_rng(seed), K, 80)
         lam = closed_form_solution(group_profile(cfg))
-        assert build_schedule(cfg, lam) == build_schedule_oracle(cfg, lam)
+        assert (schedule_to_dict(build_schedule(cfg, lam))
+                == schedule_to_dict(build_schedule_oracle(cfg, lam)))
 
     def test_matches_greedy_oracle_on_every_small_certificate(self):
         for cfg, lam in small_certificates():
-            assert build_schedule(cfg, lam) == build_schedule_oracle(cfg, lam), (cfg, lam)
+            want = schedule_to_dict(build_schedule_oracle(cfg, lam))
+            assert schedule_to_dict(build_schedule(cfg, lam)) == want, (cfg, lam)
 
     def test_threads_span_consecutive_groups(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
             cfg = random_feasible_config(rng, int(rng.integers(2, 6)), 60)
             sched = build(cfg)
-            for t in sched.tuples:
-                groups = [slot_group(cfg, n) for n in t.slots]
+            for start, row in zip(sched.start_groups.tolist(), sched.slots.tolist()):
+                groups = [slot_group(cfg, n) for n in row]
                 # exactly at the declared group, as validate_schedule requires
-                assert groups == list(range(t.start_group, t.start_group + cfg.K + 1))
+                assert groups == list(range(start, start + cfg.K + 1))
 
 
 class TestValidateSchedule:
@@ -129,23 +134,22 @@ class TestValidateSchedule:
 
     def test_duplicated_slot_fails_coverage(self):
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
-        tampered = list(sched.tuples)
-        t0 = tampered[0]
-        tampered[0] = SuperSymbol(t0.start_group, (t0.slots[0],) + t0.slots[:3])
-        report = validate_schedule(Schedule(sched.cfg, sched.lam, tuple(tampered)))
+        slots = sched.slots.copy()
+        slots[0] = (slots[0, 0], *slots[0, :3])
+        report = validate_schedule(Schedule(sched.cfg, sched.lam, sched.start_groups, slots))
         assert not report.coverage_ok and not report.passed
 
     def test_nonconsecutive_groups_fail(self):
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
-        tampered = list(sched.tuples)
-        t0 = tampered[0]
-        tampered[0] = SuperSymbol(t0.start_group, t0.slots[:3] + (t0.slots[3] + 4,))
-        report = validate_schedule(Schedule(sched.cfg, sched.lam, tuple(tampered)))
+        slots = sched.slots.copy()
+        slots[0, 3] += 4
+        report = validate_schedule(Schedule(sched.cfg, sched.lam, sched.start_groups, slots))
         assert not report.consecutive_ok and not report.passed
 
     def test_missing_thread_fails(self):
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
-        report = validate_schedule(Schedule(sched.cfg, sched.lam, sched.tuples[:-1]))
+        report = validate_schedule(Schedule(sched.cfg, sched.lam, sched.start_groups[:-1],
+                                            sched.slots[:-1]))
         assert not report.coverage_ok and not report.passed
 
     def test_forged_lambda_fails(self):
@@ -153,30 +157,24 @@ class TestValidateSchedule:
         # of the same config that does not describe these threads
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
         for lam in ((9,) * 12, (0, 0, 1, 0, 0)):
-            report = validate_schedule(Schedule(sched.cfg, lam, sched.tuples))
+            report = validate_schedule(Schedule(sched.cfg, lam, sched.start_groups, sched.slots))
             assert not report.certificate_ok and not report.passed
             assert report.coverage_ok and report.consecutive_ok and report.patterns_ok
         cfg = ChannelConfig(11, (0, 3, 6))
         sol_a, sol_b = brute_force_solve(group_profile(cfg), enumerate_all=True)[:2]
         other = build_schedule(cfg, sol_a)
         assert validate_schedule(other).passed
-        report = validate_schedule(Schedule(cfg, sol_b, other.tuples))
+        report = validate_schedule(Schedule(cfg, sol_b, other.start_groups, other.slots))
         assert not report.certificate_ok and not report.passed
-
-    def test_thread_without_slots_fails_consecutiveness(self):
-        sched = build_schedule(FIG_CFG, FIG_LAMBDA)
-        tampered = (SuperSymbol(sched.tuples[0].start_group, ()),) + sched.tuples[1:]
-        report = validate_schedule(Schedule(sched.cfg, sched.lam, tampered))
-        assert not report.consecutive_ok and not report.passed
 
     def test_thread_shifted_by_periods_fails_consecutiveness(self):
         # 16 * 10^18 is a multiple of the period 16, so coverage modulo the
         # period still holds, but the thread no longer starts at its group
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
-        t0 = sched.tuples[0]
-        shifted = SuperSymbol(t0.start_group, tuple(n + 16 * 10**18 for n in t0.slots))
-        report = validate_schedule(Schedule(sched.cfg, sched.lam,
-                                            (shifted,) + sched.tuples[1:]))
+        rows = sched.slots.tolist()
+        rows[0] = [n + 16 * 10**18 for n in rows[0]]
+        report = validate_schedule(schedule_of_threads(sched.cfg, sched.lam,
+                                                       sched.start_groups.tolist(), rows))
         assert report.coverage_ok and report.certificate_ok
         assert not report.consecutive_ok and not report.passed
 
@@ -195,19 +193,18 @@ class TestValidateAgainstOracle:
         assert report == validate_schedule_oracle(sched)
         assert report.passed == (kind is None)
 
-    @pytest.mark.parametrize("edit", [
-        lambda t: SuperSymbol(t.start_group, ()),
-        lambda t: SuperSymbol(t.start_group, t.slots[:-1]),
-        lambda t: SuperSymbol(t.start_group, t.slots + (t.slots[-1] + 1,)),
-        lambda t: SuperSymbol(t.start_group, tuple(n - 5 for n in t.slots)),
-        lambda t: SuperSymbol(-1, t.slots),
-        lambda t: SuperSymbol(t.start_group + 10**30, tuple(n + 10**30 for n in t.slots)),
-        lambda t: SuperSymbol(t.start_group, tuple(reversed(t.slots))),
+    @pytest.mark.parametrize("edit", [  # (start group, slots) -> the same, K+1 slots kept
+        lambda g, row: (g, [n - 5 for n in row]),
+        lambda g, row: (-1, row),
+        lambda g, row: (g + 10**30, [n + 10**30 for n in row]),
+        lambda g, row: (g, row[::-1]),
     ])
     def test_malformed_threads_equal(self, edit):
         cfg = ChannelConfig(12, (5, 9, 1))
         sched = build(cfg)
-        tampered = Schedule(cfg, sched.lam, (edit(sched.tuples[0]),) + sched.tuples[1:])
+        starts, rows = sched.start_groups.tolist(), sched.slots.tolist()
+        starts[0], rows[0] = edit(starts[0], rows[0])
+        tampered = schedule_of_threads(cfg, sched.lam, starts, rows)
         report = validate_schedule(tampered)
         assert report == validate_schedule_oracle(tampered) and not report.passed
 
@@ -215,8 +212,9 @@ class TestValidateAgainstOracle:
     def test_slot_below_benchmark_offset_equal(self, cfg, first):
         # the other slots lie in groups 1..K, so only the first one is wrong
         sched = build(cfg)
-        thread = SuperSymbol(0, (first,) + tuple(group_slots(cfg, g)[0] for g in range(1, 4)))
-        tampered = Schedule(cfg, sched.lam, (thread,) + sched.tuples[1:])
+        starts, rows = sched.start_groups.tolist(), sched.slots.tolist()
+        starts[0], rows[0] = 0, [first] + [group_slots(cfg, g)[0] for g in range(1, 4)]
+        tampered = schedule_of_threads(cfg, sched.lam, starts, rows)
         report = validate_schedule(tampered)
         assert report == validate_schedule_oracle(tampered) and not report.consecutive_ok
 
@@ -237,8 +235,8 @@ class TestValidateAgainstOracle:
     def test_duplicate_offsets_equal(self):
         # zero-size groups hold no slot, so no thread can be consecutive
         cfg = ChannelConfig(6, (0, 2, 2))
-        sched = Schedule(cfg, (1,) + (0,) * 11,
-                         tuple(SuperSymbol(g, tuple(range(g, g + 4))) for g in range(6)))
+        sched = schedule_of_threads(cfg, (1,) + (0,) * 11, list(range(6)),
+                                    [list(range(g, g + 4)) for g in range(6)])
         report = validate_schedule(sched)
         assert report == validate_schedule_oracle(sched) and not report.consecutive_ok
 
@@ -275,7 +273,7 @@ class TestSerialization:
         assert all(isinstance(v, int) for v in doc["lambda"])
         text = json.dumps(doc, sort_keys=True)
         back = schedule_from_dict(json.loads(text))
-        assert back == sched
+        assert_same_schedule(back, sched)
         assert validate_schedule(back).passed
 
     @settings(max_examples=100, deadline=None)
@@ -312,6 +310,46 @@ class TestSerialization:
             schedule_from_dict(bad)
         with pytest.raises(ValueError):
             schedule_from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize("cfg, thread, edit", [
+        (FIG_CFG, 0, lambda row: []),
+        (ChannelConfig(12, (5, 9, 1)), 0, lambda row: []),
+        (ChannelConfig(12, (5, 9, 1)), 0, lambda row: row[:-1]),
+        (ChannelConfig(12, (5, 9, 1)), 0, lambda row: row + [row[-1] + 1]),
+        (ChannelConfig(12, (5, 9, 1)), 7, lambda row: row[:-1]),
+    ], ids=["no-slots-fig", "no-slots", "one-short", "one-extra", "one-short-later"])
+    def test_rejects_wrong_length_threads(self, cfg, thread, edit):
+        # a thread holds K+1 slots or the document is malformed, whatever its slots are
+        doc = schedule_to_dict(build(cfg))
+        slots = doc["tuples"][thread]["slots"] = edit(doc["tuples"][thread]["slots"])
+        with pytest.raises(ValueError, match=fr"^thread {thread} has {len(slots)} slots, "
+                                             fr"expected K\+1 = {cfg.K + 1}$"):
+            schedule_from_dict(json.loads(json.dumps(doc)))
+
+    def test_thread_values_checked_in_one_pass(self, monkeypatch):
+        # _json_int sees the header integers only, never a thread's
+        json_int, calls = scheduler._json_int, []
+        monkeypatch.setattr(scheduler, "_json_int", lambda x: calls.append(x) or json_int(x))
+        cfg = ChannelConfig(600, (0, 150, 300, 450))
+        sched = build(cfg)
+        assert_same_schedule(schedule_from_dict(schedule_to_dict(sched)), sched)
+        assert len(calls) == 4 + cfg.K + cfg.K * (cfg.K + 1)
+
+    def test_values_past_int64_parse_as_python_integers(self):
+        doc = schedule_to_dict(build_schedule(FIG_CFG, FIG_LAMBDA))
+        doc["tuples"][0]["slots"] = [n + 16 * 10**18 for n in doc["tuples"][0]["slots"]]
+        sched = schedule_from_dict(json.loads(json.dumps(doc)))
+        assert sched.start_groups.dtype == np.int64 and sched.slots.dtype == object
+        assert sched.slots.shape == (4, 4) and schedule_to_dict(sched) == doc
+        assert not validate_schedule(sched).consecutive_ok
+
+    @pytest.mark.parametrize("slots", [5, "3456", None, {"a": 1}])
+    def test_rejects_non_list_slots(self, slots):
+        # "3456" has K+1 characters and {"a": 1} iterates over a string key
+        doc = schedule_to_dict(build_schedule(FIG_CFG, FIG_LAMBDA))
+        doc["tuples"][0]["slots"] = slots
+        with pytest.raises(ValueError):
+            schedule_from_dict(json.loads(json.dumps(doc)))
 
     @pytest.mark.parametrize("field, value", [
         ("slots", [3.7, 4.7, 5.7, 6.7]),

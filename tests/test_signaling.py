@@ -49,8 +49,8 @@ def schedule_of(cfg):
 
 def label_rows(cfg, sched):
     """Each thread's block labels as one row (T, K*(K+1))."""
-    labels = slot_map(cfg, np.array([t.slots for t in sched.tuples]))[1]
-    return np.moveaxis(labels, 0, 1).reshape(len(sched.tuples), -1)
+    labels = slot_map(cfg, sched.slots)[1]
+    return np.moveaxis(labels, 0, 1).reshape(len(sched.slots), -1)
 
 
 def thread_inputs(cfg, slots, seed, trials=1):
@@ -162,7 +162,7 @@ class TestTupleVerifiers:
         cfg = ChannelConfig(3, (0, 1))
         sched = build_schedule(cfg, closed_form_solution(group_profile(cfg)))
         for seed in range(50):
-            residuals, singulars = receiver_checks(*thread_inputs(cfg, sched.tuples[0].slots, seed))
+            residuals, singulars = receiver_checks(*thread_inputs(cfg, sched.slots[0], seed))
             assert residuals.max() < 1e-9 and singulars.min() > 1e-9
 
     def test_matches_svd_oracle(self):
@@ -172,9 +172,9 @@ class TestTupleVerifiers:
             cfg = random_feasible_config(rng, int(rng.integers(2, 6)), 30)
             K = cfg.K
             sched = build_schedule(cfg, closed_form_solution(group_profile(cfg)))
-            threads = sched.tuples[:3]
-            H, _ = channel_coeffs(cfg, [t.slots for t in threads], int(rng.integers(100)), 3)
-            v = np.stack([beamforming_vectors(pattern_matrix(cfg, t.slots)) for t in threads])
+            threads = sched.slots[:3]
+            H, _ = channel_coeffs(cfg, threads, int(rng.integers(100)), 3)
+            v = np.stack([beamforming_vectors(pattern_matrix(cfg, row)) for row in threads])
             fake = beamforming_vectors(np.eye(K, dtype=int)[rng.permutation(K)])
             zeroed = v.copy()
             zeroed[0, int(rng.integers(K))] = 0
@@ -204,13 +204,12 @@ class TestEndToEnd:
         assert check_config(cfg).feasible
         sched = schedule_of(cfg)
         summary = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=4)
-        H, _ = channel_coeffs(cfg, [t.slots for t in sched.tuples], seed, 4)
-        v = np.stack([beamforming_vectors(pattern_matrix(cfg, t.slots))
-                      for t in sched.tuples])
+        H, _ = channel_coeffs(cfg, sched.slots, seed, 4)
+        v = np.stack([beamforming_vectors(pattern_matrix(cfg, row)) for row in sched.slots])
         residuals, singulars = receiver_checks(H, v)
         assert summary.max_residual == residuals.max()
         assert summary.min_singular == singulars.min()
-        assert summary.n_tuples == len(sched.tuples) == cfg.N
+        assert summary.n_tuples == len(sched.slots) == cfg.N
         assert summary.n_distinct == len(np.unique(label_rows(cfg, sched), axis=0))
         assert summary.n_distinct == sum(v > 0 for v in sched.lam)
         if cfg == evenly_spread(cfg.N, cfg.K) and cfg.N % cfg.K == 0:
@@ -246,8 +245,9 @@ class TestEndToEnd:
         res_w, sig_w = summary.residual_witness, summary.singular_witness
         assert res_w.interferer not in (None, res_w.receiver) and sig_w.interferer is None
         for w in (res_w, sig_w):
-            t = sched.tuples[w.thread]
-            assert (w.start_group, w.slots) == (t.start_group, t.slots)
+            assert w.start_group == sched.start_groups[w.thread]
+            assert w.slots == tuple(sched.slots[w.thread].tolist())
+            assert all(type(n) is int for n in (w.start_group, *w.slots))
             # the first thread in schedule order with these block labels
             assert not (rows[:w.thread] == rows[w.thread]).all(axis=1).any()
         # each receiver matrix recomputed alone, on its own trial
