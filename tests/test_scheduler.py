@@ -193,7 +193,10 @@ class TestValidateAgainstOracle:
         assert report == validate_schedule_oracle(sched)
         assert report.passed == (kind is None)
 
-    @pytest.mark.parametrize("edit", [  # (start group, slots) -> the same, K+1 slots kept
+    @pytest.mark.parametrize("edit", [  # (start group, slots) -> the same
+        lambda g, row: (g, []),
+        lambda g, row: (g, row[:-1]),
+        lambda g, row: (g, row + [row[-1] + 1]),
         lambda g, row: (g, [n - 5 for n in row]),
         lambda g, row: (-1, row),
         lambda g, row: (g + 10**30, [n + 10**30 for n in row]),
@@ -204,6 +207,13 @@ class TestValidateAgainstOracle:
         sched = build(cfg)
         starts, rows = sched.start_groups.tolist(), sched.slots.tolist()
         starts[0], rows[0] = edit(starts[0], rows[0])
+        if len(rows[0]) != cfg.K + 1:
+            # a Schedule holds K+1 slots per thread, so a document with this thread is refused
+            doc = schedule_to_dict(sched)
+            doc["tuples"][0] = {"start_group": starts[0], "slots": rows[0]}
+            with pytest.raises(ValueError, match=fr"^thread 0 has {len(rows[0])} slots, "):
+                schedule_from_dict(doc)
+            return
         tampered = schedule_of_threads(cfg, sched.lam, starts, rows)
         report = validate_schedule(tampered)
         assert report == validate_schedule_oracle(tampered) and not report.passed
