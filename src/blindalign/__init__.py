@@ -10,7 +10,6 @@ estimates the probability that a group of users contains a feasible subset.
 from .errors import SearchBudgetExceeded
 from .pattern import (
     ChannelConfig,
-    GroupProfile,
     block_index,
     group_profile,
     slot_map,
@@ -18,7 +17,6 @@ from .pattern import (
     slot_group,
     pattern_matrix,
     is_feasible_pattern,
-    count_feasible_patterns,
     enumerate_feasible_patterns,
 )
 from .feasibility import (

@@ -174,8 +174,10 @@ def exact_count(N: int, K: int, k_target: int, guard: int = 10**8,
     bad = sum_j c_j * gamma_count(j, K-1, j-1), where c_j counts the sets
     with no feasible k_target-subset and the multiplier counts the ways the
     K-1 labeled balls land on {0} ∪ S covering S. Sets with j < k_target
-    have no subset to test and are all bad. ``guard`` bounds the subset
-    tests run, sum_j C(N-1, j-1) * C(j, k_target).
+    have no subset to test and are all bad. ``guard`` bounds the number of
+    (occupied set, k_target-subset) pairs, sum_j C(N-1, j-1) * C(j, k_target);
+    the greedy-jump kernel never tries those subsets one by one, so this is a
+    size bound on the instance, not a count of the work done.
     """
     _check_positive(N=N, threads=threads)
     if not 2 <= k_target <= K:
@@ -184,7 +186,7 @@ def exact_count(N: int, K: int, k_target: int, guard: int = 10**8,
     work = sum(math.comb(N - 1, j - 1) * math.comb(j, k_target) for j in sizes)
     if work > guard:
         raise SearchBudgetExceeded(
-            f"{work} subset tests over occupied sets exceed the guard "
+            f"{work} (occupied set, {k_target}-subset) pairs exceed the guard "
             f"{guard}; use monte_carlo_p instead"
         )
     chunk = 1 << 20

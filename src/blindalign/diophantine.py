@@ -12,6 +12,7 @@ that start at group i; summing all windows shows sum(lam) == N.
 from __future__ import annotations
 
 from .errors import SearchBudgetExceeded
+from .feasibility import check_feasible
 
 __all__ = [
     "verify_solution",
@@ -66,7 +67,7 @@ def closed_form_solution(s) -> tuple[int, ...]:
     s = _as_gaps(s)
     K = len(s)
     m = K * (K + 1)
-    if sum(s) > (K + 1) * min(s):
+    if not check_feasible(s):
         raise ValueError(
             f"feasibility condition violated: sum(s)={sum(s)} > {(K + 1) * min(s)}"
         )
@@ -91,7 +92,7 @@ def closed_form_solution_3user(s) -> tuple[int, ...]:
     s = _as_gaps(s)
     if len(s) != 3:
         raise ValueError("this constructor is for K=3 only")
-    if sum(s) > 4 * min(s):
+    if not check_feasible(s):
         raise ValueError(
             f"feasibility condition violated: sum(s)={sum(s)} > {4 * min(s)}"
         )

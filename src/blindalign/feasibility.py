@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .pattern import ChannelConfig, GroupProfile, group_profile
+from .pattern import ChannelConfig, group_profile
 
 __all__ = [
     "check_weak",
@@ -96,7 +96,7 @@ def feasible_subset_rows(offsets, N: int, k_target: int) -> np.ndarray:
 @dataclass(frozen=True)
 class FeasibilityReport:
     feasible: bool
-    s: GroupProfile
+    s: tuple[int, ...]
     min_gap: int
     threshold: Fraction  # N / (K+1); min_gap must reach it
 
@@ -107,19 +107,16 @@ class FeasibilityReport:
 
 
 def check_config(cfg: ChannelConfig) -> FeasibilityReport:
-    """Full feasibility verdict for a channel config.
-
-    Feasible iff every circular offset gap is at least N/(K+1); duplicated
-    offsets produce a zero gap and are therefore always infeasible.
+    """Full feasibility verdict for a channel config: :func:`check_feasible`
+    on its gap tuple, so every circular offset gap is at least N/(K+1);
+    duplicated offsets produce a zero gap and are therefore always infeasible.
     """
     s = group_profile(cfg)
-    min_gap = min(s)
-    threshold = Fraction(cfg.N, cfg.K + 1)
     return FeasibilityReport(
-        feasible=min_gap >= threshold,
+        feasible=check_feasible(s),
         s=s,
-        min_gap=min_gap,
-        threshold=threshold,
+        min_gap=min(s),
+        threshold=Fraction(cfg.N, cfg.K + 1),
     )
 
 

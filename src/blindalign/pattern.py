@@ -1,4 +1,4 @@
-"""Block-fading channel model: slot-to-block maps, group profiles, pattern matrices.
+"""Block-fading channel model: slot-to-block maps, gap tuples, pattern matrices.
 
 A homogeneous broadcast channel is described by a coherence time ``N`` shared
 by all users and one block offset per user. User ``i``'s channel vector is
@@ -10,14 +10,12 @@ offset modulo ``N``. Joint channel state is therefore piecewise constant on
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ChannelConfig",
-    "GroupProfile",
     "block_index",
     "group_profile",
     "slot_map",
@@ -25,7 +23,6 @@ __all__ = [
     "slot_group",
     "pattern_matrix",
     "is_feasible_pattern",
-    "count_feasible_patterns",
     "enumerate_feasible_patterns",
 ]
 
@@ -55,44 +52,24 @@ class ChannelConfig:
         return len(self.offsets)
 
 
-@dataclass(frozen=True)
-class GroupProfile:
-    """Circular gaps between sorted offsets, one base period of group sizes.
+def group_profile(cfg: ChannelConfig) -> tuple[int, ...]:
+    """Circular gaps between the sorted offsets, starting at the benchmark user.
 
-    ``s[k]`` is the size of group ``k``; the long pattern repeats with
-    period K, so group ``i`` of it has size ``s[i % K]``. Entries sum to N.
-    A zero entry marks duplicated offsets.
-    """
-
-    s: tuple[int, ...]
-
-    @property
-    def starts(self) -> tuple[int, ...]:
-        """Group starts relative to the benchmark boundary, then N: K+1 entries."""
-        return (0, *itertools.accumulate(self.s))
-
-    def __len__(self):
-        return len(self.s)
-
-    def __getitem__(self, i):
-        return self.s[i]
-
-    def __iter__(self):
-        return iter(self.s)
-
-
-def group_profile(cfg: ChannelConfig) -> GroupProfile:
-    """Circular gaps of the offset multiset, starting at the benchmark user.
-
-    Gaps are taken in cyclic order from user 1's offset, so group 0 of the
-    joint pattern begins at the benchmark's block boundary. Duplicate offsets
-    yield zero gaps (flagged as infeasible downstream, never an error here).
+    Group k of the joint pattern has size ``s[k]``; group 0 begins at the
+    benchmark's block boundary and the sizes repeat with period K, so long
+    group i has size ``s[i % K]``. The entries sum to N. Duplicate offsets
+    give zero entries (flagged as infeasible downstream, never an error here).
     """
     N = cfg.N
     rel = sorted((o - cfg.offsets[0]) % N for o in cfg.offsets)
     gaps = [rel[k + 1] - rel[k] for k in range(len(rel) - 1)]
     gaps.append(N - rel[-1])  # wrap back to the benchmark boundary
-    return GroupProfile(tuple(gaps))
+    return tuple(gaps)
+
+
+def _group_starts(cfg: ChannelConfig) -> tuple[int, ...]:
+    """Group starts relative to the benchmark boundary, then N: K+1 entries."""
+    return (0, *itertools.accumulate(group_profile(cfg)))
 
 
 def slot_map(cfg: ChannelConfig, slots) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +83,7 @@ def slot_map(cfg: ChannelConfig, slots) -> tuple[np.ndarray, np.ndarray]:
     """
     slots = np.asarray(slots)
     rel = slots - cfg.offsets[0]
-    starts = np.array(group_profile(cfg).starts, dtype=slots.dtype)
+    starts = np.array(_group_starts(cfg), dtype=slots.dtype)
     groups = (rel // cfg.N) * cfg.K + np.searchsorted(starts, rel % cfg.N, side="right") - 1
     delta = np.array(cfg.offsets, dtype=slots.dtype).reshape((-1,) + (1,) * slots.ndim)
     return np.asarray(groups), (slots - delta) // cfg.N + (delta != 0)
@@ -130,7 +107,7 @@ def group_slots(cfg: ChannelConfig, group: int) -> range:
     """Absolute slot range of group ``group`` (any nonnegative long index)."""
     if group < 0:
         raise ValueError("group index must be nonnegative")
-    starts = group_profile(cfg).starts
+    starts = _group_starts(cfg)
     period_no, k = divmod(group, cfg.K)
     base = cfg.offsets[0] + period_no * cfg.N
     return range(base + starts[k], base + starts[k + 1])
@@ -171,13 +148,6 @@ def is_feasible_pattern(M) -> bool:
         return False
     binary = np.all((M == 0) | (M == 1))
     return bool(binary and np.all(M.sum(axis=-2) == 1) and np.all(M.sum(axis=-1) == 1))
-
-
-def count_feasible_patterns(K: int) -> int:
-    """Number of feasible super-symbol patterns for K users: exactly K!."""
-    if K < 2:
-        raise ValueError("K must be >= 2")
-    return math.factorial(K)
 
 
 def enumerate_feasible_patterns(K: int):

@@ -44,6 +44,12 @@ class Schedule:
     start_groups: np.ndarray
     slots: np.ndarray
 
+    def __post_init__(self):
+        g, S = np.shape(self.start_groups), np.shape(self.slots)
+        if len(g) != 1 or S != (g[0], self.cfg.K + 1):
+            raise ValueError(f"start_groups of shape {g} and slots of shape {S} do not "
+                             f"match: expected (T,) and (T, K+1) = (T, {self.cfg.K + 1})")
+
     @property
     def period(self) -> int:
         return (self.cfg.K + 1) * self.cfg.N

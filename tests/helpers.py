@@ -154,7 +154,7 @@ def slot_group_oracle(cfg, slot):
         raise ValueError("slot precedes the benchmark user's first block boundary")
     q, r = divmod(rel, cfg.N)
     starts = [0]
-    for g in group_profile(cfg).s:
+    for g in group_profile(cfg):
         starts.append(starts[-1] + g)
     # exactly one group contains r; zero-size groups contain nothing
     k = next(i for i in range(cfg.K) if starts[i] <= r < starts[i + 1])
@@ -219,6 +219,14 @@ def schedule_of_threads(cfg, lam, starts, rows):
         except OverflowError:
             return np.array(values, dtype=object)
     return Schedule(cfg, tuple(lam), as_array(starts), as_array(rows).reshape(-1, cfg.K + 1))
+
+
+def huge_n_small_slots_doc():
+    """A schedule document with N = 10^20 and one thread [0, 1, 2] at start
+    group 0: its slots fit int64, but the group starts (0, 5e19, 1e20) do not."""
+    return {"version": 1, "N": 10**20, "K": 2, "offsets": [0, 5 * 10**19],
+            "period": 3 * 10**20, "lambda": [0] * 6,
+            "tuples": [{"start_group": 0, "slots": [0, 1, 2]}]}
 
 
 def validate_schedule_oracle(sched):

@@ -23,7 +23,12 @@ from blindalign import (
     schedule_to_dict,
 )
 from blindalign.cli import main
-from helpers import TAMPERINGS, random_feasible_config, tamper_schedule
+from helpers import (
+    TAMPERINGS,
+    huge_n_small_slots_doc,
+    random_feasible_config,
+    tamper_schedule,
+)
 
 
 def run(capsys, *argv):
@@ -251,6 +256,18 @@ class TestHostileSchedules:
         assert "FAIL (structure)" in proc.stdout and "coverage" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_huge_n_int64_slots_exit_1(self, tmp_path, capsys):
+        # int64 slots whose group starts are not: a structural failure, not an OverflowError
+        path = tmp_path / "sched.json"
+        path.write_text(json.dumps(huge_n_small_slots_doc()))
+        code, out, err = run(capsys, "verify", "--schedule", str(path))
+        assert code == 1 and out == "verification: FAIL (structure)\n"
+        assert err.splitlines() == [
+            f"invalid schedule: coverage: 1 tuples, expected {10**20}",
+            "invalid schedule: consecutiveness: thread at group 0, slots (0, 1, 2)",
+            "invalid schedule: certificate: lambda does not solve the window equations "
+            "or does not match the threads' start groups"]
+
     @pytest.mark.parametrize("kind", TAMPERINGS)
     def test_tampered_exit_1_or_2(self, tmp_path, kind):
         proc = verify_in_subprocess(tmp_path, tampered_doc(5, 4, kind, 7, 11))
@@ -329,7 +346,7 @@ class TestProb:
             assert json.loads(out)[0]["p"] == float(1 - Fraction(bad, N**3))
 
     def test_exact_2user_past_guard(self, capsys):
-        # 4.4e11 subset tests would exceed the guard; the pair closed form
+        # sum_j C(99, j-1) * C(j, 2) = 4.4e11 exceeds the guard; the pair closed form
         # answers exactly, and --method bound gives the same value
         rows = []
         for method in ("exact", "bound"):

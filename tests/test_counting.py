@@ -316,7 +316,7 @@ class TestProbabilities:
         assert monte_carlo_p(N, 8, 3, 4096, seed=1).p == 0.779052734375
 
     def test_exact_pairs_past_the_guard(self):
-        # pairs come from the closed form, so no subset-test guard applies
+        # pairs come from the closed form, so exact_count's guard does not apply
         est = probability_exact(100, 8, 2)
         assert est.method == "exact"
         assert est.p == float(1 - Fraction(f_2user(100, 8).value, 100**7))

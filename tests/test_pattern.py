@@ -1,4 +1,3 @@
-import math
 from itertools import product
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from blindalign import (
     ChannelConfig,
     block_index,
-    count_feasible_patterns,
     enumerate_feasible_patterns,
     group_profile,
     group_slots,
@@ -119,16 +117,16 @@ class TestSlotMap:
 
 class TestGroupProfile:
     def test_known_values(self):
-        assert group_profile(ChannelConfig(4, (0, 1, 2))).s == (1, 1, 2)
-        assert group_profile(ChannelConfig(20, (0, 5, 10))).s == (5, 5, 10)
+        assert group_profile(ChannelConfig(4, (0, 1, 2))) == (1, 1, 2)
+        assert group_profile(ChannelConfig(20, (0, 5, 10))) == (5, 5, 10)
         # unsorted offsets exchange the first two gap roles
-        assert group_profile(ChannelConfig(11, (0, 6, 3))).s == (3, 3, 5)
+        assert group_profile(ChannelConfig(11, (0, 6, 3))) == (3, 3, 5)
 
     def test_sorted_3user_closed_form(self):
         for N in range(3, 16):
             for n2 in range(1, N):
                 for n3 in range(n2 + 1, N):
-                    s = group_profile(ChannelConfig(N, (0, n2, n3))).s
+                    s = group_profile(ChannelConfig(N, (0, n2, n3)))
                     assert s == (n2, n3 - n2, N - n3)
 
     def test_sum_and_shift_invariance(self):
@@ -141,11 +139,11 @@ class TestGroupProfile:
             assert sum(prof) == N
             shift = int(rng.integers(0, N))
             shifted = tuple((o + shift) % N for o in offsets)
-            assert group_profile(ChannelConfig(N, shifted)).s == prof.s
+            assert group_profile(ChannelConfig(N, shifted)) == prof
 
     def test_duplicates_give_zero_gaps(self):
         prof = group_profile(ChannelConfig(8, (0, 3, 3)))
-        assert 0 in prof.s and sum(prof) == 8
+        assert 0 in prof and sum(prof) == 8
 
     def test_zero_gap_iff_duplicate_offsets(self):
         rng = np.random.default_rng(19)
@@ -154,7 +152,7 @@ class TestGroupProfile:
             K = int(rng.integers(2, 6))
             cfg = ChannelConfig(N, tuple(int(x) for x in rng.integers(0, N, K)))
             has_dup = len(set(cfg.offsets)) < cfg.K
-            assert (0 in group_profile(cfg).s) == has_dup
+            assert (0 in group_profile(cfg)) == has_dup
 
 
 class TestGroupSlots:
@@ -250,13 +248,6 @@ class TestFeasiblePatterns:
             M = np.array(bits).reshape(3, 3)
             oracle = all(M.sum(axis=0) == 1) and all(M.sum(axis=1) == 1)
             assert is_feasible_pattern(M) == oracle
-
-    def test_counts(self):
-        assert count_feasible_patterns(3) == 6
-        assert count_feasible_patterns(2) == 2
-        assert count_feasible_patterns(5) == 120
-        # must not overflow machine words
-        assert count_feasible_patterns(25) == math.factorial(25) > 2**64
 
     def test_enumeration_is_exactly_the_permutations(self):
         mats = [tuple(map(tuple, M)) for M in enumerate_feasible_patterns(3)]

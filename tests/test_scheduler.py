@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from blindalign import scheduler
 from blindalign import (
     ChannelConfig,
     Schedule,
+    ValidationReport,
     brute_force_solve,
     build_schedule,
     closed_form_solution,
@@ -25,6 +27,7 @@ from blindalign import (
 from helpers import (
     TAMPERINGS,
     build_schedule_oracle,
+    huge_n_small_slots_doc,
     random_feasible_config,
     schedule_of_threads,
     small_certificates,
@@ -177,6 +180,28 @@ class TestValidateSchedule:
                                                        sched.start_groups.tolist(), rows))
         assert report.coverage_ok and report.certificate_ok
         assert not report.consecutive_ok and not report.passed
+
+    def test_int64_slots_with_group_starts_past_int64(self):
+        # the slots parse as int64, so only validate_schedule's widening to
+        # Python integers keeps the group arithmetic exact
+        sched = schedule_from_dict(huge_n_small_slots_doc())
+        assert sched.start_groups.dtype == sched.slots.dtype == np.int64
+        assert validate_schedule(sched) == ValidationReport(
+            coverage_ok=False, consecutive_ok=False, patterns_ok=True, certificate_ok=False,
+            failures=(f"coverage: 1 tuples, expected {10**20}",
+                      "consecutiveness: thread at group 0, slots (0, 1, 2)",
+                      "certificate: lambda does not solve the window equations "
+                      "or does not match the threads' start groups"))
+
+    @pytest.mark.parametrize("n_starts, n_cols", [(3, 4), (4, 3)],
+                             ids=["one-start-group-cut", "one-slot-column-cut"])
+    def test_mismatched_shapes_refused(self, n_starts, n_cols):
+        sched = build_schedule(FIG_CFG, FIG_LAMBDA)
+        with pytest.raises(ValueError, match=re.escape(
+                f"start_groups of shape ({n_starts},) and slots of shape (4, {n_cols}) do "
+                "not match: expected (T,) and (T, K+1) = (T, 4)")):
+            Schedule(FIG_CFG, FIG_LAMBDA, sched.start_groups[:n_starts],
+                     sched.slots[:, :n_cols])
 
 
 class TestValidateAgainstOracle:
