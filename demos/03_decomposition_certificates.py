@@ -2,15 +2,18 @@
 
 Feasibility is equivalent to solving sum(lam[i-K..i]) == s[i % K] in
 nonnegative integers over one period of K(K+1) groups. lam[g] counts the
-super-symbol threads starting at group g. This script solves the system
-three ways (two closed forms and exhaustive search) and shows an instance
-where the certificate is not unique.
+super-symbol threads starting at group g. The solutions form a simplex
+in closed form: lam[i] = s[i % K] - min(s) + y[i % (K+1)] with y >= 0
+summing to the slack (K+1)*min(s) - N. This script shows two vertices of
+it (the two closed-form constructors), lists the whole family and its
+count, and shows an instance where the certificate is not unique.
 """
 
 from blindalign import (
-    brute_force_solve,
+    certificate_count,
     closed_form_solution,
     closed_form_solution_3user,
+    enumerate_certificates,
     verify_solution,
 )
 
@@ -24,8 +27,10 @@ print(f"3-user closed form:   {lam_b}")
 print(f"both verify: {verify_solution(s, lam_a)} {verify_solution(s, lam_b)}, "
       f"both sum to N: {sum(lam_a)} {sum(lam_b)}\n")
 
-solutions = brute_force_solve(s, enumerate_all=True)
-print(f"exhaustive search finds {len(solutions)} certificates:")
+solutions = enumerate_certificates(s)
+slack = 4 * min(s) - sum(s)
+print(f"the closed-form solution family has certificate_count(s) = "
+      f"{certificate_count(s)} = C({slack} + 3, 3) certificates (slack {slack}):")
 for lam in solutions:
     print(f"  {lam}  (lambda_2 = {lam[2]})")
 print("certificates are not unique: lambda_2 takes values",
@@ -42,7 +47,7 @@ print(f"  windows: {sums}")
 print("\nAn infeasible profile has no certificate at all:")
 bad = (3, 3, 7)
 print(f"  s={bad}: sum {sum(bad)} > 4*min {4 * min(bad)}; "
-      f"exhaustive search returns {brute_force_solve(bad, enumerate_all=True)}")
+      f"the solution family holds {certificate_count(bad)}: {enumerate_certificates(bad)}")
 
 print("\nLarger K uses the same machinery (K=5 here):")
 s5 = (4, 4, 5, 5, 6)

@@ -31,9 +31,10 @@ from .feasibility import (
 )
 from .diophantine import (
     verify_solution,
+    certificate_count,
     closed_form_solution,
     closed_form_solution_3user,
-    brute_force_solve,
+    enumerate_certificates,
 )
 from .scheduler import (
     Schedule,
@@ -57,7 +58,6 @@ from .signaling import (
 from .counting import (
     CountResult,
     ProbabilityEstimate,
-    stirling2,
     gamma_count,
     f_low_3,
     f_2user,

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import counting
-from .diophantine import brute_force_solve, closed_form_solution
+from .diophantine import closed_form_solution, enumerate_certificates
 from .errors import SearchBudgetExceeded
 from .feasibility import check_config, feasible_region
 from .pattern import ChannelConfig
@@ -104,8 +104,7 @@ def _cmd_decompose(args) -> int:
         )
         return 1
     if args.all_solutions:
-        solutions = brute_force_solve(report.s, enumerate_all=True,
-                                      max_nodes=args.max_nodes)
+        solutions = enumerate_certificates(report.s, limit=args.max_nodes)
         doc = [schedule_to_dict(build_schedule(cfg, lam)) for lam in solutions]
     else:
         doc = schedule_to_dict(build_schedule(cfg, closed_form_solution(report.s)))
@@ -225,9 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offsets", required=True)
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p.add_argument("--all-solutions", action="store_true",
-                   help="emit one schedule per certificate found by exhaustive search")
+                   help="emit one schedule per certificate, in lexicographic order")
     p.add_argument("--max-nodes", type=int, default=2_000_000,
-                   help="search guard for --all-solutions")
+                   help="guard for --all-solutions: the most certificates to emit; "
+                        "more exits 2 before any is built")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("verify", help="re-validate and numerically verify a schedule file")

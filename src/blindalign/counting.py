@@ -22,7 +22,6 @@ from .feasibility import feasible_subset_rows
 __all__ = [
     "CountResult",
     "ProbabilityEstimate",
-    "stirling2",
     "gamma_count",
     "f_low_3",
     "f_2user",
@@ -56,41 +55,17 @@ def _check_positive(**values: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def stirling2(k: int, mu: int) -> int:
-    """Stirling number of the second kind S(k, mu), exact."""
-    if not 0 <= mu <= k:
-        raise ValueError(f"need 0 <= mu <= k, got k={k}, mu={mu}")
-    total = sum((-1) ** (mu - j) * math.comb(mu, j) * j**k for j in range(mu + 1))
-    return total // math.factorial(mu)
-
-
 def gamma_count(n: int, theta: int, mu: int) -> int:
     """Placements of theta labeled balls into n labeled boxes covering mu
-    designated boxes.
+    designated boxes, by inclusion-exclusion over empty designated boxes.
 
-    Computed two ways, cross-checked on every call: the Stirling-number sum
-    (choose which balls fill the designated boxes, surject, place the rest)
-    and inclusion-exclusion over empty designated boxes. mu > theta gives 0
-    (too few balls); mu > n has no meaning and is rejected.
+    mu > theta gives 0 (too few balls); mu > n has no meaning and is rejected.
     """
     if n < 0 or theta < 0 or mu < 0:
         raise ValueError("arguments must be nonnegative")
     if mu > n:
         raise ValueError(f"cannot designate mu={mu} boxes out of n={n}")
-    stirling_form = sum(
-        math.comb(theta, k) * math.factorial(mu) * stirling2(k, mu)
-        * (n - mu) ** (theta - k)
-        for k in range(mu, theta + 1)
-    )
-    incl_excl = sum(
-        (-1) ** j * math.comb(mu, j) * (n - j) ** theta for j in range(mu + 1)
-    )
-    if stirling_form != incl_excl:
-        raise AssertionError(
-            f"gamma cross-check failed at (n={n}, theta={theta}, mu={mu}): "
-            f"{stirling_form} != {incl_excl}"
-        )
-    return stirling_form
+    return sum((-1) ** j * math.comb(mu, j) * (n - j) ** theta for j in range(mu + 1))
 
 
 def f_low_3(N: int, K: int) -> CountResult:

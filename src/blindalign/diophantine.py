@@ -7,18 +7,31 @@ iff the system
 
 has a nonnegative integer solution ``lam``. ``lam[i]`` counts the tuples
 that start at group i; summing all windows shows sum(lam) == N.
+
+Adjacent windows give lam[i] - lam[i-K-1] = s[i % K] - s[(i-1) % K], which
+telescopes along each residue class mod K+1; with the window ending at K,
+the solutions are exactly
+
+    lam[i] = s[i % K] - min(s) + y[i % (K+1)],  y >= 0,  sum(y) = slack,
+
+where slack = (K+1)*min(s) - N: a simplex with C(slack + K, K) integer
+points, empty iff the gap condition of ``check_feasible`` fails.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import combinations
 
 from .errors import SearchBudgetExceeded
 from .feasibility import check_feasible
 
 __all__ = [
     "verify_solution",
+    "certificate_count",
     "closed_form_solution",
     "closed_form_solution_3user",
-    "brute_force_solve",
+    "enumerate_certificates",
 ]
 
 
@@ -46,113 +59,66 @@ def verify_solution(s, lam) -> bool:
     )
 
 
-def _rotate_min_first(s):
-    """Rotation r putting a minimal entry (smallest index wins) at position 0."""
-    r = min(range(len(s)), key=lambda i: (s[i], i))
-    return r, tuple(s[(i + r) % len(s)] for i in range(len(s)))
+def _family(s) -> tuple[tuple[int, ...], int]:
+    """The solution with y = 0, base[i] = s[i % K] - min(s), and the slack."""
+    K = len(s)
+    lo = min(s)
+    return tuple(s[i % K] - lo for i in range(K * (K + 1))), (K + 1) * lo - sum(s)
 
 
-def _unrotate(lam_rot, r, m):
-    return tuple(lam_rot[(i - r) % m] for i in range(m))
+def certificate_count(s) -> int:
+    """Number of solutions: C(slack + K, K), or 0 when the slack is negative."""
+    s = _as_gaps(s)
+    return math.comb(_family(s)[1] + len(s), len(s)) if check_feasible(s) else 0
 
 
-def closed_form_solution(s) -> tuple[int, ...]:
-    """Direct solution for any K, valid whenever sum(s) <= (K+1)*min(s).
-
-    With the minimum rotated to position 0, entry i is s[i % K] - s[0]
-    except at the K specially spaced indices (j-1)K + j, which absorb the
-    slack; every window then telescopes to the right gap. The result is
-    rotated back to the caller's indexing.
-    """
+def _vertex(s, c: int) -> tuple[int, ...]:
+    """The solution with all the slack on y[(a + c) % (K+1)], where a is the
+    first index of min(s)."""
     s = _as_gaps(s)
     K = len(s)
-    m = K * (K + 1)
     if not check_feasible(s):
         raise ValueError(
             f"feasibility condition violated: sum(s)={sum(s)} > {(K + 1) * min(s)}"
         )
-    r, sr = _rotate_min_first(s)
-    rest = sum(sr[1:])
-    special = {(j - 1) * K + j: j for j in range(1, K)}
-    lam = []
-    for i in range(m):
-        if i == K * K:
-            lam.append(K * sr[0] - rest)
-        elif i in special:
-            j = special[i]
-            lam.append((K - 1) * sr[0] - (rest - sr[j]))
-        else:
-            lam.append(sr[i % K] - sr[0])
-    return _unrotate(lam, r, m)
+    base, slack = _family(s)
+    r = (s.index(min(s)) + c) % (K + 1)
+    return tuple(b + slack * (i % (K + 1) == r) for i, b in enumerate(base))
+
+
+def closed_form_solution(s) -> tuple[int, ...]:
+    """Direct solution for any K, valid whenever sum(s) <= (K+1)*min(s):
+    the vertex of the solution simplex with the slack on y[a+1]."""
+    return _vertex(s, 1)
 
 
 def closed_form_solution_3user(s) -> tuple[int, ...]:
-    """Alternative 3-user constructor; generally differs entrywise from
-    :func:`closed_form_solution` (the solution is not unique)."""
-    s = _as_gaps(s)
-    if len(s) != 3:
+    """Alternative 3-user constructor, the vertex with the slack on y[a+2];
+    it differs from :func:`closed_form_solution` unless s is tight (the
+    solution is not unique)."""
+    if len(_as_gaps(s)) != 3:
         raise ValueError("this constructor is for K=3 only")
-    if not check_feasible(s):
-        raise ValueError(
-            f"feasibility condition violated: sum(s)={sum(s)} > {4 * min(s)}"
-        )
-    r, (s0, s1, s2) = _rotate_min_first(s)
-    x = s1 - s0
-    y = s0 - x
-    lam = (0, x, y, 0, s1 - s0, s2 - s1 + x, 3 * s0 - s1 - s2,
-           s1 - s0, s2 - s1 + x, 0, 2 * s0 - s2, s2 - s0)
-    return _unrotate(lam, r, 12)
+    return _vertex(s, 2)
 
 
-def brute_force_solve(s, enumerate_all: bool = False, max_nodes: int = 2_000_000):
-    """Exhaustive search for window-equation solutions; the ground-truth oracle.
+def enumerate_certificates(s, limit: int = 2_000_000) -> list[tuple[int, ...]]:
+    """Every solution, sorted lexicographically; empty iff unsolvable.
 
-    Depth-first over lam[0..K-1] with window-sum pruning; every later entry
-    is forced by the equality window ending there, and the wraparound
-    windows are checked at the leaves. Returns all solutions sorted
-    lexicographically (or just the first found), empty list iff unsolvable.
+    lam[0..K] = base[0..K] + y determines lam, so lexicographic order on y
+    (the compositions of the slack, read off stars and bars) is
+    lexicographic order on lam. Raises ``SearchBudgetExceeded`` before
+    enumerating anything when there are more than ``limit`` solutions.
     """
     s = _as_gaps(s)
+    count = certificate_count(s)
+    if count > limit:
+        raise SearchBudgetExceeded(
+            f"s={s} has {count} certificates, more than the limit {limit}"
+        )
     K = len(s)
-    m = K * (K + 1)
-    lam = [0] * m
-    out: list[tuple[int, ...]] = []
-    nodes = 0
-
-    def rec(t: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise SearchBudgetExceeded(
-                f"exceeded {max_nodes} search nodes for s={s}; "
-                "raise max_nodes or shrink the instance"
-            )
-        if t == m:
-            # first K windows wrap around; the rest held by construction
-            if all(
-                sum(lam[(i - d) % m] for d in range(K + 1)) == s[i % K]
-                for i in range(K)
-            ):
-                out.append(tuple(lam))
-                return not enumerate_all
-            return False
-        if t >= K:
-            v = s[t % K] - sum(lam[t - K:t])
-            if v < 0:
-                return False
-            lam[t] = v
-            done = rec(t + 1)
-            lam[t] = 0
-            return done
-        hi = min(s[t % K], s[0] - sum(lam[:t]))  # window t and window K caps
-        for v in range(hi + 1):
-            lam[t] = v
-            if rec(t + 1):
-                lam[t] = 0
-                return True
-            lam[t] = 0
-        return False
-
-    rec(0)
-    out.sort()
+    base, slack = _family(s)
+    out = []
+    for bars in combinations(range(slack + K), K):
+        y = [b - a - 1 for a, b in zip((-1, *bars), (*bars, slack + K))]
+        out.append(tuple(v + y[i % (K + 1)] for i, v in enumerate(base)))
     return out

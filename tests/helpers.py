@@ -1,5 +1,6 @@
 """Shared oracles and samplers for the test suite."""
 
+import math
 from collections import Counter
 from itertools import accumulate, combinations
 
@@ -8,14 +9,89 @@ import numpy as np
 from blindalign import (
     ChannelConfig,
     Schedule,
+    SearchBudgetExceeded,
     ValidationReport,
-    brute_force_solve,
     check_feasible,
     group_profile,
     group_slots,
     is_feasible_pattern,
     verify_solution,
 )
+from blindalign.diophantine import _as_gaps
+
+
+def brute_force_solve(s, enumerate_all: bool = False, max_nodes: int = 2_000_000):
+    """Exhaustive search for window-equation solutions; the ground-truth oracle.
+
+    Depth-first over lam[0..K-1] with window-sum pruning; every later entry
+    is forced by the equality window ending there, and the wraparound
+    windows are checked at the leaves. Returns all solutions sorted
+    lexicographically (or just the first found), empty list iff unsolvable.
+    """
+    s = _as_gaps(s)
+    K = len(s)
+    m = K * (K + 1)
+    lam = [0] * m
+    out: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def rec(t: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise SearchBudgetExceeded(
+                f"exceeded {max_nodes} search nodes for s={s}; "
+                "raise max_nodes or shrink the instance"
+            )
+        if t == m:
+            # first K windows wrap around; the rest held by construction
+            if all(
+                sum(lam[(i - d) % m] for d in range(K + 1)) == s[i % K]
+                for i in range(K)
+            ):
+                out.append(tuple(lam))
+                return not enumerate_all
+            return False
+        if t >= K:
+            v = s[t % K] - sum(lam[t - K:t])
+            if v < 0:
+                return False
+            lam[t] = v
+            done = rec(t + 1)
+            lam[t] = 0
+            return done
+        hi = min(s[t % K], s[0] - sum(lam[:t]))  # window t and window K caps
+        for v in range(hi + 1):
+            lam[t] = v
+            if rec(t + 1):
+                lam[t] = 0
+                return True
+            lam[t] = 0
+        return False
+
+    rec(0)
+    out.sort()
+    return out
+
+
+def stirling2(k, mu):
+    """Stirling number of the second kind S(k, mu), exact."""
+    if not 0 <= mu <= k:
+        raise ValueError(f"need 0 <= mu <= k, got k={k}, mu={mu}")
+    total = sum((-1) ** (mu - j) * math.comb(mu, j) * j**k for j in range(mu + 1))
+    return total // math.factorial(mu)
+
+
+def gamma_stirling(n, theta, mu):
+    """Stirling-number form of ``gamma_count``, independent of its
+    inclusion-exclusion: choose which k balls fill the mu designated boxes,
+    surject them onto those boxes, and place the other theta - k balls in
+    the n - mu remaining boxes."""
+    return sum(
+        math.comb(theta, k) * math.factorial(mu) * stirling2(k, mu)
+        * (n - mu) ** (theta - k)
+        for k in range(mu, theta + 1)
+    )
 
 
 def compositions(total, parts):

@@ -142,6 +142,22 @@ class TestDecomposeVerify:
         docs = json.loads(out)
         assert isinstance(docs, list) and len(docs) >= 2
 
+    def test_all_solutions_tight_instance(self, capsys):
+        # s = (300, 300, 600) meets the gap condition with equality: one certificate
+        args = ("decompose", "--N", "1200", "--offsets", "0,300,600")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        code, out_all, err = run(capsys, *args, "--all-solutions")
+        assert code == 0 and err == ""
+        assert json.loads(out_all) == [json.loads(out)]
+
+    def test_all_solutions_guard_counts_certificates(self, capsys):
+        # s = (1000, 1100, 1200, 1150, 1300): C(255, 5) certificates, refused unbuilt
+        code, out, err = run(capsys, "decompose", "--N", "5750",
+                             "--offsets", "0,1000,2100,3300,4450", "--all-solutions")
+        assert code == 2 and out == ""
+        assert "8637487551 certificates" in err and "limit 2000000" in err
+
     def test_tampered_schedule_exit_1(self, tmp_path, capsys):
         path = tmp_path / "sched.json"
         run(capsys, "decompose", "--N", "4", "--offsets", "0,1,2", "--out", str(path))

@@ -19,10 +19,9 @@ from blindalign import (
     monte_carlo_p,
     p_upper_3,
     probability_exact,
-    stirling2,
 )
 from blindalign.counting import _occupied_sets
-from helpers import enumeration_count
+from helpers import enumeration_count, stirling2
 
 
 def stirling2_recurrence(n, k):

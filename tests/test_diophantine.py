@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindalign import (
     SearchBudgetExceeded,
-    brute_force_solve,
+    certificate_count,
     check_feasible,
     closed_form_solution,
     closed_form_solution_3user,
+    enumerate_certificates,
     verify_solution,
 )
-from helpers import compositions, random_feasible_gaps
+from helpers import brute_force_solve, compositions, random_feasible_gaps
 
 FIG_LAMBDA = (0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
 
@@ -84,6 +87,10 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="condition violated"):
             closed_form_solution_3user((1, 1, 3))
 
+    def test_3user_rejects_other_k(self):
+        with pytest.raises(ValueError, match="K=3 only"):
+            closed_form_solution_3user((2, 2, 2, 2))
+
     def test_all_rotations(self):
         rng = np.random.default_rng(11)
         for _ in range(150):
@@ -140,3 +147,69 @@ class TestBruteForce:
             for N in range(1, 13):
                 for s in compositions(N, K):
                     assert bool(brute_force_solve(s)) == check_feasible(s)
+
+
+# a common floor plus small bumps gives feasible vectors with slack, tight
+# ones and infeasible ones at every K; the caps keep the oracle's search small
+_BUMP_CAPS = {2: 8, 3: 5, 4: 3, 5: 2, 6: 2}
+gap_vectors = st.integers(2, 6).flatmap(lambda K: st.builds(
+    lambda floor, bumps: tuple(floor + b for b in bumps),
+    st.integers(0, 3), st.lists(st.integers(0, _BUMP_CAPS[K]), min_size=K, max_size=K)))
+
+
+class TestSolutionFamily:
+    """The closed-form family against the exhaustive oracle."""
+
+    def test_equals_oracle_on_small_sweep(self):
+        checked = 0
+        for K, n_max in ((2, 20), (3, 20), (4, 16)):
+            for N in range(0, n_max + 1):
+                for s in compositions(N, K):
+                    sols = brute_force_solve(s, enumerate_all=True)
+                    assert enumerate_certificates(s) == sols, s
+                    assert certificate_count(s) == len(sols), s
+                    checked += 1
+        assert checked == 6_847
+
+    @settings(max_examples=300, deadline=None)
+    @given(gap_vectors)
+    def test_family_matches_oracle(self, s):
+        K = len(s)
+        sols = brute_force_solve(s, enumerate_all=True)
+        assert enumerate_certificates(s) == sols
+        assert certificate_count(s) == len(sols)
+        if not sols:
+            assert not check_feasible(s)
+            with pytest.raises(ValueError, match="condition violated"):
+                closed_form_solution(s)
+            return
+        # lam[0..K] ranges over a simplex: each coordinate runs from its
+        # lower bound up to the bound plus the slack, and the bounds sum to s[0]
+        lows = [min(lam[r] for lam in sols) for r in range(K + 1)]
+        highs = [max(lam[r] for lam in sols) for r in range(K + 1)]
+        slack = (K + 1) * min(s) - sum(s)
+        assert s[0] - sum(lows) == slack
+        assert all(hi - lo == slack for lo, hi in zip(lows, highs))
+        # each constructor is the vertex holding all the slack on one coordinate
+        a = s.index(min(s))
+        for c, make in ((1, closed_form_solution), (2, closed_form_solution_3user)):
+            if c == 2 and K != 3:
+                continue
+            r = (a + c) % (K + 1)
+            vertex = [lam for lam in sols if lam[r] == highs[r]]
+            assert vertex == [make(s)]
+
+    def test_pinned_count(self):
+        s = (1000, 1100, 1200, 1150, 1300)
+        assert certificate_count(s) == 8_637_487_551
+        assert certificate_count((1, 1, 2)) == 1
+        assert certificate_count((3, 3, 5)) == 4
+        assert certificate_count((3, 3, 7)) == 0
+
+    def test_limit_checked_before_enumerating(self):
+        s = (1000, 1100, 1200, 1150, 1300)
+        with pytest.raises(SearchBudgetExceeded, match="8637487551 certificates"):
+            enumerate_certificates(s)
+        assert len(enumerate_certificates((3, 3, 5), limit=4)) == 4
+        with pytest.raises(SearchBudgetExceeded, match="limit 3"):
+            enumerate_certificates((3, 3, 5), limit=3)

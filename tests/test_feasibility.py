@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from blindalign import (
     ChannelConfig,
-    brute_force_solve,
     check_config,
     check_feasible,
     check_weak,
@@ -17,7 +16,7 @@ from blindalign import (
     group_profile,
 )
 from blindalign.feasibility import _ROW_BLOCK, feasible_subset_rows
-from helpers import compositions, min_circular_gap, subset_rows_oracle
+from helpers import brute_force_solve, compositions, min_circular_gap, subset_rows_oracle
 
 
 class TestWeakCondition:

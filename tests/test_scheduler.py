@@ -12,7 +12,6 @@ from blindalign import (
     ChannelConfig,
     Schedule,
     ValidationReport,
-    brute_force_solve,
     build_schedule,
     closed_form_solution,
     group_profile,
@@ -26,6 +25,7 @@ from blindalign import (
 )
 from helpers import (
     TAMPERINGS,
+    brute_force_solve,
     build_schedule_oracle,
     huge_n_small_slots_doc,
     random_feasible_config,

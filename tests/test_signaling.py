@@ -10,7 +10,6 @@ from blindalign import (
     ChannelConfig,
     beamforming_vectors,
     block_index,
-    brute_force_solve,
     build_schedule,
     channel_coeffs,
     check_config,
@@ -23,7 +22,7 @@ from blindalign import (
     slot_map,
     verify_schedule_end_to_end,
 )
-from helpers import random_feasible_config, receiver_checks_oracle
+from helpers import brute_force_solve, random_feasible_config, receiver_checks_oracle
 
 FIG_CFG = ChannelConfig(4, (0, 1, 2))
 FIG_LAMBDA = (0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
