@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import counting
-from .diophantine import closed_form_solution, enumerate_certificates
+from .diophantine import certificate_count, closed_form_solution, enumerate_certificates
 from .errors import SearchBudgetExceeded
 from .feasibility import check_config, feasible_region
 from .pattern import ChannelConfig
@@ -104,7 +104,12 @@ def _cmd_decompose(args) -> int:
         )
         return 1
     if args.all_solutions:
-        solutions = enumerate_certificates(report.s, limit=args.max_nodes)
+        count = certificate_count(report.s)
+        if count * cfg.N > args.max_nodes:
+            raise SearchBudgetExceeded(
+                f"s={report.s} has {count} certificates of N={cfg.N} threads each, "
+                f"{count * cfg.N} threads, more than the limit {args.max_nodes}")
+        solutions = enumerate_certificates(report.s, limit=count)
         doc = [schedule_to_dict(build_schedule(cfg, lam)) for lam in solutions]
     else:
         doc = schedule_to_dict(build_schedule(cfg, closed_form_solution(report.s)))
@@ -226,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-solutions", action="store_true",
                    help="emit one schedule per certificate, in lexicographic order")
     p.add_argument("--max-nodes", type=int, default=2_000_000,
-                   help="guard for --all-solutions: the most certificates to emit; "
-                        "more exits 2 before any is built")
+                   help="guard for --all-solutions: the most threads to emit, "
+                        "certificates times N; more exits 2 before any is built")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("verify", help="re-validate and numerically verify a schedule file")

@@ -158,6 +158,21 @@ class TestDecomposeVerify:
         assert code == 2 and out == ""
         assert "8637487551 certificates" in err and "limit 2000000" in err
 
+    def test_all_solutions_guard_counts_threads(self, capsys):
+        # s = (300, 300, 572): 4,495 certificates of 1,172 threads each, more
+        # threads than the default limit, refused before any is built
+        code, out, err = run(capsys, "decompose", "--N", "1172", "--offsets", "0,300,600",
+                             "--all-solutions")
+        assert code == 2 and out == ""
+        assert "4495 certificates" in err and "5268140 threads" in err
+        assert "limit 2000000" in err
+        # the tight instance emits one certificate of N = 1200 threads
+        args = ("decompose", "--N", "1200", "--offsets", "0,300,600", "--all-solutions")
+        code, out, _ = run(capsys, *args, "--max-nodes", "1200")
+        assert code == 0 and len(json.loads(out)[0]["tuples"]) == 1200
+        code, out, err = run(capsys, *args, "--max-nodes", "1199")
+        assert code == 2 and out == "" and "1200 threads" in err
+
     def test_tampered_schedule_exit_1(self, tmp_path, capsys):
         path = tmp_path / "sched.json"
         run(capsys, "decompose", "--N", "4", "--offsets", "0,1,2", "--out", str(path))

@@ -184,6 +184,136 @@ class TestTupleVerifiers:
                     np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
+def certify_nothing(K, c, D):
+    """A bracket helper that certifies nothing: every matrix is a candidate."""
+    shape = np.broadcast_shapes(np.shape(c), D.shape[:-2])
+    return np.full(shape, -np.inf), np.full(shape, np.inf)
+
+
+def lemma_thread(K, c, D, rng):
+    """H (K, 1, 1, K+1, 2) and v (1, K, K+1) of one thread whose receiver 1
+    has transition column c and block D: h1 is constant on slots 0..c and
+    on c+1..K, so every interferer column is a multiple of e_t + e_{t+1}."""
+    others = [col for col in range(K) if col != c]
+    M = np.zeros((K, K), dtype=int)
+    M[0, c] = 1
+    M[np.arange(1, K), rng.permutation(others)] = 1
+    H = rng.normal(size=(K, 1, 1, K + 1, 2)) + 1j * rng.normal(size=(K, 1, 1, K + 1, 2))
+    H[0, 0, 0, :c + 1, 0] = D[0, 0]
+    H[0, 0, 0, c + 1:, 0] = D[1, 0]
+    H[0, 0, 0, c:c + 2, 1] = D[:, 1]
+    return H, beamforming_vectors(M)[None]
+
+
+class TestScreen:
+    """The certified bracket that decides which receiver matrices need an SVD."""
+
+    @staticmethod
+    def lemma_matrix(K, c, D):
+        """Normalized receiver matrix of the lemma, built column by column."""
+        B = np.zeros((K + 1, K + 1), dtype=complex)
+        B[c:c + 2, :2] = D / np.linalg.norm(D, axis=0)
+        for col, t in enumerate(t for t in range(K) if t != c):
+            B[t:t + 2, col + 2] = 1 / np.sqrt(2)
+        return B
+
+    @pytest.mark.parametrize("K", range(2, 8))
+    def test_characteristic_polynomial(self, K):
+        # det S times the chains' polynomials is det(B^H B - x I)
+        rng = np.random.default_rng(K)
+        mu, q, poly = signaling._chains(K)
+        for c in range(K):
+            D = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            B = self.lemma_matrix(K, c, D)
+            Dn = B[c:c + 2, :2]
+            p = (Dn.real ** 2 + Dn.imag ** 2).sum(axis=1)
+            weights = [abs(np.linalg.det(Dn)) ** 2, -p[0], -p[1], 1.0]
+            coef = np.array(weights) @ poly[c]
+            want = np.linalg.eigvalsh(B.conj().T @ B)
+            np.testing.assert_allclose(np.sort(np.roots(coef[::-1]).real), want, atol=1e-9)
+            # w(0) = 1/(n+1) on both chains
+            np.testing.assert_allclose(1 - (q[c] / mu[c]).sum(axis=-1), [1 / (c + 1), 1 / (K - c)])
+
+    @pytest.mark.parametrize("K", range(2, 8))
+    def test_certificates_are_sound(self, K):
+        # lo <= sigma_min <= hi against the SVD oracle, on random blocks,
+        # near-singular ones and ones with lambda_min(S(0)) >= mu_min
+        rng = np.random.default_rng(100 + K)
+        mu, _, _ = signaling._chains(K)
+        tight = 0
+        for c in range(K):
+            w0 = np.array([1 / (c + 1), 1 / (K - c)])
+            cases = []
+            for _ in range(12):
+                D = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                cases.append(("random", D))
+                near = D.copy()
+                near[:, 1] = near[:, 0] * (rng.normal() + 1j * rng.normal())
+                near[:, 1] += 1e-12 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+                cases.append(("near-singular", near))
+                wide = np.eye(2) + 0.05 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                Dn = wide / np.linalg.norm(wide, axis=0)
+                if np.linalg.eigvalsh(Dn.conj().T @ np.diag(w0) @ Dn)[0] >= mu[c].min():
+                    cases.append(("past mu_min", wide))
+            for kind, D in cases:
+                H, v = lemma_thread(K, c, D, rng)
+                sigma = receiver_checks_oracle(H, v)[1][0]
+                lo, hi = signaling._certified_bracket(K, np.array(c), D)
+                assert lo <= sigma <= hi, (kind, c, lo, sigma, hi)
+                screened = signaling._screen(H, v.astype(bool))
+                np.testing.assert_allclose([screened[0][0, 0, 0], screened[1][0, 0, 0]],
+                                           [lo, hi], rtol=1e-12)
+                if kind == "random":
+                    tight += bool(hi - lo <= 1e-5 * sigma)
+        assert tight >= 0.9 * 12 * K  # the bracket is not vacuous
+
+    @pytest.mark.parametrize("steps, rel", [(0, 1e-6), (5, -0.5)])
+    def test_wrong_proposals_are_not_certified(self, monkeypatch, steps, rel):
+        # no Laguerre steps propose hi = 1e-9 below the root; a negative
+        # margin puts lo above the root and hi below it: the Schur tests
+        # must refuse them, leaving the bounds sound
+        monkeypatch.setattr(signaling, "_LAGUERRE_STEPS", steps)
+        monkeypatch.setattr(signaling, "_BRACKET_REL", rel)
+        rng = np.random.default_rng(7)
+        for K in range(2, 6):
+            for c in range(K):
+                for _ in range(5):
+                    D = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                    H, v = lemma_thread(K, c, D, rng)
+                    sigma = receiver_checks_oracle(H, v)[1][0]
+                    lo, hi = signaling._certified_bracket(K, np.array(c), D)
+                    assert lo <= sigma <= hi, (K, c, lo, sigma, hi)
+
+    def test_lemma_checks_refuse(self):
+        # fake vectors, zeroed vectors and a broken h1 get trivial bounds
+        rng = np.random.default_rng(3)
+        H, v = lemma_thread(4, 1, rng.normal(size=(2, 2)) + 0j, rng)
+        assert np.isfinite(signaling._screen(H, v.astype(bool))[0][0, 0, 0])
+        zeroed = v.copy()
+        zeroed[0, 2] = 0
+        swapped = v[:, [1, 0, 2, 3]]
+        broken = H.copy()
+        broken[0, 0, 0, 0, 0] *= 1 + 1e-15
+        huge = H * 1e200
+        for h, vec in ((H, zeroed), (H, swapped), (broken, v), (huge, v)):
+            lo, hi = signaling._screen(h, vec.astype(bool))
+            assert lo[0, 0, 0] == -np.inf and hi[0, 0, 0] == np.inf
+
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=feasible_configs(), seed=st.integers(0, 1000))
+    def test_screen_keeps_minimum_and_witness(self, cfg, seed):
+        # with nothing certified every matrix goes through the SVD; the
+        # screened run must report the same bits and the same witness
+        sched = schedule_of(cfg)
+        screened = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signaling, "_certified_bracket", certify_nothing)
+            full = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=6)
+        assert float.hex(screened.min_singular) == float.hex(full.min_singular)
+        assert screened.singular_witness == full.singular_witness
+        assert screened == full
+
+
 class TestEndToEnd:
     def test_reference_instance(self):
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
@@ -229,7 +359,10 @@ class TestEndToEnd:
             batches.clear()
             summary = verify_schedule_end_to_end(cfg, schedule_of(cfg), seed=1, trials=5)
             assert summary.n_distinct == distinct
-            assert batches == [(5, distinct)] * cfg.K
+            # one call per receiver, on the screen's candidates among its
+            # trials x distinct-thread matrices
+            assert len(batches) == cfg.K
+            assert all(len(b) == 1 and 1 <= b[0] <= 5 * distinct for b in batches)
 
     @pytest.mark.parametrize("cfg, seed, trials", [
         (FIG_CFG, 0, 100),
