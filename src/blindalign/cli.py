@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -110,21 +111,24 @@ def _cmd_decompose(args) -> int:
                 f"s={report.s} has {count} certificates of N={cfg.N} threads each, "
                 f"{count * cfg.N} threads, more than the limit {args.max_nodes}")
         solutions = enumerate_certificates(report.s, limit=count)
-        doc = [schedule_to_dict(build_schedule(cfg, lam)) for lam in solutions]
+        # one schedule in memory at a time, in the bytes of json.dumps(list)
+        chunks = itertools.chain(((", " if i else "[") + json.dumps(
+            schedule_to_dict(build_schedule(cfg, lam)), sort_keys=True)
+            for i, lam in enumerate(solutions)), ["]\n"])
     else:
+        count = 1
         doc = schedule_to_dict(build_schedule(cfg, closed_form_solution(report.s)))
-    text = json.dumps(doc, sort_keys=True)
+        chunks = [json.dumps(doc, sort_keys=True) + "\n"]
     if args.out == "-":
-        print(text)
+        sys.stdout.writelines(chunks)
         return 0
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(chunks)
     except OSError as exc:
         print(f"cannot write schedule: {exc}", file=sys.stderr)
         return 2
-    n = len(doc) if args.all_solutions else 1
-    print(f"wrote {n} schedule(s) to {args.out}", file=sys.stderr)
+    print(f"wrote {count} schedule(s) to {args.out}", file=sys.stderr)
     return 0
 
 

@@ -59,37 +59,48 @@ def feasible_subset_rows(offsets, N: int, k_target: int) -> np.ndarray:
     """Per row of ``offsets`` (R, K), entries in [0, N): do some k_target of
     its offsets have every circular gap >= ceil(N/(k_target+1))?
 
-    Each row is sorted once and its ring unrolled to two laps; from every
-    start the kernel jumps k_target-1 times to the earliest point at least
-    the threshold further on. Greedy leaves the largest closing gap any
-    selection from that start can, so a row is feasible iff some start keeps
-    that wrap gap at the threshold. Differences stay within (-N, N], so
-    int64 holds them for N < 2^63; larger N falls back to Python integers.
+    Each row ``a`` is sorted once and unrolled to two laps, ``two = [a, a +
+    N, sentinel]``. A jump goes to the earliest point at least the threshold
+    further on, the count of points below that. From a start, k_target-1
+    jumps leave the largest closing gap any selection from it can, so a row
+    is feasible iff some start's chain ends at most N - threshold past it.
+    Stage 1 follows the chain from each row's smallest offset and decides
+    most feasible rows; stage 2 builds the next-point table on the rows left
+    open and jumps from every start. Values stay below 2N, so int64 holds
+    them for N <= 2^62; larger N falls back to Python integers.
     """
-    offsets = np.asarray(offsets, dtype=np.int64 if N < 2**63 else object)
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if k_target < 2:
+        raise ValueError(f"k_target must be >= 2, got {k_target}")
+    offsets = np.asarray(offsets, dtype=np.int64 if N <= 2**62 else object)
     need = -(-N // (k_target + 1))
     K = offsets.shape[1]
     start = np.arange(K)
     ok = np.empty(len(offsets), dtype=bool)
     for lo in range(0, len(offsets), _ROW_BLOCK):
         a = np.sort(offsets[lo:lo + _ROW_BLOCK], axis=1)
-        # nxt[:, m]: the first index in (a, a + N) at least `need` past a[m];
-        # distances from a[m] never decrease, so count those below `need`
-        nxt = np.tile(start + 1, (len(a), 1))
+        # the sentinel repeats the last point: a chain that reaches it has wrapped
+        two = np.concatenate([a, a + N, a[:, -1:] + N], axis=1)
+        low, v = a - need, a[:, :1]  # a point lies below v + need iff low < v
+        for _ in range(k_target - 1):
+            v = np.take_along_axis(two, (low < v).sum(1, keepdims=True), 1)
+        done = v[:, 0] <= a[:, 0] + N - need
+        a, two = a[~done], two[~done]
+        # head[:, m]: the first index past m at least `need` beyond a[m]; the
+        # d-th point after a[m] lies ever further on, so count those below
+        head = np.tile(start + 1, (len(a), 1))
         for d in range(1, K):
-            dist = np.roll(a, -d, axis=1) - a
-            dist[:, K - d:] += N  # these points lie on the second lap
-            below = dist < need
+            below = two[:, d:d + K] < a + need
             if not below.any():
                 break
-            nxt += below
-        # second lap, then a sentinel column 2K where overshoots stay
-        nxt = np.concatenate([nxt, np.minimum(nxt + K, 2 * K), np.full((len(a), 1), 2 * K)], 1)
+            head += below
+        nxt = np.concatenate([head, np.minimum(head + K, 2 * K), np.full((len(a), 1), 2 * K)], 1)
         end = np.tile(start, (len(a), 1))
         for _ in range(k_target - 1):
             end = np.take_along_axis(nxt, end, axis=1)
-        wrap = (a - np.take_along_axis(a, end % K, axis=1)) % N
-        ok[lo:lo + _ROW_BLOCK] = ((end < start + K) & (wrap >= need)).any(axis=1)
+        done[~done] = (np.take_along_axis(two, end, axis=1) <= a + N - need).any(axis=1)
+        ok[lo:lo + _ROW_BLOCK] = done
     return ok
 
 
@@ -173,6 +184,8 @@ def find_feasible_subset(offsets, N: int, k_target: int):
     K = len(offsets)
     if not 2 <= k_target <= K:
         raise ValueError(f"k_target must be in 2..{K}")
+    if N < 1:
+        raise ValueError("N must be >= 1")
     subsets = list(combinations(range(1, K + 1), k_target))
     rows = [[int(offsets[u - 1]) % N for u in users] for users in subsets]
     ok = feasible_subset_rows(rows, N, k_target)

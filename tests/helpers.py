@@ -115,8 +115,9 @@ def min_circular_gap(offsets, N):
 def subset_rows_oracle(offs, N, k_target):
     """Slow oracle for ``feasible_subset_rows``: per row, does some k_target
     of its offsets have every circular gap >= ceil(N/(k_target+1))? Every
-    subset is checked with ``itertools.combinations``."""
-    offs = np.asarray(offs, dtype=np.int64)
+    subset is checked with ``itertools.combinations``, in Python integers
+    where a gap sum could pass int64."""
+    offs = np.asarray(offs, dtype=np.int64 if N < 2**62 else object)
     need = -(-N // (k_target + 1))
     ok = np.zeros(len(offs), dtype=bool)
     for sub in combinations(range(offs.shape[1]), k_target):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from blindalign import (
     build_schedule,
+    check_feasible,
     closed_form_solution,
     exact_count,
     group_profile,
@@ -25,6 +27,7 @@ from blindalign import (
 from blindalign.cli import main
 from helpers import (
     TAMPERINGS,
+    compositions,
     huge_n_small_slots_doc,
     random_feasible_config,
     tamper_schedule,
@@ -141,6 +144,25 @@ class TestDecomposeVerify:
         assert code == 0
         docs = json.loads(out)
         assert isinstance(docs, list) and len(docs) >= 2
+
+    def test_all_solutions_bytes_pinned(self, tmp_path, capsys):
+        # every feasible gap vector with sum <= 20 and K 2..4 (321 of them):
+        # the digest pins the bytes of json.dumps(list, sort_keys=True) per
+        # vector, and the file holds the same bytes as stdout
+        digest = hashlib.sha256()
+        path = tmp_path / "all.json"
+        for K in range(2, 5):
+            for N in range(1, 21):
+                for s in filter(check_feasible, compositions(N, K)):
+                    args = ("decompose", "--N", str(N), "--all-solutions",
+                            "--offsets", ",".join(str(sum(s[:i])) for i in range(K)))
+                    code, out, _ = run(capsys, *args)
+                    assert code == 0
+                    digest.update(out.encode())
+                    assert run(capsys, *args, "--out", str(path))[0] == 0
+                    assert path.read_text() == out
+        assert digest.hexdigest() == \
+            "3a9542da7a47cb21ee566d8f161dc67da1823664be7655871fbd9491061507db"
 
     def test_all_solutions_tight_instance(self, capsys):
         # s = (300, 300, 600) meets the gap condition with equality: one certificate

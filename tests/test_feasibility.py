@@ -19,6 +19,19 @@ from blindalign.feasibility import _ROW_BLOCK, feasible_subset_rows
 from helpers import brute_force_solve, compositions, min_circular_gap, subset_rows_oracle
 
 
+def _first_chain_ends_in_time(row, N, k_target):
+    """Stage 1 in plain Python: from the smallest offset, jump k_target-1
+    times to the first point at least the threshold on; the chain is a
+    witness when its closing gap, back to the smallest offset one lap on,
+    still meets the threshold."""
+    row = sorted(int(x) for x in row)
+    need = -(-N // (k_target + 1))
+    v = row[0]
+    for _ in range(k_target - 1):
+        v = next((x for x in row if x >= v + need), row[0] + N)
+    return v <= row[0] + N - need
+
+
 class TestWeakCondition:
     def test_known_values(self):
         assert check_weak((1, 1, 2))
@@ -195,6 +208,11 @@ class TestFindFeasibleSubset:
         with pytest.raises(ValueError):
             find_feasible_subset((0, 1, 2), 8, 4)
 
+    @pytest.mark.parametrize("N", [0, -5])
+    def test_n_validation(self, N):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            find_feasible_subset((0, 1, 2), N, 2)
+
 
 class TestFeasibleSubsetRows:
     @settings(max_examples=300, deadline=None)
@@ -219,6 +237,49 @@ class TestFeasibleSubsetRows:
             offs = rng.integers(0, N, (3 * _ROW_BLOCK + 7, K))
             assert np.array_equal(feasible_subset_rows(offs, N, k),
                                   subset_rows_oracle(offs, N, k)), (N, K, k)
+
+    def test_rows_each_stage_decides_across_a_block_edge(self):
+        # stage 1 proves a row feasible by the chain from its smallest offset;
+        # the others, feasible or not, go to stage 2's table. Interleave the
+        # three kinds so that every block holds each of them.
+        N, K, k = 60, 7, 3
+        offs = np.random.default_rng(43).integers(0, N, (4000, K))
+        feasible = subset_rows_oracle(offs, N, k)
+        first_chain = np.array([_first_chain_ends_in_time(row, N, k) for row in offs])
+        assert not (first_chain & ~feasible).any()
+        kinds = [offs[first_chain][:300], offs[feasible & ~first_chain][:300], offs[~feasible][:300]]
+        assert all(len(rows) == 300 for rows in kinds)
+        i = np.arange(_ROW_BLOCK + 301)
+        rows = np.stack(kinds)[i % 3, i // 3 % 300]
+        expected = i % 3 < 2
+        assert np.array_equal(subset_rows_oracle(rows, N, k), expected)
+        assert np.array_equal(feasible_subset_rows(rows, N, k), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_large_n_matches_oracle(self, data):
+        # two-lap values reach 2N: int64 holds them up to N = 2^62, Python
+        # integers beyond; points near multiples of N/12 put gaps at the
+        # threshold for k = 2, 3 and 5
+        N = data.draw(st.one_of(st.integers(1, 10**12), st.integers(2**62 - 64, 2**62 + 64),
+                                st.integers(2**63 - 64, 2**63 + 64)), label="N")
+        K = data.draw(st.integers(2, 7), label="K")
+        k = data.draw(st.integers(2, K), label="k")
+        point = st.one_of(st.integers(0, N - 1),
+                          st.builds(lambda q, e: (N * q // 12 + e) % N,
+                                    st.integers(0, 11), st.integers(-2, 2)))
+        rows = data.draw(st.lists(st.lists(point, min_size=K, max_size=K),
+                                  min_size=1, max_size=8), label="rows")
+        assert np.array_equal(feasible_subset_rows(rows, N, k), subset_rows_oracle(rows, N, k))
+
+    @pytest.mark.parametrize("N, k_target, match", [
+        (0, 2, "N must be >= 1"),
+        (-5, 2, "N must be >= 1"),
+        (12, 1, "k_target must be >= 2"),
+    ])
+    def test_rejects_bad_n_and_k_target(self, N, k_target, match):
+        with pytest.raises(ValueError, match=match):
+            feasible_subset_rows([[0, 1, 2]], N, k_target)
 
     def test_more_targets_than_points_never_feasible(self):
         offs = np.array([[0], [3]])
