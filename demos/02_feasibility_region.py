@@ -41,9 +41,8 @@ for N in (20, 21):
     region = feasible_region(N)
     print(f"\nFeasible region for N={N}: {region.count} of {N * N} points "
           f"(ratio {region.ratio:.4g})")
-    pts = set(region.points)
     for n3 in range(N - 1, -1, -1):
-        row = "".join("#" if (n2, n3) in pts else "." for n2 in range(N))
+        row = "".join("#" if (n2, n3) in region else "." for n2 in range(N))
         print(f"  {n3:2d} {row}")
     print("     " + "".join(str(n2 % 10) for n2 in range(N)))
 

@@ -4,7 +4,8 @@ Subcommands: check, region, decompose, verify, prob. Machine-readable
 output (JSON/CSV) goes to stdout; diagnostics go to stderr. Exit codes:
 0 success, 1 a requested property does not hold (infeasible under
 --fail-on-infeasible, failed verification), 2 malformed input, a schedule
-file that cannot be read or written, or an enumeration guard.
+file that cannot be read or written, an enumeration guard, or stdout closed
+before the output was written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -71,23 +73,22 @@ def _cmd_check(args) -> int:
 
 def _cmd_region(args) -> int:
     region = feasible_region(args.N)
-    feasible = set(region.points)
     if args.format == "json":
         print(json.dumps({
             "N": args.N,
             "count": region.count,
             "ratio": region.ratio,
             "points": [
-                {"n2": n2, "n3": n3, "feasible": (n2, n3) in feasible}
+                {"n2": n2, "n3": n3, "feasible": (n2, n3) in region}
                 for n2 in range(args.N) for n3 in range(args.N)
             ],
         }))
     else:
-        writer = csv.writer(sys.stdout)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n2", "n3", "feasible"])
         for n2 in range(args.N):
             for n3 in range(args.N):
-                writer.writerow([n2, n3, str((n2, n3) in feasible).lower()])
+                writer.writerow([n2, n3, str((n2, n3) in region).lower()])
     print(f"count={region.count} total={args.N**2} ratio={region.ratio:.6g}",
           file=sys.stderr)
     return 0
@@ -196,7 +197,7 @@ def _cmd_prob(args) -> int:
     if args.format == "json":
         print(json.dumps(rows))
     else:
-        writer = csv.writer(sys.stdout)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["N", "K", "k_target", "method", "p", "half_width"])
         for r in rows:
             hw = "" if r["half_width"] is None else repr(r["half_width"])
@@ -276,7 +277,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`): point it at devnull so
+        # that the flush at shutdown does not report the broken pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

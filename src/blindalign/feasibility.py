@@ -8,6 +8,7 @@ enumeration built on it; every gap test on offsets runs through one kernel.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -148,7 +149,8 @@ def circular_gap_check(offsets, N: int) -> bool:
 
 @dataclass(frozen=True)
 class FeasibleRegion:
-    """All feasible (offset_2, offset_3) pairs for a 3-user channel, benchmark at 0."""
+    """All feasible (offset_2, offset_3) pairs for a 3-user channel, benchmark
+    at 0, in lexicographic order."""
 
     N: int
     points: tuple[tuple[int, int], ...]
@@ -162,7 +164,9 @@ class FeasibleRegion:
         return self.count / self.N**2
 
     def __contains__(self, pair) -> bool:
-        return tuple(pair) in set(self.points)
+        pair = tuple(pair)
+        at = bisect.bisect_left(self.points, pair)
+        return at < len(self.points) and self.points[at] == pair
 
 
 def feasible_region(N: int) -> FeasibleRegion:

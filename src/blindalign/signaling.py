@@ -13,9 +13,10 @@ desired user's two columns differ across its transition and stay generically
 independent from the K-1 interference directions.
 
 That structure also makes most decodability SVDs redundant: a receiver
-matrix's smallest singular value solves a 2x2 secular equation, and a
-certified bracket on it (``_certified_bracket``) lets the SVD run only on
-the matrices that could hold their receiver's minimum.
+matrix's smallest singular value solves a 2x2 secular equation. Each
+receiver's likeliest minimum goes through the SVD first; a Schur
+certificate on that equation (``_schur``) then proves most other matrices
+above it, and only the rest need an SVD.
 """
 
 from __future__ import annotations
@@ -48,16 +49,9 @@ DECODABILITY_TOL = 1e-9
 _KEY_SALT = 0x9E3779B97F4A7C15  # distinguishes channel streams from other RNG users
 _CANDIDATES = 16  # rejection budget per coefficient; P(exhaust) ~ 1e-46
 
-# The decodability screen (see _certified_bracket). Laguerre's iteration from
-# 0 climbs monotonically to the smallest root of a real-rooted polynomial,
-# cubically near a simple root, so a few steps land within rounding of it.
-_LAGUERRE_STEPS = 5
-# Bracket ends sit this far (relative, and absolute in sigma^2) on either
-# side of the root estimate, far above its error, so that det S there has a
-# sign rounding cannot flip, down to sigma^2 of about 1e-9.
-_BRACKET_REL, _BRACKET_ABS = 1e-6, 1e-9
-# Schur certificates are used only at lambda <= (1 - gap) * mu_min: there
-# each 1/(mu - lambda) keeps its relative error within 1/gap times eps.
+# The decodability screen (see _schur). Schur certificates are used only at
+# lambda <= (1 - gap) * mu_min: there each 1/(mu - lambda) keeps its
+# relative error within 1/gap times eps.
 _POLE_GAP = 0.1
 # A sign of tr S or det S counts when it exceeds this times (K+1) times the
 # summed magnitudes of the terms forming it: their rounding error stays
@@ -128,127 +122,79 @@ def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
 
 
 @functools.lru_cache(maxsize=None)
-def _chains(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectra and polynomials of a receiver's interferer chains, by its
-    transition column c (the first axis of each table).
+def _chains(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of a receiver's interferer chains, by its transition column c
+    (the first axis of each table).
 
     A chain of n interferer columns has the Gram matrix tridiag(1/2, 1, 1/2),
-    with eigenvalues 1 + cos(k pi/(n+1)), k = 1..n, and characteristic
-    polynomial P_n = (1 - x) P_{n-1} - P_{n-2}/4. Receiver c has a left
+    with eigenvalues 1 + cos(k pi/(n+1)), k = 1..n. Receiver c has a left
     chain of n = c columns and a right one of n = K-1-c.
 
     - ``mu`` (K, K-1): both chains' eigenvalues, the left chain's first.
     - ``q`` (K, 2, K-1): sin^2(k pi/(n+1))/(n+1), half the squared end entry
       of each eigenvector, of the left chain in ``q[c, 0]`` and of the right
       one in ``q[c, 1]``, zero on the other chain's eigenvalues.
-    - ``poly`` (K, 4, K+2): ascending coefficients of A_L A_R, x A_L P_R,
-      x P_L A_R and x^2 P_L P_R, where A_n = P_n - P_{n-1}/2 = w P_n. All
-      entries are dyadic, so they are exact.
     """
-    one, x = np.eye(K + 2)[:2]  # ascending coefficients up to degree K+1
-
-    def times(f, g):
-        return np.convolve(f, g)[:K + 2]
-
-    chain = [0 * one, one]  # chain[n + 1] = P_n, from P_{-1} = 0
-    for _ in range(K - 1):
-        chain.append(chain[-1] - times(x, chain[-1]) - chain[-2] / 4)
     mu = np.empty((K, K - 1))
     q = np.zeros((K, 2, K - 1))
-    poly = np.zeros((K, 4, K + 2))
     for c in range(K):
         for side, (start, n) in enumerate(((0, c), (c, K - 1 - c))):
             angle = np.arange(1, n + 1) * np.pi / (2 * (n + 1))
             mu[c, start:start + n] = 2 * np.cos(angle) ** 2
             q[c, side, start:start + n] = np.sin(2 * angle) ** 2 / (n + 1)
-        p_left, p_right = chain[c + 1], chain[K - c]
-        a_left, a_right = p_left - chain[c] / 2, p_right - chain[K - 1 - c] / 2
-        poly[c] = [times(a_left, a_right), times(x, times(a_left, p_right)),
-                   times(x, times(p_left, a_right)), times(times(x, x), times(p_left, p_right))]
-    for table in (mu, q, poly):
-        table.flags.writeable = False  # shared by every caller through the cache
-    return mu, q, poly
+    mu.flags.writeable = q.flags.writeable = False  # shared through the cache
+    return mu, q
 
 
 @np.errstate(all="ignore")  # lemma-breaking inputs give nan, which certifies nothing
-def _certified_bracket(K: int, c, D) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds lo <= s <= hi on the smallest singular value s that
-    ``np.linalg.svd`` returns for receiver matrices meeting the chain lemma.
+def _schur(K: int, c, D, lam) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest eigenvalue of S(lam), and whether S(lam) is certified
+    positive definite.
 
     ``D`` (..., 2, 2) holds the receiver's (h1, h2) on slots c and c+1 of its
-    transition column ``c`` (broadcast against ``D.shape[:-2]``); every
-    interferer column is assumed to be a nonzero multiple of e_t + e_{t+1},
-    t != c. After column normalization such a matrix B has, for
-    lambda < mu_min (the chains' smallest eigenvalue), the 2x2 Schur
+    transition column ``c`` (broadcast against ``D.shape[:-2]``, as is
+    ``lam``); every interferer column is assumed to be a nonzero multiple of
+    e_t + e_{t+1}, t != c. After column normalization such a matrix B has,
+    for lambda < mu_min (the chains' smallest eigenvalue), the 2x2 Schur
     complement S(lambda) = D^H diag(w_L, w_R) D - lambda I of
     B^H B - lambda I, where w(lambda) = 1 - sum_k q_k / (mu_k - lambda) over
-    one chain. By the Haynsworth inertia formula, S(lo) positive definite
-    proves s^2 > lo, and S(hi) not positive semidefinite proves s^2 < hi;
-    s^2 <= mu_min always holds by Cauchy interlacing. The bracket ends are
-    proposed around the smallest root of det S times the chains'
-    characteristic polynomials, which is that of B^H B; Laguerre's
-    iteration approaches it from 0. Bounds that cannot be certified fall
-    back to lo = 0 and hi = mu_min.
+    one chain. By Haynsworth's inertia additivity, S(lam) positive definite
+    proves that B's smallest singular value s has s^2 > lam. The
+    certificate is refused past the pole gap, and wherever rounding could
+    flip the sign of tr S or det S. The eigenvalue is not certified.
     """
-    mu, q, poly = (table[c] for table in _chains(K))
-    mu_min = mu.min(axis=-1, initial=np.inf)
+    mu, q = (table[c] for table in _chains(K))
+    lam = np.asarray(lam, dtype=float)
     D = D / np.maximum(np.linalg.norm(D, axis=-2, keepdims=True), 1e-300)
     p = (D.real ** 2 + D.imag ** 2).sum(axis=-1)  # row powers on slots c, c+1
-    cross = np.abs([D[..., 0, 0] * D[..., 1, 1], D[..., 0, 1] * D[..., 1, 0]])
+    cross = np.abs(D[..., 0, 0] * D[..., 1, 1]) + np.abs(D[..., 0, 1] * D[..., 1, 0])
     delta = np.abs(D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]) ** 2
-    delta_mag = cross.sum(axis=0) ** 2  # bounds the cancellation in delta
-
-    # characteristic polynomial of B^H B, highest coefficient first
-    weights = np.stack([delta, -p[..., 0], -p[..., 1], np.ones_like(delta)], axis=-1)
-    coef = np.moveaxis(weights[..., None, :] @ poly, -1, 0)[::-1, ..., 0]
-    n = K + 1
-    lam = np.zeros(delta.shape)
-    for _ in range(_LAGUERRE_STEPS):
-        f, f1, f2 = coef[0], 0.0, 0.0  # Horner for f, f' and f''/2
-        for a in coef[1:]:
-            f2 = f2 * lam + f1
-            f1 = f1 * lam + f
-            f = f * lam + a
-        g = f1 / f
-        h = g * g - 2 * f2 / f
-        root = np.sqrt(np.maximum((n - 1) * (n * h - g * g), 0.0))
-        step = n / (g + np.copysign(root, g))
-        lam = np.where(np.isfinite(step), lam - step, lam)  # 0/0 at an exact root
-
-    cap = (1 - _POLE_GAP) * mu_min
-    ends = np.stack([np.minimum(lam * (1 - _BRACKET_REL) - _BRACKET_ABS, cap),
-                     lam * (1 + _BRACKET_REL) + _BRACKET_ABS])
-    w = 1 - (q @ (1 / (mu - ends[..., None]))[..., None])[..., 0]  # (w_L, w_R)
+    w = 1 - (q @ (1 / (mu - lam[..., None]))[..., None])[..., 0]  # (w_L, w_R)
     pw = (w * p).sum(axis=-1)
-    tr = pw - 2 * ends
-    det = w[..., 0] * w[..., 1] * delta - ends * pw + ends * ends
+    tr = pw - 2 * lam
+    det = w[..., 0] * w[..., 1] * delta - lam * pw + lam * lam
     # below the poles w = 1 - (positive terms), so |w| <= 2 - w; rounding
     # stays under a small multiple of eps times these sums of magnitudes
     wabs = 2 - w
     apw = (wabs * p).sum(axis=-1)
     tol = _SIGN_TOL * (K + 1)
-    det_tol = tol * (wabs[..., 0] * wabs[..., 1] * delta_mag + np.abs(ends) * apw + ends * ends)
-    tr_tol = tol * (apw + 2 * np.abs(ends))
-    schur = ends <= cap
-    lo_ok = schur[0] & (ends[0] > 0) & (tr[0] > tr_tol[0]) & (det[0] > det_tol[0])
-    hi_ok = schur[1] & ((tr[1] < -tr_tol[1]) | (det[1] < -det_tol[1]))
-    slack = _SVD_SLACK * (K + 1) ** 2
-    lo = np.sqrt(np.where(lo_ok, ends[0], 0.0)) - slack
-    hi = np.sqrt(np.where(hi_ok, ends[1], mu_min)) + slack
-    return lo, hi
+    det_tol = tol * (wabs[..., 0] * wabs[..., 1] * cross ** 2 + np.abs(lam) * apw + lam * lam)
+    certified = ((lam <= (1 - _POLE_GAP) * mu.min(axis=-1))
+                 & (tr > tol * (apw + 2 * np.abs(lam))) & (det > det_tol))
+    return (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))) / 2, certified
 
 
-def _screen(H: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified bounds (K, trials, T) on every receiver's SVD margin.
+def _lemma_blocks(H: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which receiver matrices (K, trials, T) meet the chain lemma, with their
+    transition columns c (K, 1, T) and blocks D (K, trials, T, 2, 2).
 
-    The chain lemma needs each thread's vectors to straddle a permutation
-    of the transition columns, and the receiver's h1 to be equal on the two
-    slots of every interferer; all of the receiver's coefficients must have
-    magnitudes whose squares neither overflow nor underflow. Matrices that
-    fail get the trivial bounds (-inf, inf).
+    The lemma needs each thread's vectors to straddle a permutation of the
+    transition columns, and the receiver's h1 to be equal on the two slots
+    of every interferer; all of the receiver's coefficients must have
+    magnitudes whose squares neither overflow nor underflow.
     """
     K = H.shape[0]
-    c = np.argmax(mask, axis=-1)  # (T, K)
+    c = np.minimum(np.argmax(mask, axis=-1), K - 1)  # (T, K), in range on any vectors
     slot = np.arange(K + 1)
     straddle = (slot == c[..., None]) | (slot == c[..., None] + 1)
     structured = ((mask == straddle).all(axis=(-2, -1))
@@ -259,27 +205,43 @@ def _screen(H: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mag = np.abs(H)
     lemma = (flat.all(axis=-1) & structured
              & ((mag > _SAFE_MAGNITUDE[0]) & (mag < _SAFE_MAGNITUDE[1])).all(axis=(-2, -1)))
-    at = np.minimum(c, K - 1)[..., None, None]  # in range on unstructured threads too
+    at = c[..., None, None]
     D = np.concatenate([np.take_along_axis(H, at, axis=3),
                         np.take_along_axis(H, at + 1, axis=3)], axis=3)
-    lo, hi = _certified_bracket(K, c, D)
-    return np.where(lemma, lo, -np.inf), np.where(lemma, hi, np.inf)
+    return lemma, c, D
+
+
+def _smallest_singular(H: np.ndarray, mask: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """SVD margins of the receiver matrices selected by ``where`` (K, trials, T),
+    in its C order, through one ``np.linalg.svd`` call."""
+    K = H.shape[0]
+    i, r, t = np.nonzero(where)
+    # (n, K, K+1, 2): every user's vector times the receiver's (h1, h2)
+    X = np.where(mask[t, :, :, None], H[i, r, t, None], 0)
+    # column order: the receiver's two desired columns, then one per interferer
+    users = np.array([[j, j] + [u for u in range(K) if u != j] for j in range(K)])
+    antenna = np.array([0, 1] + [0] * (K - 1))
+    B = np.ascontiguousarray(X[np.arange(len(i))[:, None], users[i], :, antenna].swapaxes(-1, -2))
+    B = B / np.maximum(np.linalg.norm(B, axis=-2, keepdims=True), 1e-300)
+    return np.linalg.svd(B, compute_uv=False)[..., -1]
 
 
 def _receiver_margins(H: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial, per-thread form of :func:`receiver_checks`.
 
     Returns residuals (K, K, trials, T), zero on the receiver = interferer
-    diagonal, and normalized smallest singular values (K, trials, T). Only
-    the matrices whose certified lower bound does not exceed the smallest
-    certified upper bound of their receiver go through the SVD; every other
-    entry holds its lower bound, which lies strictly above the receiver's
-    smallest SVD value, so the minimum and its position are exact.
+    diagonal, and normalized smallest singular values (K, trials, T). The
+    first SVD batch holds every matrix outside the chain lemma and, per
+    receiver, the lemma matrix with the smallest lambda_min(S(0)), which
+    bounds sigma_min^2 from above since w(lambda) <= w(0). Each other
+    lemma matrix whose S((sigma* + slack)^2) is certified positive
+    definite, sigma* being its receiver's smallest SVD value so far, has an
+    SVD value strictly above sigma*; it holds +inf. The rest go through a
+    second batch, so the minimum and its position are exact.
     """
     K = H.shape[0]
     mask = np.asarray(v, dtype=bool)  # (T, K, K+1)
     residuals = np.empty((K, K, *H.shape[1:3]))
-    singulars, upper = _screen(H, mask)
     for i in range(K):
         # every interferer's column pair of receiver i at once, (trials, T, K, K+1);
         # one receiver at a time keeps these the size of its receiver matrices
@@ -300,13 +262,16 @@ def _receiver_margins(H: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
         residuals[i] = np.moveaxis(np.sqrt(det) / np.maximum(lmax, 1e-300), -1, 0)
         residuals[i, i] = 0.0
 
-        r, t = np.nonzero(~(singulars[i] > upper[i].min()))
-        x, y = x[r, t], y[r, t]
-        cols = [x[:, i], y[:, i]] + [x[:, j] for j in range(K) if j != i]
-        B = np.stack(cols, axis=-1)  # (candidates, K+1, K+1)
-        norms = np.linalg.norm(B, axis=-2, keepdims=True)
-        B = B / np.maximum(norms, 1e-300)
-        singulars[i, r, t] = np.linalg.svd(B, compute_uv=False)[..., -1]
+    lemma, c, D = _lemma_blocks(H, mask)
+    guess = np.where(lemma, _schur(K, c, D, 0.0)[0], np.inf).reshape(K, -1)
+    first = ~lemma
+    first.reshape(K, -1)[range(K), guess.argmin(axis=1)] = True
+    singulars = np.full(lemma.shape, np.inf)
+    singulars[first] = _smallest_singular(H, mask, first)
+    floor = singulars.min(axis=(1, 2)) + _SVD_SLACK * (K + 1) ** 2
+    rest = lemma & ~first & ~_schur(K, c, D, (floor ** 2)[:, None, None])[1]
+    if rest.any():
+        singulars[rest] = _smallest_singular(H, mask, rest)
     return residuals, singulars
 
 

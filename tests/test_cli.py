@@ -437,6 +437,29 @@ class TestProb:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--N", "1190", "--offsets", "0,300,600", "--all-solutions"),
+    ("region", "--N", "200"),
+])
+def test_closed_stdout_exits_2(argv):
+    # a reader that stops early (`| head`) ends the command quietly with exit 2
+    proc = subprocess.Popen([sys.executable, "-m", "blindalign.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_csv_rows_end_in_newline(capsys):
+    for argv in (("region", "--N", "6"),
+                 ("prob", "--N", "8", "--K-range", "3:4", "--k-target", "3", "--method", "exact")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.count("\n") > 2
+        assert "\r" not in out
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "blindalign.cli", "check", "--N", "4",

@@ -160,6 +160,19 @@ class TestFeasibleRegion:
         assert (5, 10) in region and (10, 5) in region
         assert (2, 10) not in region
 
+    def test_membership_matches_set(self):
+        # the points are sorted, so lookups bisect them; off-grid pairs and
+        # numpy integers answer as a set of the points would
+        for N in range(1, 13):
+            region = feasible_region(N)
+            assert list(region.points) == sorted(region.points)
+            pts = set(region.points)
+            for n2 in range(-1, N + 1):
+                for n3 in range(-1, N + 1):
+                    assert ((n2, n3) in region) == ((n2, n3) in pts)
+                    assert ((np.int64(n2), np.int64(n3)) in region) == ((n2, n3) in pts)
+            assert [N, N] not in region and (0,) not in region and () not in region
+
 
 class TestFindFeasibleSubset:
     def test_known_values(self):

@@ -184,12 +184,6 @@ class TestTupleVerifiers:
                     np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
-def certify_nothing(K, c, D):
-    """A bracket helper that certifies nothing: every matrix is a candidate."""
-    shape = np.broadcast_shapes(np.shape(c), D.shape[:-2])
-    return np.full(shape, -np.inf), np.full(shape, np.inf)
-
-
 def lemma_thread(K, c, D, rng):
     """H (K, 1, 1, K+1, 2) and v (1, K, K+1) of one thread whose receiver 1
     has transition column c and block D: h1 is constant on slots 0..c and
@@ -206,7 +200,7 @@ def lemma_thread(K, c, D, rng):
 
 
 class TestScreen:
-    """The certified bracket that decides which receiver matrices need an SVD."""
+    """The Schur certificate that decides which receiver matrices skip the SVD."""
 
     @staticmethod
     def lemma_matrix(K, c, D):
@@ -219,28 +213,38 @@ class TestScreen:
 
     @pytest.mark.parametrize("K", range(2, 8))
     def test_characteristic_polynomial(self, K):
-        # det S times the chains' polynomials is det(B^H B - x I)
+        # S(sigma^2), built from the chain tables, is singular at the smallest
+        # singular value sigma and positive definite just below it
         rng = np.random.default_rng(K)
-        mu, q, poly = signaling._chains(K)
+        mu, q = signaling._chains(K)
         for c in range(K):
             D = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             B = self.lemma_matrix(K, c, D)
             Dn = B[c:c + 2, :2]
-            p = (Dn.real ** 2 + Dn.imag ** 2).sum(axis=1)
-            weights = [abs(np.linalg.det(Dn)) ** 2, -p[0], -p[1], 1.0]
-            coef = np.array(weights) @ poly[c]
-            want = np.linalg.eigvalsh(B.conj().T @ B)
-            np.testing.assert_allclose(np.sort(np.roots(coef[::-1]).real), want, atol=1e-9)
+            sigma = np.linalg.svd(B, compute_uv=False)[-1]
+
+            def S(lam):
+                w = 1 - (q[c] / (mu[c] - lam)).sum(axis=-1)
+                return Dn.conj().T @ np.diag(w) @ Dn - lam * np.eye(2)
+
+            assert abs(np.linalg.det(S(sigma ** 2))) < 1e-9
+            below = np.linalg.eigvalsh(S(0.999 * sigma ** 2))[0]
+            assert below > 0
+            np.testing.assert_allclose(signaling._schur(K, c, D, 0.999 * sigma ** 2)[0],
+                                       below, rtol=1e-9)
             # w(0) = 1/(n+1) on both chains
             np.testing.assert_allclose(1 - (q[c] / mu[c]).sum(axis=-1), [1 / (c + 1), 1 / (K - c)])
 
     @pytest.mark.parametrize("K", range(2, 8))
     def test_certificates_are_sound(self, K):
-        # lo <= sigma_min <= hi against the SVD oracle, on random blocks,
-        # near-singular ones and ones with lambda_min(S(0)) >= mu_min
+        # levels around the SVD oracle's sigma, on random blocks, near-singular
+        # ones and ones with lambda_min(S(0)) >= mu_min: no level at or above
+        # sigma is certified, and every level up to 0.999 sigma is, except on
+        # near-singular blocks, where det S lies below its rounding bound
         rng = np.random.default_rng(100 + K)
-        mu, _, _ = signaling._chains(K)
-        tight = 0
+        mu, _ = signaling._chains(K)
+        levels = np.array([0.5, 0.9, 0.999, 1, 1.001, 1.1, 2, 3])
+        certified = {"random": 0, "near-singular": 0, "past mu_min": 0}
         for c in range(K):
             w0 = np.array([1 / (c + 1), 1 / (K - c)])
             cases = []
@@ -258,37 +262,23 @@ class TestScreen:
             for kind, D in cases:
                 H, v = lemma_thread(K, c, D, rng)
                 sigma = receiver_checks_oracle(H, v)[1][0]
-                lo, hi = signaling._certified_bracket(K, np.array(c), D)
-                assert lo <= sigma <= hi, (kind, c, lo, sigma, hi)
-                screened = signaling._screen(H, v.astype(bool))
-                np.testing.assert_allclose([screened[0][0, 0, 0], screened[1][0, 0, 0]],
-                                           [lo, hi], rtol=1e-12)
-                if kind == "random":
-                    tight += bool(hi - lo <= 1e-5 * sigma)
-        assert tight >= 0.9 * 12 * K  # the bracket is not vacuous
-
-    @pytest.mark.parametrize("steps, rel", [(0, 1e-6), (5, -0.5)])
-    def test_wrong_proposals_are_not_certified(self, monkeypatch, steps, rel):
-        # no Laguerre steps propose hi = 1e-9 below the root; a negative
-        # margin puts lo above the root and hi below it: the Schur tests
-        # must refuse them, leaving the bounds sound
-        monkeypatch.setattr(signaling, "_LAGUERRE_STEPS", steps)
-        monkeypatch.setattr(signaling, "_BRACKET_REL", rel)
-        rng = np.random.default_rng(7)
-        for K in range(2, 6):
-            for c in range(K):
-                for _ in range(5):
-                    D = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                    H, v = lemma_thread(K, c, D, rng)
-                    sigma = receiver_checks_oracle(H, v)[1][0]
-                    lo, hi = signaling._certified_bracket(K, np.array(c), D)
-                    assert lo <= sigma <= hi, (K, c, lo, sigma, hi)
+                lemma, cs, Ds = signaling._lemma_blocks(H, v.astype(bool))
+                assert lemma[0, 0, 0] and cs[0, 0, 0] == c
+                np.testing.assert_array_equal(Ds[0, 0, 0], D)
+                ok = signaling._schur(K, c, D, (levels * sigma) ** 2)[1]
+                assert not ok[levels >= 1].any(), (kind, c, sigma, ok)
+                if kind != "near-singular":
+                    assert ok[levels < 1].all(), (kind, c, sigma, ok)
+                certified[kind] += ok.sum()
+        assert certified["near-singular"] == 0
+        assert certified["past mu_min"] > 0 or K < 5  # such blocks exist from K = 5
 
     def test_lemma_checks_refuse(self):
-        # fake vectors, zeroed vectors and a broken h1 get trivial bounds
+        # fake vectors, zeroed vectors, a broken h1 and huge coefficients
+        # leave the lemma, so their matrices always go through the SVD
         rng = np.random.default_rng(3)
         H, v = lemma_thread(4, 1, rng.normal(size=(2, 2)) + 0j, rng)
-        assert np.isfinite(signaling._screen(H, v.astype(bool))[0][0, 0, 0])
+        assert signaling._lemma_blocks(H, v.astype(bool))[0][0, 0, 0]
         zeroed = v.copy()
         zeroed[0, 2] = 0
         swapped = v[:, [1, 0, 2, 3]]
@@ -296,22 +286,27 @@ class TestScreen:
         broken[0, 0, 0, 0, 0] *= 1 + 1e-15
         huge = H * 1e200
         for h, vec in ((H, zeroed), (H, swapped), (broken, v), (huge, v)):
-            lo, hi = signaling._screen(h, vec.astype(bool))
-            assert lo[0, 0, 0] == -np.inf and hi[0, 0, 0] == np.inf
+            assert not signaling._lemma_blocks(h, vec.astype(bool))[0][0, 0, 0]
 
     @settings(max_examples=30, deadline=None)
     @given(cfg=feasible_configs(), seed=st.integers(0, 1000))
     def test_screen_keeps_minimum_and_witness(self, cfg, seed):
-        # with nothing certified every matrix goes through the SVD; the
-        # screened run must report the same bits and the same witness
+        # with nothing certified every matrix goes through the SVD, and with
+        # the first batch picked in reverse or at random the second batch
+        # runs: each report must hold the same bits and the same witnesses
         sched = schedule_of(cfg)
         screened = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=6)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(signaling, "_certified_bracket", certify_nothing)
-            full = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=6)
-        assert float.hex(screened.min_singular) == float.hex(full.min_singular)
-        assert screened.singular_witness == full.singular_witness
-        assert screened == full
+        schur = signaling._schur
+        rng = np.random.default_rng(seed)
+        for variant in (lambda key, ok: (key, np.zeros_like(ok)),
+                        lambda key, ok: (-key, ok),
+                        lambda key, ok: (rng.random(np.shape(key)), ok)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(signaling, "_schur", lambda *a, variant=variant: variant(*schur(*a)))
+                other = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=6)
+            assert float.hex(screened.min_singular) == float.hex(other.min_singular)
+            assert screened.singular_witness == other.singular_witness
+            assert screened == other
 
 
 class TestEndToEnd:
@@ -350,7 +345,7 @@ class TestEndToEnd:
         svd = np.linalg.svd
 
         def counting_svd(a, *args, **kwargs):
-            batches.append(np.asarray(a).shape[:-2])
+            batches.append(np.asarray(a).shape)
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(signaling.np.linalg, "svd", counting_svd)
@@ -359,10 +354,12 @@ class TestEndToEnd:
             batches.clear()
             summary = verify_schedule_end_to_end(cfg, schedule_of(cfg), seed=1, trials=5)
             assert summary.n_distinct == distinct
-            # one call per receiver, on the screen's candidates among its
-            # trials x distinct-thread matrices
-            assert len(batches) == cfg.K
-            assert all(len(b) == 1 and 1 <= b[0] <= 5 * distinct for b in batches)
+            # at most two calls, each on one stack of receiver matrices, that
+            # hold at least one matrix per receiver among its trials x
+            # distinct-thread matrices
+            assert 1 <= len(batches) <= 2
+            assert all(b[1:] == (cfg.K + 1, cfg.K + 1) for b in batches)
+            assert cfg.K <= sum(b[0] for b in batches) <= cfg.K * 5 * distinct
 
     @pytest.mark.parametrize("cfg, seed, trials", [
         (FIG_CFG, 0, 100),
