@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SearchBudgetExceeded
-from .feasibility import feasible_subset_rows
+from .feasibility import feasible_subset_rows, row_dtype
 
 __all__ = [
     "CountResult",
@@ -129,7 +129,7 @@ def _occupied_sets(N: int, j: int, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of the sets {0} ∪ S, S a (j-1)-subset of 1..N-1 in colex
     order: S's i-th element is the largest c with C(c, i) <= the rank left."""
     rank = np.arange(lo, hi, dtype=np.int64)
-    rows = np.zeros((hi - lo, j), dtype=np.int64)
+    rows = np.zeros((hi - lo, j), dtype=row_dtype(N))
     for i in range(j - 1, 0, -1):
         # capped at hi, above every rank, to stay in int64
         table = np.array([min(math.comb(c, i), hi) for c in range(N - 1)],
@@ -224,8 +224,9 @@ def monte_carlo_p(N: int, K: int, k_target: int, trials: int, seed: int = 0,
         key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0xA5A5A5A500000001], dtype=np.uint64)
         counter = np.array([0, c, 0, 0], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
-        draws = gen.integers(0, N, size=(size, K - 1), dtype=np.int64)
-        offs = np.concatenate([np.zeros((size, 1), dtype=np.int64), draws], axis=1)
+        # for N < 2^31 the bounded draw gives the same values in int32 as in int64
+        offs = np.zeros((size, K), dtype=row_dtype(N))
+        offs[:, 1:] = gen.integers(0, N, (size, K - 1), np.int32 if N < 2**31 else np.int64)
         return int(feasible_subset_rows(offs, N, k_target).sum())
 
     chunks = range((trials + _MC_CHUNK - 1) // _MC_CHUNK)

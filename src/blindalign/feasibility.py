@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import SearchBudgetExceeded
 from .pattern import ChannelConfig, group_profile
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
 ]
 
 _ROW_BLOCK = 4096  # rows per kernel pass: bounds its temporaries, not its result
+_REGION_CELLS = 2**20  # region grids live in memory: the CLI's JSON takes 350 MB at N = 1024
 
 
 def check_weak(s) -> bool:
@@ -56,51 +58,59 @@ def check_feasible(s) -> bool:
     return sum(s) <= (K + 1) * min(s)
 
 
+def row_dtype(N: int):
+    """The row type of :func:`feasible_subset_rows` at this N."""
+    return np.int32 if N <= 2**30 else np.int64 if N <= 2**62 else object
+
+
 def feasible_subset_rows(offsets, N: int, k_target: int) -> np.ndarray:
     """Per row of ``offsets`` (R, K), entries in [0, N): do some k_target of
     its offsets have every circular gap >= ceil(N/(k_target+1))?
 
-    Each row ``a`` is sorted once and unrolled to two laps, ``two = [a, a +
-    N, sentinel]``. A jump goes to the earliest point at least the threshold
-    further on, the count of points below that. From a start, k_target-1
-    jumps leave the largest closing gap any selection from it can, so a row
-    is feasible iff some start's chain ends at most N - threshold past it.
-    Stage 1 follows the chain from each row's smallest offset and decides
-    most feasible rows; stage 2 builds the next-point table on the rows left
-    open and jumps from every start. Values stay below 2N, so int64 holds
-    them for N <= 2^62; larger N falls back to Python integers.
+    Each row ``a`` is sorted and unrolled to two laps, ``two = [a, a + N]``,
+    held per block as (2K, rows) so that every step runs along the rows. A
+    jump goes to the earliest point at least the threshold further on. From
+    a start, k_target-1 jumps leave the largest closing gap any selection
+    from it can, so a row is feasible iff some start's chain ends at most
+    N - threshold past it. Stage 1 follows each row's chain from its
+    smallest offset, stage 2 every start's chain on the rows left open.
+    Values stay below 2N: rows are int32 for N <= 2^30, int64 for N <= 2^62
+    and Python integers beyond (:func:`row_dtype`); rows of that type are
+    not copied.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if k_target < 2:
         raise ValueError(f"k_target must be >= 2, got {k_target}")
-    offsets = np.asarray(offsets, dtype=np.int64 if N <= 2**62 else object)
+    offsets = np.asarray(offsets, dtype=row_dtype(N))
     need = -(-N // (k_target + 1))
     K = offsets.shape[1]
-    start = np.arange(K)
     ok = np.empty(len(offsets), dtype=bool)
     for lo in range(0, len(offsets), _ROW_BLOCK):
         a = np.sort(offsets[lo:lo + _ROW_BLOCK], axis=1)
-        # the sentinel repeats the last point: a chain that reaches it has wrapped
-        two = np.concatenate([a, a + N, a[:, -1:] + N], axis=1)
-        low, v = a - need, a[:, :1]  # a point lies below v + need iff low < v
+        two = np.empty((2 * K, len(a)), dtype=a.dtype)
+        two[:K] = a.T
+        np.add(two[:K], N, out=two[K:])
+        # a point lies below v + need iff low < v; a jump takes flat index row * len(col) + col
+        low, v, col = two[:K] - need, two[0], np.arange(len(a))
         for _ in range(k_target - 1):
-            v = np.take_along_axis(two, (low < v).sum(1, keepdims=True), 1)
-        done = v[:, 0] <= a[:, 0] + N - need
-        a, two = a[~done], two[~done]
-        # head[:, m]: the first index past m at least `need` beyond a[m]; the
+            v = np.take(two, (low < v).sum(0) * len(col) + col)
+        done = v <= two[0] + (N - need)
+        two, col = two[:, ~done], col[:len(col) - done.sum()]
+        # head[m]: the first index past m at least `need` beyond a[m]; the
         # d-th point after a[m] lies ever further on, so count those below
-        head = np.tile(start + 1, (len(a), 1))
+        head, reach = np.repeat(np.arange(1, K + 1)[:, None], len(col), 1), two[:K] + need
         for d in range(1, K):
-            below = two[:, d:d + K] < a + need
+            below = two[d:d + K] < reach
             if not below.any():
                 break
             head += below
-        nxt = np.concatenate([head, np.minimum(head + K, 2 * K), np.full((len(a), 1), 2 * K)], 1)
-        end = np.tile(start, (len(a), 1))
-        for _ in range(k_target - 1):
-            end = np.take_along_axis(nxt, end, axis=1)
-        done[~done] = (np.take_along_axis(two, end, axis=1) <= a + N - need).any(axis=1)
+        # a chain that runs off the second lap stays on its last point, too late for any start
+        nxt = np.minimum(np.concatenate([head, head + K]), 2 * K - 1) * len(col) + col
+        end = nxt[:K]  # every start's first jump
+        for _ in range(k_target - 2):
+            end = np.take(nxt, end)
+        done[~done] = (np.take(two, end) <= reach + (N - 2 * need)).any(0)
         ok[lo:lo + _ROW_BLOCK] = done
     return ok
 
@@ -173,7 +183,9 @@ def feasible_region(N: int) -> FeasibleRegion:
     """Enumerate the feasible (n2, n3) grid for 3 users with benchmark offset 0."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    n2, n3 = np.divmod(np.arange(N * N), N)
+    if N * N > _REGION_CELLS:
+        raise SearchBudgetExceeded(f"region grid of N^2 = {N * N} points exceeds {_REGION_CELLS}")
+    n2, n3 = np.divmod(np.arange(N * N, dtype=row_dtype(N)), N)
     ok = feasible_subset_rows(np.stack([np.zeros_like(n2), n2, n3], axis=1), N, 3)
     return FeasibleRegion(N=N, points=tuple(zip(n2[ok].tolist(), n3[ok].tolist())))
 

@@ -16,8 +16,9 @@ import numpy as np
 from .diophantine import verify_solution
 from .pattern import (
     ChannelConfig,
+    _group_starts,
     group_profile,
-    group_slots,
+    group_slots,  # unused here; the benchmark traces it under this name
     slot_group,
     pattern_matrix,
     is_feasible_pattern,
@@ -82,7 +83,8 @@ def build_schedule(cfg: ChannelConfig, lam) -> Schedule:
     g = np.repeat(np.arange(m), counts)
     c = np.arange(len(g)) - np.repeat(np.cumsum(counts) - counts, counts)
     cum = np.concatenate(([0], np.cumsum(np.tile(counts, 2))))  # two laps
-    first = np.array([group_slots(cfg, G).start for G in range(m + K)], dtype=np.int64)
+    q, r = np.divmod(np.arange(m + K), K)  # long group qK + r is group r of period q
+    first = cfg.offsets[0] + q * cfg.N + np.array(_group_starts(cfg), dtype=np.int64)[r]
     G = g[:, None] + np.arange(K + 1)
     slots = first[G] + (cum[g + m, None] - cum[G - K + m]) + c[:, None]
     return Schedule(cfg=cfg, lam=lam, start_groups=g, slots=slots)

@@ -94,6 +94,12 @@ class TestRegion:
         code, out, _ = run(capsys, "region", "--N", "1", "--format", "json")
         assert code == 0 and json.loads(out)["count"] == 0
 
+    def test_huge_grid_exits_2(self, capsys):
+        # refused before numpy is asked for the 10^10-point grid
+        code, out, err = run(capsys, "region", "--N", "100000")
+        assert code == 2 and out == ""
+        assert "N^2 = 10000000000 points exceeds 1048576" in err
+
     def test_csv_shape(self, capsys):
         code, out, err = run(capsys, "region", "--N", "6")
         rows = list(csv.reader(io.StringIO(out)))

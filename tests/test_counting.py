@@ -314,6 +314,24 @@ class TestProbabilities:
         # the two-lap ring arithmetic must stay inside int64 for every N
         assert monte_carlo_p(N, 8, 3, 4096, seed=1).p == 0.779052734375
 
+    @pytest.mark.parametrize("N, p", [(2**30, 0.778076171875), (2**31 - 1, 0.778076171875),
+                                      (2**31, 0.778076171875), (2**31 + 11, 0.763916015625)])
+    def test_monte_carlo_at_the_row_type_edges(self, N, p):
+        # int32 rows up to N = 2^30, int32 draws below 2^31, int64 from there;
+        # the values the int64 draw and kernel gave
+        assert monte_carlo_p(N, 8, 3, 4096, seed=1).p == p
+
+    @pytest.mark.parametrize("N", [1, 2, 30, 60, 2**16 + 1, 2**30, 2**30 + 1, 2**31 - 1])
+    def test_int32_draw_equals_int64_draw(self, N):
+        # monte_carlo_p draws int32 offsets below 2^31; numpy's bounded draw
+        # must give the int64 draw's values there, or estimates would change
+        def draw(dtype):
+            key = np.array([5, 0xA5A5A5A500000001], dtype=np.uint64)
+            counter = np.array([0, 3, 0, 0], dtype=np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+            return gen.integers(0, N, (2000, 7), dtype)
+        assert np.array_equal(draw(np.int32), draw(np.int64))
+
     def test_exact_pairs_past_the_guard(self):
         # pairs come from the closed form, so exact_count's guard does not apply
         est = probability_exact(100, 8, 2)

@@ -15,7 +15,8 @@ from blindalign import (
     find_feasible_subset,
     group_profile,
 )
-from blindalign.feasibility import _ROW_BLOCK, feasible_subset_rows
+from blindalign.errors import SearchBudgetExceeded
+from blindalign.feasibility import _REGION_CELLS, _ROW_BLOCK, feasible_subset_rows
 from helpers import brute_force_solve, compositions, min_circular_gap, subset_rows_oracle
 
 
@@ -155,6 +156,13 @@ class TestFeasibleRegion:
                         expected.add((n2, n3))
             assert set(feasible_region(N).points) == expected
 
+    @pytest.mark.parametrize("N", [1025, 10**5, 2**40])
+    def test_refuses_a_grid_past_the_limit(self, N):
+        # refused before the grid is allocated: N = 10^5 has 10^10 cells
+        assert 1024**2 == _REGION_CELLS < N * N
+        with pytest.raises(SearchBudgetExceeded, match=f"N\\^2 = {N * N} points"):
+            feasible_region(N)
+
     def test_membership(self):
         region = feasible_region(20)
         assert (5, 10) in region and (10, 5) in region
@@ -251,7 +259,8 @@ class TestFeasibleSubsetRows:
             assert np.array_equal(feasible_subset_rows(offs, N, k),
                                   subset_rows_oracle(offs, N, k)), (N, K, k)
 
-    def test_rows_each_stage_decides_across_a_block_edge(self):
+    @staticmethod
+    def _rows_of_each_stage():
         # stage 1 proves a row feasible by the chain from its smallest offset;
         # the others, feasible or not, go to stage 2's table. Interleave the
         # three kinds so that every block holds each of them.
@@ -263,19 +272,36 @@ class TestFeasibleSubsetRows:
         kinds = [offs[first_chain][:300], offs[feasible & ~first_chain][:300], offs[~feasible][:300]]
         assert all(len(rows) == 300 for rows in kinds)
         i = np.arange(_ROW_BLOCK + 301)
-        rows = np.stack(kinds)[i % 3, i // 3 % 300]
-        expected = i % 3 < 2
+        return np.stack(kinds)[i % 3, i // 3 % 300], N, k, i % 3 < 2
+
+    def test_rows_each_stage_decides_across_a_block_edge(self):
+        rows, N, k, expected = self._rows_of_each_stage()
         assert np.array_equal(subset_rows_oracle(rows, N, k), expected)
         assert np.array_equal(feasible_subset_rows(rows, N, k), expected)
+
+    def test_every_row_type_gives_the_same_verdicts(self):
+        # scaling the rows and N by c keeps every verdict (a gap c*g reaches
+        # ceil(cN/(k+1)) iff g reaches N/(k+1)), so the int32, int64 and
+        # Python-integer kernels must agree on rows of each stage; each takes
+        # its rows as int32, int64 or object arrays alike
+        rows, N, k, expected = self._rows_of_each_stage()
+        for c, types in ((1, (np.int32, np.int64, object)),
+                         (2**25, (np.int32, np.int64, object)),  # N past 2^30
+                         (2**57, (np.int64, object))):  # N past 2^62
+            scaled = rows.astype(object) * c
+            for dtype in types:
+                verdicts = feasible_subset_rows(scaled.astype(dtype), N * c, k)
+                assert np.array_equal(verdicts, expected), (c, dtype)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_large_n_matches_oracle(self, data):
-        # two-lap values reach 2N: int64 holds them up to N = 2^62, Python
-        # integers beyond; points near multiples of N/12 put gaps at the
-        # threshold for k = 2, 3 and 5
-        N = data.draw(st.one_of(st.integers(1, 10**12), st.integers(2**62 - 64, 2**62 + 64),
-                                st.integers(2**63 - 64, 2**63 + 64)), label="N")
+        # two-lap values reach 2N: int32 holds them up to N = 2^30, int64 up
+        # to N = 2^62, Python integers beyond; points near multiples of N/12
+        # put gaps at the threshold for k = 2, 3 and 5
+        edges = [2**30, 2**31, 2**62, 2**63]
+        N = data.draw(st.one_of(st.integers(1, 10**12),
+                                *(st.integers(e - 64, e + 64) for e in edges)), label="N")
         K = data.draw(st.integers(2, 7), label="K")
         k = data.draw(st.integers(2, K), label="k")
         point = st.one_of(st.integers(0, N - 1),
