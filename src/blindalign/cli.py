@@ -74,15 +74,12 @@ def _cmd_check(args) -> int:
 def _cmd_region(args) -> int:
     region = feasible_region(args.N)
     if args.format == "json":
-        print(json.dumps({
-            "N": args.N,
-            "count": region.count,
-            "ratio": region.ratio,
-            "points": [
-                {"n2": n2, "n3": n3, "feasible": (n2, n3) in region}
-                for n2 in range(args.N) for n3 in range(args.N)
-            ],
-        }))
+        # one cell in memory at a time, in the bytes of json.dumps(dict)
+        head = json.dumps({"N": args.N, "count": region.count, "ratio": region.ratio})
+        cells = (f'{{"n2": {n2}, "n3": {n3}, "feasible": {str((n2, n3) in region).lower()}}}'
+                 for n2, n3 in itertools.product(range(args.N), repeat=2))
+        sys.stdout.writelines(itertools.chain(  # N >= 1: there is a first cell
+            [head[:-1] + ', "points": [', next(cells)], (", " + c for c in cells), ["]}\n"]))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n2", "n3", "feasible"])

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SearchBudgetExceeded
-from .feasibility import feasible_subset_rows, row_dtype
+from .feasibility import _ROW_BLOCK, feasible_sorted_block, feasible_subset_rows, row_dtype
 
 __all__ = [
     "CountResult",
@@ -72,9 +72,9 @@ def f_low_3(N: int, K: int) -> CountResult:
     """Closed-form lower bound on placements with no feasible 3-user subset.
 
     Type I counts all K-1 balls inside one arc of at most N/2 boxes; Type II
-    counts two-arc configurations whose arc lengths stay within N/4. The
-    half-integer coefficients are exact rationals whose products are provably
-    integral; integrality is asserted.
+    counts two-arc configurations whose arc lengths stay within N/4. The sum
+    is taken doubled, on exact integers, to clear its half-integer
+    coefficients; the doubled sum is provably even, which is asserted.
     """
     _check_positive(N=N)
     if N % 4 != 0:
@@ -85,26 +85,27 @@ def f_low_3(N: int, K: int) -> CountResult:
     if K < 3:
         raise ValueError("defined for K >= 3")
     T = K - 1
-    g = gamma_count
+    # gamma_count(n, T, mu) is the mu-th backward difference of n**T at n
+    # (valid for n >= mu): every term comes from one table of powers
+    g = [[n**T for n in range(N // 2 + 1)]]
+    for _ in range(4):
+        g.append([0, *(b - a for a, b in zip(g[-1], g[-1][1:]))])
 
-    total = Fraction(1)
+    twice = 2 * 2**T  # 1 + (2^T - 1), doubled
     for n in range(2, N // 2 + 1):
-        total += 2 * (n**T - (n - 1) ** T) \
-            + (n - 2) * (n**T - 2 * (n - 1) ** T + (n - 2) ** T)
-    total += 2**T - 1
+        twice += 4 * g[1][n] + 2 * (n - 2) * g[2][n]
     for n in range(3, N // 4 + 2):
-        total += (n - 1) * (2 * (n - 3) * g(n, T, 3) + 3 * g(n, T, 2))
+        twice += 2 * (n - 1) * (2 * (n - 3) * g[3][n] + 3 * g[2][n])
     # from n=4: the n=3 summand is identically zero via the (n-3) factor and
     # a mu=4 count over 3 boxes is undefined
     for n in range(4, N // 4 + 2):
-        total += (n - 1) * (n - 3) * (Fraction(n - 4, 2) * g(n, T, 4) + g(n, T, 3))
+        twice += (n - 1) * (n - 3) * ((n - 4) * g[4][n] + 2 * g[3][n])
     for n in range(N // 4 + 2, N // 2 + 1):
-        total += (N // 2 - n + 1) * (n - 1) \
-            * (2 * g(n, T, 3) + Fraction(n - 4, 2) * g(n, T, 4))
+        twice += (N // 2 - n + 1) * (n - 1) * (4 * g[3][n] + (n - 4) * g[4][n])
 
-    if total.denominator != 1:
-        raise AssertionError(f"non-integral count {total} at N={N}, K={K}")
-    return CountResult(value=int(total), kind="formula_lower_bound")
+    if twice % 2:
+        raise AssertionError(f"non-integral count {twice}/2 at N={N}, K={K}")
+    return CountResult(value=twice // 2, kind="formula_lower_bound")
 
 
 def f_2user(N: int, K: int) -> CountResult:
@@ -126,18 +127,19 @@ def f_2user(N: int, K: int) -> CountResult:
 
 
 def _occupied_sets(N: int, j: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the sets {0} ∪ S, S a (j-1)-subset of 1..N-1 in colex
-    order: S's i-th element is the largest c with C(c, i) <= the rank left."""
+    """Sets lo..hi-1 of {0} ∪ S, S a (j-1)-subset of 1..N-1 in colex order,
+    as (j, hi-lo) columns, each set sorted: S's i-th element is the largest
+    c with C(c, i) <= the rank left."""
     rank = np.arange(lo, hi, dtype=np.int64)
-    rows = np.zeros((hi - lo, j), dtype=row_dtype(N))
+    cols = np.zeros((j, hi - lo), dtype=row_dtype(N))
     for i in range(j - 1, 0, -1):
         # capped at hi, above every rank, to stay in int64
         table = np.array([min(math.comb(c, i), hi) for c in range(N - 1)],
                          dtype=np.int64)
         c = np.searchsorted(table, rank, side="right") - 1
-        rows[:, i] = c + 1
+        cols[i] = c + 1
         rank -= table[c]
-    return rows
+    return cols
 
 
 def exact_count(N: int, K: int, k_target: int, guard: int = 10**8,
@@ -169,9 +171,10 @@ def exact_count(N: int, K: int, k_target: int, guard: int = 10**8,
 
     def count_chunk(task: tuple[int, int]) -> int:
         j, lo = task
-        rows = _occupied_sets(N, j, lo, min(lo + chunk, math.comb(N - 1, j - 1)))
-        bad = int((~feasible_subset_rows(rows, N, k_target)).sum())
-        return bad * gamma_count(j, K - 1, j - 1)
+        cols = _occupied_sets(N, j, lo, min(lo + chunk, math.comb(N - 1, j - 1)))
+        good = sum(int(feasible_sorted_block(cols[:, b:b + _ROW_BLOCK], N, k_target).sum())
+                   for b in range(0, cols.shape[1], _ROW_BLOCK))
+        return (cols.shape[1] - good) * gamma_count(j, K - 1, j - 1)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 _ROW_BLOCK = 4096  # rows per kernel pass: bounds its temporaries, not its result
-_REGION_CELLS = 2**20  # region grids live in memory: the CLI's JSON takes 350 MB at N = 1024
+_REGION_CELLS = 2**20  # region grids live in memory: the CLI peaks at 54 MB at N = 1024
 
 
 def check_weak(s) -> bool:
@@ -67,52 +67,61 @@ def feasible_subset_rows(offsets, N: int, k_target: int) -> np.ndarray:
     """Per row of ``offsets`` (R, K), entries in [0, N): do some k_target of
     its offsets have every circular gap >= ceil(N/(k_target+1))?
 
-    Each row ``a`` is sorted and unrolled to two laps, ``two = [a, a + N]``,
-    held per block as (2K, rows) so that every step runs along the rows. A
-    jump goes to the earliest point at least the threshold further on. From
-    a start, k_target-1 jumps leave the largest closing gap any selection
-    from it can, so a row is feasible iff some start's chain ends at most
-    N - threshold past it. Stage 1 follows each row's chain from its
-    smallest offset, stage 2 every start's chain on the rows left open.
-    Values stay below 2N: rows are int32 for N <= 2^30, int64 for N <= 2^62
-    and Python integers beyond (:func:`row_dtype`); rows of that type are
-    not copied.
+    Each block of ``_ROW_BLOCK`` rows is sorted along its rows and goes to
+    :func:`feasible_sorted_block` as (K, rows) columns. Rows are int32 for
+    N <= 2^30, int64 for N <= 2^62 and Python integers beyond
+    (:func:`row_dtype`); rows of that type are not copied.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if k_target < 2:
         raise ValueError(f"k_target must be >= 2, got {k_target}")
     offsets = np.asarray(offsets, dtype=row_dtype(N))
-    need = -(-N // (k_target + 1))
-    K = offsets.shape[1]
     ok = np.empty(len(offsets), dtype=bool)
     for lo in range(0, len(offsets), _ROW_BLOCK):
-        a = np.sort(offsets[lo:lo + _ROW_BLOCK], axis=1)
-        two = np.empty((2 * K, len(a)), dtype=a.dtype)
-        two[:K] = a.T
-        np.add(two[:K], N, out=two[K:])
-        # a point lies below v + need iff low < v; a jump takes flat index row * len(col) + col
-        low, v, col = two[:K] - need, two[0], np.arange(len(a))
-        for _ in range(k_target - 1):
-            v = np.take(two, (low < v).sum(0) * len(col) + col)
-        done = v <= two[0] + (N - need)
-        two, col = two[:, ~done], col[:len(col) - done.sum()]
-        # head[m]: the first index past m at least `need` beyond a[m]; the
-        # d-th point after a[m] lies ever further on, so count those below
-        head, reach = np.repeat(np.arange(1, K + 1)[:, None], len(col), 1), two[:K] + need
-        for d in range(1, K):
-            below = two[d:d + K] < reach
-            if not below.any():
-                break
-            head += below
-        # a chain that runs off the second lap stays on its last point, too late for any start
-        nxt = np.minimum(np.concatenate([head, head + K]), 2 * K - 1) * len(col) + col
-        end = nxt[:K]  # every start's first jump
-        for _ in range(k_target - 2):
-            end = np.take(nxt, end)
-        done[~done] = (np.take(two, end) <= reach + (N - 2 * need)).any(0)
-        ok[lo:lo + _ROW_BLOCK] = done
+        cols = np.sort(offsets[lo:lo + _ROW_BLOCK], axis=1).T
+        ok[lo:lo + _ROW_BLOCK] = feasible_sorted_block(cols, N, k_target)
     return ok
+
+
+def feasible_sorted_block(cols, N: int, k_target: int) -> np.ndarray:
+    """:func:`feasible_subset_rows` on one block of at most ``_ROW_BLOCK``
+    rows, given as sorted (K, rows) columns of type ``row_dtype(N)``.
+
+    Each row ``a`` is unrolled to two laps, ``two = [a, a + N]``, held as
+    (2K, rows) so that every step runs along the rows; values stay below 2N.
+    A jump goes to the earliest point at least the threshold further on.
+    From a start, k_target-1 jumps leave the largest closing gap any
+    selection from it can, so a row is feasible iff some start's chain ends
+    at most N - threshold past it. Stage 1 follows each row's chain from its
+    smallest offset, stage 2 every start's chain on the rows left open.
+    """
+    need = -(-N // (k_target + 1))
+    K, R = cols.shape
+    two = np.empty((2 * K, R), dtype=cols.dtype)
+    two[:K] = cols
+    np.add(two[:K], N, out=two[K:])
+    # a point lies below v + need iff low < v; a jump takes flat index row * len(col) + col
+    low, v, col = two[:K] - need, two[0], np.arange(R)
+    for _ in range(k_target - 1):
+        v = np.take(two, (low < v).sum(0) * len(col) + col)
+    done = v <= two[0] + (N - need)
+    two, col = two[:, ~done], col[:len(col) - done.sum()]
+    # head[m]: the first index past m at least `need` beyond a[m]; the
+    # d-th point after a[m] lies ever further on, so count those below
+    head, reach = np.repeat(np.arange(1, K + 1)[:, None], len(col), 1), two[:K] + need
+    for d in range(1, K):
+        below = two[d:d + K] < reach
+        if not below.any():
+            break
+        head += below
+    # a chain that runs off the second lap stays on its last point, too late for any start
+    nxt = np.minimum(np.concatenate([head, head + K]), 2 * K - 1) * len(col) + col
+    end = nxt[:K]  # every start's first jump
+    for _ in range(k_target - 2):
+        end = np.take(nxt, end)
+    done[~done] = (np.take(two, end) <= reach + (N - 2 * need)).any(0)
+    return done
 
 
 @dataclass(frozen=True)

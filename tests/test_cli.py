@@ -19,6 +19,7 @@ from blindalign import (
     check_feasible,
     closed_form_solution,
     exact_count,
+    feasible_region,
     group_profile,
     p_upper_3,
     probability_exact,
@@ -93,6 +94,16 @@ class TestRegion:
     def test_degenerate(self, capsys):
         code, out, _ = run(capsys, "region", "--N", "1", "--format", "json")
         assert code == 0 and json.loads(out)["count"] == 0
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 20])
+    def test_json_streams_the_bytes_of_one_document(self, capsys, N):
+        # cells are written one at a time, in the bytes json.dumps gives the whole grid
+        code, out, _ = run(capsys, "region", "--N", str(N), "--format", "json")
+        region = feasible_region(N)
+        doc = {"N": N, "count": region.count, "ratio": region.ratio,
+               "points": [{"n2": n2, "n3": n3, "feasible": (n2, n3) in region}
+                          for n2 in range(N) for n3 in range(N)]}
+        assert code == 0 and out == json.dumps(doc) + "\n"
 
     def test_huge_grid_exits_2(self, capsys):
         # refused before numpy is asked for the 10^10-point grid

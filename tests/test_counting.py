@@ -21,6 +21,7 @@ from blindalign import (
     probability_exact,
 )
 from blindalign.counting import _occupied_sets
+from blindalign.feasibility import row_dtype
 from helpers import enumeration_count, stirling2
 
 
@@ -121,9 +122,13 @@ class TestGammaCount:
 
 class TestFLow3:
     def test_matches_independent_path(self):
-        for N in (4, 8, 12, 16, 20):
-            for K in (3, 4, 5, 6):
-                assert f_low_3(N, K).value == f_low_3_proof_path(N, K)
+        for N in range(4, 65, 4):
+            for K in range(3, 13):
+                assert f_low_3(N, K).value == f_low_3_proof_path(N, K), (N, K)
+
+    def test_pinned_value(self):
+        # the value the rational-coefficient evaluation gave at (400, 11)
+        assert f_low_3(400, 11).value == 5412354352475971940307478
 
     def test_lower_bounds_enumeration(self):
         for N in (8, 12):
@@ -245,15 +250,17 @@ class TestExactCount:
         assert exact_count(16, 7, 3).value == 3299206
 
     def test_occupied_sets_unrank_every_subset(self):
+        # sets come as sorted (j, rows) columns in the kernel's row type;
         # each chunk boundary must continue the same order without gaps
         for N, j in ((1, 1), (5, 1), (7, 3), (9, 4), (12, 6)):
             total = math.comb(N - 1, j - 1)
-            rows = _occupied_sets(N, j, 0, total)
+            cols = _occupied_sets(N, j, 0, total)
+            assert cols.shape == (j, total) and cols.dtype == row_dtype(N)
             expected = sorted(((0, *c) for c in combinations(range(1, N), j - 1)),
                               key=lambda r: r[::-1])
-            assert [tuple(r) for r in rows.tolist()] == expected
+            assert [tuple(r) for r in cols.T.tolist()] == expected
             for lo, hi in ((0, 1), (1, total), (total // 3, total // 2 + 1)):
-                assert np.array_equal(_occupied_sets(N, j, lo, hi), rows[lo:hi])
+                assert np.array_equal(_occupied_sets(N, j, lo, hi), cols[:, lo:hi])
 
 
 @pytest.mark.parametrize("call", [

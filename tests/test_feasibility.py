@@ -16,7 +16,8 @@ from blindalign import (
     group_profile,
 )
 from blindalign.errors import SearchBudgetExceeded
-from blindalign.feasibility import _REGION_CELLS, _ROW_BLOCK, feasible_subset_rows
+from blindalign.feasibility import (_REGION_CELLS, _ROW_BLOCK, feasible_sorted_block,
+                                    feasible_subset_rows, row_dtype)
 from helpers import brute_force_solve, compositions, min_circular_gap, subset_rows_oracle
 
 
@@ -250,6 +251,28 @@ class TestFeasibleSubsetRows:
         if data.draw(st.booleans(), label="presorted"):
             offs.sort(axis=1)
         assert np.array_equal(feasible_subset_rows(offs, N, k), subset_rows_oracle(offs, N, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_sorted_block_matches_rows_and_oracle(self, data):
+        # the block kernel on pre-sorted (K, rows) columns, as exact_count
+        # hands them over; scaling rows and N by c keeps every verdict and
+        # moves the columns to int32, int64 or Python-integer rows
+        N = data.draw(st.integers(1, 40), label="N")
+        K = data.draw(st.integers(2, 9), label="K")
+        k = data.draw(st.integers(2, K), label="k")
+        rows = data.draw(st.lists(st.lists(st.integers(0, N - 1), min_size=K, max_size=K),
+                                  min_size=1, max_size=12), label="rows")
+        offs = np.array(rows, dtype=np.int64)
+        if data.draw(st.booleans(), label="duplicate"):
+            offs[:, -1] = offs[:, 0]
+        offs.sort(axis=1)
+        expected = subset_rows_oracle(offs, N, k)
+        c = data.draw(st.sampled_from([1, 2**40, 2**62]), label="scale")
+        scaled = (offs.astype(object) * c).astype(row_dtype(N * c))
+        cols = np.ascontiguousarray(scaled.T)
+        assert np.array_equal(feasible_sorted_block(cols, N * c, k), expected)
+        assert np.array_equal(feasible_subset_rows(scaled, N * c, k), expected)
 
     def test_every_row_across_blocks(self):
         # more rows than one kernel pass takes, so verdicts cross block edges
