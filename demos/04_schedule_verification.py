@@ -46,9 +46,10 @@ print("indicator vectors (same on both transmit antennas):")
 for i, row in enumerate(v, start=1):
     print(f"  user {i}: {row}")
 
-# H[i-1, trial, thread, slot] is user i's (h1, h2); the kernel takes a stack of threads
+# H[i-1, trial, thread, slot] is user i's (h1, h2); the kernel takes the
+# threads' pattern matrices and reads each user's two slots from them
 H, _ = channel_coeffs(cfg, [slots], seed=42, trials=1)
-residuals, singulars = receiver_checks(H, v[None])
+residuals, singulars = receiver_checks(H, M)
 print(f"\nalignment residual for this thread: {residuals.max():.2e} (gate 1e-9)")
 print(f"decodability min singular value:    {singulars.min():.2e} (gate 1e-9)")
 

@@ -1,9 +1,9 @@
 """Beamforming construction and numerical alignment/decodability verification.
 
 This is the executable witness that a schedule really works: channel
-coefficients are drawn per fading block, the indicator beamforming vectors
-are built from each thread's pattern matrix, and alignment/decodability are
-checked as scale-invariant rank statements on small complex matrices.
+coefficients are drawn per fading block, each thread's pattern matrix gives
+every user's transition column, and alignment/decodability are checked as
+scale-invariant rank statements on small complex matrices.
 
 Interference alignment here is structural: an interferer's two transmit
 streams use identical 0/1 vectors supported on the two slots straddling the
@@ -12,9 +12,10 @@ so the two received interference columns are exactly proportional. The
 desired user's two columns differ across its transition and stay generically
 independent from the K-1 interference directions.
 
-That structure also makes most decodability SVDs redundant: a receiver
-matrix's smallest singular value solves a 2x2 secular equation. Each
-receiver's likeliest minimum goes through the SVD first; a Schur
+The verifier therefore gathers each receiver's (h1, h2) on every user's two
+slots once: alignment residuals are 2-entry sums over them, and a receiver
+matrix's smallest singular value solves a 2x2 secular equation in its own
+pair. Each receiver's likeliest minimum goes through the SVD first; a Schur
 certificate on that equation (``_schur``) then proves most other matrices
 above it, and only the rest need an SVD.
 """
@@ -27,7 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .pattern import ChannelConfig, is_feasible_pattern, pattern_matrix, slot_map
+from .errors import SearchBudgetExceeded
+from .pattern import ChannelConfig, is_feasible_pattern, slot_map
 from .scheduler import Schedule, validate_schedule
 
 __all__ = [
@@ -48,6 +50,9 @@ DECODABILITY_TOL = 1e-9
 
 _KEY_SALT = 0x9E3779B97F4A7C15  # distinguishes channel streams from other RNG users
 _CANDIDATES = 16  # rejection budget per coefficient; P(exhaust) ~ 1e-46
+# coefficient cells K * trials * T * (K+1) one verification may hold; it
+# peaks at about 200 bytes per cell, so about 0.4 GB at this limit
+_VERIFY_CELLS = 2**21
 
 # The decodability screen (see _schur). Schur certificates are used only at
 # lambda <= (1 - gap) * mu_min: there each 1/(mu - lambda) keeps its
@@ -112,11 +117,14 @@ def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
             state["state"]["counter"] = np.array([0, 0, i + 1, b], dtype=np.uint64)
             bitgen.state = state
             gen.standard_normal(out=row)
-        h = z[..., 0] + 1j * z[..., 1]
-        ok = np.abs(h) >= MAGNITUDE_FLOOR
-        if not ok.any(axis=-1).all():
-            raise RuntimeError("rejection budget exhausted while drawing coefficients")
-        table = np.take_along_axis(h, np.argmax(ok, axis=-1)[..., None], axis=-1)[..., 0]
+        table = z[..., 0, 0] + 1j * z[..., 0, 1]
+        # the first candidate fails for about 1 in 800 coefficients
+        for at in zip(*np.nonzero(np.abs(table) < MAGNITUDE_FLOOR)):
+            h = z[at][:, 0] + 1j * z[at][:, 1]
+            ok = np.abs(h) >= MAGNITUDE_FLOOR
+            if not ok.any():
+                raise RuntimeError("rejection budget exhausted while drawing coefficients")
+            table[at] = h[ok.argmax()]
         H[i] = np.moveaxis(table[inv.reshape(user_blocks.shape)], -2, 0)
     return H, blocks
 
@@ -146,16 +154,23 @@ def _chains(K: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, q
 
 
-@np.errstate(all="ignore")  # lemma-breaking inputs give nan, which certifies nothing
-def _schur(K: int, c, D, lam) -> tuple[np.ndarray, np.ndarray]:
-    """The smallest eigenvalue of S(lam), and whether S(lam) is certified
-    positive definite.
+def _sum2(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)`` over a last axis of length 2, with the same bits and
+    several times faster."""
+    return a[..., 0] + a[..., 1]
 
-    ``D`` (..., 2, 2) holds the receiver's (h1, h2) on slots c and c+1 of its
-    transition column ``c`` (broadcast against ``D.shape[:-2]``, as is
-    ``lam``); every interferer column is assumed to be a nonzero multiple of
-    e_t + e_{t+1}, t != c. After column normalization such a matrix B has,
-    for lambda < mu_min (the chains' smallest eigenvalue), the 2x2 Schur
+
+@np.errstate(all="ignore")  # lemma-breaking inputs give nan, which certifies nothing
+def _schur(K: int, c, D):
+    """S(lam) of the receiver matrices with blocks ``D`` (..., 2, 2): a
+    function of ``lam`` that returns the smallest eigenvalue of S(lam), and
+    whether S(lam) is certified positive definite.
+
+    ``D`` holds the receiver's (h1, h2) on slots c and c+1 of its transition
+    column ``c`` (broadcast against ``D.shape[:-2]``, as is ``lam``); every
+    interferer column is assumed to be a nonzero multiple of e_t + e_{t+1},
+    t != c. After column normalization such a matrix B has, for
+    lambda < mu_min (the chains' smallest eigenvalue), the 2x2 Schur
     complement S(lambda) = D^H diag(w_L, w_R) D - lambda I of
     B^H B - lambda I, where w(lambda) = 1 - sum_k q_k / (mu_k - lambda) over
     one chain. By Haynsworth's inertia additivity, S(lam) positive definite
@@ -164,71 +179,64 @@ def _schur(K: int, c, D, lam) -> tuple[np.ndarray, np.ndarray]:
     flip the sign of tr S or det S. The eigenvalue is not certified.
     """
     mu, q = (table[c] for table in _chains(K))
-    lam = np.asarray(lam, dtype=float)
-    D = D / np.maximum(np.linalg.norm(D, axis=-2, keepdims=True), 1e-300)
-    p = (D.real ** 2 + D.imag ** 2).sum(axis=-1)  # row powers on slots c, c+1
+    power = (D.conj() * D).real  # np.linalg.norm's terms, added as it adds them
+    D = D / np.maximum(np.sqrt(power[..., :1, :] + power[..., 1:, :]), 1e-300)
+    p = _sum2(D.real ** 2 + D.imag ** 2)  # row powers on slots c, c+1
     cross = np.abs(D[..., 0, 0] * D[..., 1, 1]) + np.abs(D[..., 0, 1] * D[..., 1, 0])
     delta = np.abs(D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]) ** 2
-    w = 1 - (q @ (1 / (mu - lam[..., None]))[..., None])[..., 0]  # (w_L, w_R)
-    pw = (w * p).sum(axis=-1)
-    tr = pw - 2 * lam
-    det = w[..., 0] * w[..., 1] * delta - lam * pw + lam * lam
-    # below the poles w = 1 - (positive terms), so |w| <= 2 - w; rounding
-    # stays under a small multiple of eps times these sums of magnitudes
-    wabs = 2 - w
-    apw = (wabs * p).sum(axis=-1)
-    tol = _SIGN_TOL * (K + 1)
-    det_tol = tol * (wabs[..., 0] * wabs[..., 1] * cross ** 2 + np.abs(lam) * apw + lam * lam)
-    certified = ((lam <= (1 - _POLE_GAP) * mu.min(axis=-1))
-                 & (tr > tol * (apw + 2 * np.abs(lam))) & (det > det_tol))
-    return (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))) / 2, certified
+
+    @np.errstate(all="ignore")
+    def at(lam):
+        lam = np.asarray(lam, dtype=float)
+        w = 1 - (q @ (1 / (mu - lam[..., None]))[..., None])[..., 0]  # (w_L, w_R)
+        pw = _sum2(w * p)
+        tr = pw - 2 * lam
+        det = w[..., 0] * w[..., 1] * delta - lam * pw + lam * lam
+        # below the poles w = 1 - (positive terms), so |w| <= 2 - w; rounding
+        # stays under a small multiple of eps times these sums of magnitudes
+        wabs = 2 - w
+        apw = _sum2(wabs * p)
+        tol = _SIGN_TOL * (K + 1)
+        det_tol = tol * (wabs[..., 0] * wabs[..., 1] * cross ** 2 + np.abs(lam) * apw + lam * lam)
+        certified = ((lam <= (1 - _POLE_GAP) * mu.min(axis=-1))
+                     & (tr > tol * (apw + 2 * np.abs(lam))) & (det > det_tol))
+        return (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))) / 2, certified
+    return at
 
 
-def _lemma_blocks(H: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Which receiver matrices (K, trials, T) meet the chain lemma, with their
-    transition columns c (K, 1, T) and blocks D (K, trials, T, 2, 2).
-
-    The lemma needs each thread's vectors to straddle a permutation of the
-    transition columns, and the receiver's h1 to be equal on the two slots
-    of every interferer; all of the receiver's coefficients must have
-    magnitudes whose squares neither overflow nor underflow.
-    """
-    K = H.shape[0]
-    c = np.minimum(np.argmax(mask, axis=-1), K - 1)  # (T, K), in range on any vectors
-    slot = np.arange(K + 1)
-    straddle = (slot == c[..., None]) | (slot == c[..., None] + 1)
-    structured = ((mask == straddle).all(axis=(-2, -1))
-                  & (np.sort(c, axis=-1) == np.arange(K)).all(axis=-1))
-    c = c.T[:, None, :]  # (K, 1, T), receiver-major
-    h1 = H[..., 0]
-    flat = (h1[..., :-1] == h1[..., 1:]) | (np.arange(K) == c[..., None])
-    mag = np.abs(H)
-    lemma = (flat.all(axis=-1) & structured
-             & ((mag > _SAFE_MAGNITUDE[0]) & (mag < _SAFE_MAGNITUDE[1])).all(axis=(-2, -1)))
-    at = c[..., None, None]
-    D = np.concatenate([np.take_along_axis(H, at, axis=3),
-                        np.take_along_axis(H, at + 1, axis=3)], axis=3)
-    return lemma, c, D
-
-
-def _smallest_singular(H: np.ndarray, mask: np.ndarray, where: np.ndarray) -> np.ndarray:
+def _smallest_singular(P: np.ndarray, c: np.ndarray, where: np.ndarray) -> np.ndarray:
     """SVD margins of the receiver matrices selected by ``where`` (K, trials, T),
-    in its C order, through one ``np.linalg.svd`` call."""
-    K = H.shape[0]
-    i, r, t = np.nonzero(where)
-    # (n, K, K+1, 2): every user's vector times the receiver's (h1, h2)
-    X = np.where(mask[t, :, :, None], H[i, r, t, None], 0)
+    in its C order, through one ``np.linalg.svd`` call; ``P`` and ``c`` are
+    :func:`_receiver_margins`' slot pairs and transition columns."""
+    K = P.shape[0]
+    i, r, t = (a[:, None] for a in np.nonzero(where))
     # column order: the receiver's two desired columns, then one per interferer
-    users = np.array([[j, j] + [u for u in range(K) if u != j] for j in range(K)])
+    users = np.array([[j, j] + [u for u in range(K) if u != j] for j in range(K)])[i[:, 0]]
     antenna = np.array([0, 1] + [0] * (K - 1))
-    B = np.ascontiguousarray(X[np.arange(len(i))[:, None], users[i], :, antenna].swapaxes(-1, -2))
+    B = np.zeros((len(i), K + 1, K + 1), dtype=complex)
+    B[np.arange(len(i))[:, None, None], c[t, users][..., None] + np.arange(2),
+      np.arange(K + 1)[:, None]] = P[i, r, t, users, :, antenna]
     B = B / np.maximum(np.linalg.norm(B, axis=-2, keepdims=True), 1e-300)
     return np.linalg.svd(B, compute_uv=False)[..., -1]
 
 
-def _receiver_margins(H: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
+def _meets_lemma(H: np.ndarray, cr: np.ndarray) -> np.ndarray:
+    """Which receiver matrices (K, trials, T) meet the chain lemma of
+    :func:`_schur`, their vectors straddling the transition columns ``cr``
+    (K, 1, T) of a permutation: the receiver's h1 must be equal on both slots
+    of every interferer, and its magnitudes must square without overflow or
+    underflow."""
+    h1 = H[..., 0]
+    mag = np.abs(H)
+    return (((h1[..., :-1] == h1[..., 1:]) | (np.arange(len(H)) == cr[..., None])).all(axis=-1)
+            & ((mag > _SAFE_MAGNITUDE[0]) & (mag < _SAFE_MAGNITUDE[1])).all(axis=(-2, -1)))
+
+
+def _receiver_margins(H: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial, per-thread form of :func:`receiver_checks`.
 
+    ``c`` (T, K) holds each user's transition column, a permutation of
+    0..K-1 in every thread: user j's vector is nonzero on slots c and c+1.
     Returns residuals (K, K, trials, T), zero on the receiver = interferer
     diagonal, and normalized smallest singular values (K, trials, T). The
     first SVD batch holds every matrix outside the chain lemma and, per
@@ -239,59 +247,62 @@ def _receiver_margins(H: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
     SVD value strictly above sigma*; it holds +inf. The rest go through a
     second batch, so the minimum and its position are exact.
     """
-    K = H.shape[0]
-    mask = np.asarray(v, dtype=bool)  # (T, K, K+1)
-    residuals = np.empty((K, K, *H.shape[1:3]))
-    for i in range(K):
-        # every interferer's column pair of receiver i at once, (trials, T, K, K+1);
-        # one receiver at a time keeps these the size of its receiver matrices
-        x = np.where(mask, H[i, :, :, None, :, 0], 0)
-        y = np.where(mask, H[i, :, :, None, :, 1], 0)
-        # singular-value ratio of each 2-column stack, computed via an explicit
-        # orthogonal rejection: the cancellation happens on vector entries
-        # (absolute error ~eps), so exactly proportional columns come out at
-        # ~1e-16 instead of the ~sqrt(eps) floor of Gram-eigenvalue formulas
-        nx2 = (x.real**2 + x.imag**2).sum(axis=-1)
-        ny2 = (y.real**2 + y.imag**2).sum(axis=-1)
-        alpha = (x.conj() * y).sum(axis=-1) / np.maximum(nx2, 1e-300)
-        yperp = y - alpha[..., None] * x
-        yperp2 = (yperp.real**2 + yperp.imag**2).sum(axis=-1)
-        det = nx2 * yperp2  # = lambda_min * lambda_max of the Gram matrix
-        tr = nx2 + ny2
-        lmax = 0.5 * (tr + np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
-        residuals[i] = np.moveaxis(np.sqrt(det) / np.maximum(lmax, 1e-300), -1, 0)
-        residuals[i, i] = 0.0
+    K, trials, T = H.shape[:3]
+    # P[i, r, t, j, s] is receiver i's (h1, h2) on slot c[t, j] + s
+    pairs = np.arange(T)[:, None, None] * (K + 1) + c[..., None] + np.arange(2)
+    P = np.take(H.reshape(K * trials, -1, 2), pairs.ravel(), axis=1).reshape(K, trials, T, K, 2, 2)
+    # singular-value ratio of each 2-column stack [h1 * v_j, h2 * v_j] = [x, y],
+    # computed via an explicit orthogonal rejection of y from x: the
+    # cancellation happens on vector entries (absolute error ~eps), so exactly
+    # proportional columns come out at ~1e-16 instead of the ~sqrt(eps) floor
+    # of Gram-eigenvalue formulas
+    x, y = P[..., 0], P[..., 1]
+    nx2 = _sum2(x.real**2 + x.imag**2)
+    tr = nx2 + _sum2(y.real**2 + y.imag**2)
+    y = y - (_sum2(x.conj() * y) / np.maximum(nx2, 1e-300))[..., None] * x
+    det = nx2 * _sum2(y.real**2 + y.imag**2)  # = lambda_min * lambda_max of the Gram matrix
+    lmax = 0.5 * (tr + np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
+    residuals = np.moveaxis(np.sqrt(det) / np.maximum(lmax, 1e-300), -1, 1)
+    residuals[range(K), range(K)] = 0.0
 
-    lemma, c, D = _lemma_blocks(H, mask)
-    guess = np.where(lemma, _schur(K, c, D, 0.0)[0], np.inf).reshape(K, -1)
+    cr = c.T[:, None, :]  # (K, 1, T), receiver-major
+    lemma = _meets_lemma(H, cr)
+    schur = _schur(K, cr, P[range(K), :, :, range(K)])
+    guess = np.where(lemma, schur(0.0)[0], np.inf).reshape(K, -1)
     first = ~lemma
     first.reshape(K, -1)[range(K), guess.argmin(axis=1)] = True
     singulars = np.full(lemma.shape, np.inf)
-    singulars[first] = _smallest_singular(H, mask, first)
+    singulars[first] = _smallest_singular(P, c, first)
     floor = singulars.min(axis=(1, 2)) + _SVD_SLACK * (K + 1) ** 2
-    rest = lemma & ~first & ~_schur(K, c, D, (floor ** 2)[:, None, None])[1]
+    rest = lemma & ~first & ~schur((floor ** 2)[:, None, None])[1]
     if rest.any():
-        singulars[rest] = _smallest_singular(H, mask, rest)
+        singulars[rest] = _smallest_singular(P, c, rest)
     return residuals, singulars
 
 
-def receiver_checks(H: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
+def receiver_checks(H: np.ndarray, M) -> tuple[np.ndarray, np.ndarray]:
     """Alignment residuals and decodability margins of every receiver.
 
-    ``H`` comes from :func:`channel_coeffs` and ``v`` (T, K, K+1) holds each
-    thread's 0/1 indicator vectors. Returns the worst residual over trials
-    and threads per (receiver, interferer), shape (K, K) with a zero
-    diagonal, and the worst normalized smallest singular value per receiver,
-    shape (K,).
+    ``H`` comes from :func:`channel_coeffs`. ``M`` holds each thread's
+    pattern matrix, shape (T, K, K), or one (K, K) for every thread; a
+    matrix that is not a permutation raises ``ValueError``. Returns the
+    worst residual over trials and threads per (receiver, interferer), shape
+    (K, K) with a zero diagonal, and the worst normalized smallest singular
+    value per receiver, shape (K,).
 
     Receiver i sees interferer j through the columns H_i1 * v_j and
-    H_i2 * v_j; their residual is the singular-value ratio of the 2-column
-    stack (scale invariant; 0 for an all-zero vector). Receiver i's matrix
-    holds its two desired columns plus one aligned column per interferer;
-    the smallest singular value of the column-normalized matrix above
-    tolerance means interference-free detection.
+    H_i2 * v_j, v_j being user j's :func:`beamforming_vectors` vector; their
+    residual is the singular-value ratio of the 2-column stack (scale
+    invariant). Receiver i's matrix holds its two desired columns plus one
+    aligned column per interferer; the smallest singular value of the
+    column-normalized matrix above tolerance means interference-free
+    detection.
     """
-    residuals, singulars = _receiver_margins(H, v)
+    M = np.asarray(M)
+    if not is_feasible_pattern(M):
+        raise ValueError("pattern matrices must be permutation matrices")
+    c = np.broadcast_to(np.argmax(M, axis=-1), (H.shape[2], H.shape[0]))
+    residuals, singulars = _receiver_margins(H, c)
     return residuals.max(axis=(2, 3)), singulars.min(axis=(1, 2))
 
 
@@ -358,10 +369,14 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
     if not report.passed:
         raise ValueError(f"schedule fails validation: {report.failures[:3]}")
     keep = np.sort(np.unique(sched.start_groups, return_index=True)[1])
+    cells = cfg.K * trials * len(keep) * (cfg.K + 1)
+    if cells > _VERIFY_CELLS:
+        raise SearchBudgetExceeded(f"{trials} trials of {len(keep)} distinct threads need "
+                                   f"{cells} coefficient cells, over the limit {_VERIFY_CELLS}")
     slots = np.asarray(sched.slots[keep], dtype=np.int64)
-    H, _ = channel_coeffs(cfg, slots, seed, trials)
-    v = beamforming_vectors(pattern_matrix(cfg, slots))
-    residuals, singulars = _receiver_margins(H, v)
+    H, blocks = channel_coeffs(cfg, slots, seed, trials)
+    # the pattern is the diff of the labels; validation made it a permutation
+    residuals, singulars = _receiver_margins(H, np.argmax(np.diff(blocks), axis=-1).T)
 
     def witness(d, trial, receiver, interferer=None):
         return Witness(int(keep[d]), int(sched.start_groups[keep[d]]), tuple(slots[d].tolist()),

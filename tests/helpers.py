@@ -15,6 +15,8 @@ from blindalign import (
     group_profile,
     group_slots,
     is_feasible_pattern,
+    signaling,
+    slot_map,
     verify_solution,
 )
 from blindalign.diophantine import _as_gaps
@@ -202,6 +204,111 @@ def receiver_checks_oracle(H, v):
                 norms = np.linalg.norm(B, axis=0)
                 B = B / np.where(norms > 0, norms, 1.0)
                 singulars[i] = min(singulars[i], np.linalg.svd(B, compute_uv=False)[-1])
+    return residuals, singulars
+
+
+def coefficient_candidates(cfg, slots, seed, trials):
+    """Every candidate of every coefficient, (K, trials, T, K+1, 2, 16), and
+    the block labels: each (user, block) pair's Philox stream read as
+    ``signaling.channel_coeffs`` reads it, one user at a time."""
+    slots = np.asarray(slots, dtype=np.int64)
+    blocks = slot_map(cfg, slots)[1]
+    h = np.empty((cfg.K, trials, *slots.shape, 2, signaling._CANDIDATES), dtype=complex)
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, signaling._KEY_SALT], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    for i, user_blocks in enumerate(blocks):
+        ub, inv = np.unique(user_blocks, return_inverse=True)
+        z = np.empty((len(ub), trials, 2, signaling._CANDIDATES, 2))
+        for row, b in zip(z, ub):
+            state["state"]["counter"] = np.array([0, 0, i + 1, b], dtype=np.uint64)
+            bitgen.state = state
+            gen.standard_normal(out=row)
+        h[i] = np.moveaxis((z[..., 0] + 1j * z[..., 1])[inv.reshape(user_blocks.shape)], -3, 0)
+    return h, blocks
+
+
+def channel_coeffs_oracle(cfg, slots, seed, trials):
+    """``signaling.channel_coeffs`` with every candidate tested: each
+    coefficient is its first candidate at or above the floor."""
+    h, blocks = coefficient_candidates(cfg, slots, seed, trials)
+    ok = np.abs(h) >= signaling.MAGNITUDE_FLOOR
+    if not ok.any(axis=-1).all():
+        raise RuntimeError("rejection budget exhausted while drawing coefficients")
+    return np.take_along_axis(h, np.argmax(ok, axis=-1)[..., None], axis=-1)[..., 0], blocks
+
+
+def lemma_blocks(H, mask):
+    """Which receiver matrices (K, trials, T) meet the chain lemma on any 0/1
+    vectors ``mask`` (T, K, K+1), with their transition columns c (K, 1, T)
+    and blocks D (K, trials, T, 2, 2): the generic form of the verifier's
+    guard, which also tests that the vectors straddle a permutation."""
+    K = H.shape[0]
+    c = np.minimum(np.argmax(mask, axis=-1), K - 1)  # (T, K), in range on any vectors
+    slot = np.arange(K + 1)
+    straddle = (slot == c[..., None]) | (slot == c[..., None] + 1)
+    structured = ((mask == straddle).all(axis=(-2, -1))
+                  & (np.sort(c, axis=-1) == np.arange(K)).all(axis=-1))
+    c = c.T[:, None, :]
+    h1 = H[..., 0]
+    flat = (h1[..., :-1] == h1[..., 1:]) | (np.arange(K) == c[..., None])
+    mag = np.abs(H)
+    lo, hi = signaling._SAFE_MAGNITUDE
+    lemma = flat.all(axis=-1) & structured & ((mag > lo) & (mag < hi)).all(axis=(-2, -1))
+    at = c[..., None, None]
+    D = np.concatenate([np.take_along_axis(H, at, axis=3),
+                        np.take_along_axis(H, at + 1, axis=3)], axis=3)
+    return lemma, c, D
+
+
+def smallest_singular_generic(H, mask, where):
+    """SVD margins of the receiver matrices selected by ``where``, built from
+    any 0/1 vectors ``mask``, through one ``np.linalg.svd`` call."""
+    K = H.shape[0]
+    i, r, t = np.nonzero(where)
+    X = np.where(mask[t, :, :, None], H[i, r, t, None], 0)
+    users = np.array([[j, j] + [u for u in range(K) if u != j] for j in range(K)])
+    antenna = np.array([0, 1] + [0] * (K - 1))
+    B = np.ascontiguousarray(X[np.arange(len(i))[:, None], users[i], :, antenna].swapaxes(-1, -2))
+    B = B / np.maximum(np.linalg.norm(B, axis=-2, keepdims=True), 1e-300)
+    return np.linalg.svd(B, compute_uv=False)[..., -1]
+
+
+def receiver_margins_generic(H, v):
+    """The verifier kernel on any 0/1 vectors ``v`` (T, K, K+1): residuals
+    (K, K, trials, T) one receiver at a time over every slot, and singular
+    values (K, trials, T) through the same screen, with the structure of
+    the vectors tested instead of assumed. On permutation vectors it must
+    give the bits of ``signaling._receiver_margins``."""
+    K = H.shape[0]
+    mask = np.asarray(v, dtype=bool)
+    residuals = np.empty((K, K, *H.shape[1:3]))
+    for i in range(K):
+        x = np.where(mask, H[i, :, :, None, :, 0], 0)
+        y = np.where(mask, H[i, :, :, None, :, 1], 0)
+        nx2 = (x.real**2 + x.imag**2).sum(axis=-1)
+        ny2 = (y.real**2 + y.imag**2).sum(axis=-1)
+        alpha = (x.conj() * y).sum(axis=-1) / np.maximum(nx2, 1e-300)
+        yperp = y - alpha[..., None] * x
+        yperp2 = (yperp.real**2 + yperp.imag**2).sum(axis=-1)
+        det = nx2 * yperp2
+        tr = nx2 + ny2
+        lmax = 0.5 * (tr + np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
+        residuals[i] = np.moveaxis(np.sqrt(det) / np.maximum(lmax, 1e-300), -1, 0)
+        residuals[i, i] = 0.0
+
+    lemma, c, D = lemma_blocks(H, mask)
+    schur = signaling._schur(K, c, D)
+    guess = np.where(lemma, schur(0.0)[0], np.inf).reshape(K, -1)
+    first = ~lemma
+    first.reshape(K, -1)[range(K), guess.argmin(axis=1)] = True
+    singulars = np.full(lemma.shape, np.inf)
+    singulars[first] = smallest_singular_generic(H, mask, first)
+    floor = singulars.min(axis=(1, 2)) + signaling._SVD_SLACK * (K + 1) ** 2
+    rest = lemma & ~first & ~schur((floor ** 2)[:, None, None])[1]
+    if rest.any():
+        singulars[rest] = smallest_singular_generic(H, mask, rest)
     return residuals, singulars
 
 

@@ -141,6 +141,16 @@ class TestDecomposeVerify:
         _, out2, _ = run(capsys, "verify", "--schedule", str(path), "--seed", "9")
         assert out1 == out2
 
+    def test_huge_trials_exit_2(self, tmp_path, capsys):
+        # K * trials * T * (K+1) = 4 * 10^12 * 4 * 5 coefficient cells (petabytes
+        # of draws) for the 4 distinct threads: refused before anything is drawn
+        path = tmp_path / "sched.json"
+        run(capsys, "decompose", "--N", "60", "--offsets", "0,15,30,45", "--out", str(path))
+        code, out, err = run(capsys, "verify", "--schedule", str(path),
+                             "--trials", "1000000000000")
+        assert code == 2 and out == ""
+        assert "80000000000000 coefficient cells" in err
+
     def test_infeasible_exit_1(self, capsys):
         code, _, err = run(capsys, "decompose", "--N", "8", "--offsets", "0,1,2")
         assert code == 1

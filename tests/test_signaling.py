@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from blindalign import (
     MAGNITUDE_FLOOR,
     ChannelConfig,
+    SearchBudgetExceeded,
     beamforming_vectors,
     block_index,
     build_schedule,
@@ -22,7 +23,15 @@ from blindalign import (
     slot_map,
     verify_schedule_end_to_end,
 )
-from helpers import brute_force_solve, random_feasible_config, receiver_checks_oracle
+from helpers import (
+    brute_force_solve,
+    channel_coeffs_oracle,
+    coefficient_candidates,
+    lemma_blocks,
+    random_feasible_config,
+    receiver_checks_oracle,
+    receiver_margins_generic,
+)
 
 FIG_CFG = ChannelConfig(4, (0, 1, 2))
 FIG_LAMBDA = (0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
@@ -33,9 +42,9 @@ def evenly_spread(N, K):
 
 
 @st.composite
-def feasible_configs(draw):
+def feasible_configs(draw, k_max=5):
     """Random feasible configs, and evenly spread ones with few distinct threads."""
-    K = draw(st.integers(2, 5))
+    K = draw(st.integers(2, k_max))
     if draw(st.booleans()):
         # N >= K(K+1) keeps every gap >= ceil(N/(K+1))
         return evenly_spread(draw(st.integers(K * (K + 1), 60)), K)
@@ -53,9 +62,9 @@ def label_rows(cfg, sched):
 
 
 def thread_inputs(cfg, slots, seed, trials=1):
-    """Kernel inputs for one thread: H (K, trials, 1, K+1, 2) and v (1, K, K+1)."""
+    """Kernel inputs for one thread: H (K, trials, 1, K+1, 2) and M (1, K, K)."""
     H, _ = channel_coeffs(cfg, [slots], seed, trials)
-    return H, beamforming_vectors(pattern_matrix(cfg, slots))[None]
+    return H, pattern_matrix(cfg, slots)[None]
 
 
 class TestBeamforming:
@@ -120,6 +129,26 @@ class TestChannelDraws:
         H, _ = channel_coeffs(ChannelConfig(2, (0, 1)), slots, seed=3, trials=1)
         assert np.abs(H).min() >= MAGNITUDE_FLOOR
 
+    def test_rejection_path_matches_all_candidates(self):
+        # the kernel tests only each coefficient's first candidate unless it
+        # falls below the floor (about 1 in 800); the reference tests all 16
+        cfg = ChannelConfig(23, (4, 9, 13, 18, 0))
+        slots = schedule_of(cfg).slots[:6]
+        rejected = 0
+        for seed in range(3):
+            H, blocks = channel_coeffs(cfg, slots, seed, 20)
+            want, want_blocks = channel_coeffs_oracle(cfg, slots, seed, 20)
+            np.testing.assert_array_equal(H.view(np.int64), want.view(np.int64))
+            np.testing.assert_array_equal(blocks, want_blocks)
+            first = coefficient_candidates(cfg, slots, seed, 20)[0][..., 0]
+            rejected += int((np.abs(first) < MAGNITUDE_FLOOR).sum())
+        assert rejected > 0
+
+    def test_rejection_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(signaling, "MAGNITUDE_FLOOR", 100.0)
+        with pytest.raises(RuntimeError, match="rejection budget"):
+            channel_coeffs(FIG_CFG, self.SLOTS, seed=5, trials=3)
+
 
 class TestTupleVerifiers:
     """Negative and positive cases on ``receiver_checks``, the verifier kernel."""
@@ -133,15 +162,22 @@ class TestTupleVerifiers:
         # slots (3,5,6,7) cross two users in one transition; vectors built as
         # if the pattern were the identity straddle a real channel change
         H, _ = channel_coeffs(FIG_CFG, [(3, 5, 6, 7)], seed=4, trials=1)
-        fake = beamforming_vectors(np.eye(3, dtype=int))[None]
-        residuals, _ = receiver_checks(H, fake)
+        residuals, _ = receiver_checks(H, np.eye(3, dtype=int))
         assert residuals.max() > 1e-3
 
     def test_zero_vector_convention(self):
-        H, v = thread_inputs(FIG_CFG, (3, 4, 5, 6), seed=4)
+        # a zeroed vector is no pattern: the kernel refuses it, and the generic
+        # path kept as its oracle gives the zero vector's residuals 0
+        H, M = thread_inputs(FIG_CFG, (3, 4, 5, 6), seed=4)
+        v = beamforming_vectors(M)
         v[0, 2] = 0
-        residuals, _ = receiver_checks(H, v)
+        residuals = receiver_margins_generic(H, v)[0].max(axis=(2, 3))
         assert residuals[0, 2] == 0.0 and residuals[1, 2] == 0.0
+        zeroed = M.copy()
+        zeroed[0, 2] = 0
+        for bad in (zeroed, np.ones((3, 3), dtype=int), np.eye(4, dtype=int)):
+            with pytest.raises(ValueError):
+                receiver_checks(H, bad)
 
     def test_decodability_many_seeds(self):
         for seed in range(100):
@@ -165,7 +201,9 @@ class TestTupleVerifiers:
             assert residuals.max() < 1e-9 and singulars.min() > 1e-9
 
     def test_matches_svd_oracle(self):
-        # true, fake (random permutation) and partly zeroed indicator vectors
+        # true and fake (random permutation) patterns through the kernel, and
+        # partly zeroed indicator vectors, which it refuses, through the
+        # generic path kept as its oracle
         rng = np.random.default_rng(61)
         for _ in range(12):
             cfg = random_feasible_config(rng, int(rng.integers(2, 6)), 30)
@@ -173,19 +211,28 @@ class TestTupleVerifiers:
             sched = build_schedule(cfg, closed_form_solution(group_profile(cfg)))
             threads = sched.slots[:3]
             H, _ = channel_coeffs(cfg, threads, int(rng.integers(100)), 3)
-            v = np.stack([beamforming_vectors(pattern_matrix(cfg, row)) for row in threads])
-            fake = beamforming_vectors(np.eye(K, dtype=int)[rng.permutation(K)])
-            zeroed = v.copy()
-            zeroed[0, int(rng.integers(K))] = 0
-            for vec in (v, np.broadcast_to(fake, v.shape), zeroed):
-                got = receiver_checks(H, vec)
-                want = receiver_checks_oracle(H, vec)
+            M = pattern_matrix(cfg, threads)
+            fake = np.eye(K, dtype=int)[rng.permutation(K)]
+            for pattern in (M, fake):
+                got = receiver_checks(H, pattern)
+                want = receiver_checks_oracle(H, np.broadcast_to(beamforming_vectors(pattern),
+                                                                 (len(threads), K, K + 1)))
                 for g, w in zip(got, want):
                     np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+            user = int(rng.integers(K))
+            zeroed = beamforming_vectors(M)
+            zeroed[0, user] = 0
+            residuals, singulars = receiver_margins_generic(H, zeroed)
+            want = receiver_checks_oracle(H, zeroed)
+            for g, w in zip((residuals.max(axis=(2, 3)), singulars.min(axis=(1, 2))), want):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+            M[0, user] = 0
+            with pytest.raises(ValueError):
+                receiver_checks(H, M)
 
 
 def lemma_thread(K, c, D, rng):
-    """H (K, 1, 1, K+1, 2) and v (1, K, K+1) of one thread whose receiver 1
+    """H (K, 1, 1, K+1, 2) and M (1, K, K) of one thread whose receiver 1
     has transition column c and block D: h1 is constant on slots 0..c and
     on c+1..K, so every interferer column is a multiple of e_t + e_{t+1}."""
     others = [col for col in range(K) if col != c]
@@ -196,7 +243,7 @@ def lemma_thread(K, c, D, rng):
     H[0, 0, 0, :c + 1, 0] = D[0, 0]
     H[0, 0, 0, c + 1:, 0] = D[1, 0]
     H[0, 0, 0, c:c + 2, 1] = D[:, 1]
-    return H, beamforming_vectors(M)[None]
+    return H, M[None]
 
 
 class TestScreen:
@@ -230,7 +277,7 @@ class TestScreen:
             assert abs(np.linalg.det(S(sigma ** 2))) < 1e-9
             below = np.linalg.eigvalsh(S(0.999 * sigma ** 2))[0]
             assert below > 0
-            np.testing.assert_allclose(signaling._schur(K, c, D, 0.999 * sigma ** 2)[0],
+            np.testing.assert_allclose(signaling._schur(K, c, D)(0.999 * sigma ** 2)[0],
                                        below, rtol=1e-9)
             # w(0) = 1/(n+1) on both chains
             np.testing.assert_allclose(1 - (q[c] / mu[c]).sum(axis=-1), [1 / (c + 1), 1 / (K - c)])
@@ -260,12 +307,13 @@ class TestScreen:
                 if np.linalg.eigvalsh(Dn.conj().T @ np.diag(w0) @ Dn)[0] >= mu[c].min():
                     cases.append(("past mu_min", wide))
             for kind, D in cases:
-                H, v = lemma_thread(K, c, D, rng)
+                H, M = lemma_thread(K, c, D, rng)
+                v = beamforming_vectors(M)
                 sigma = receiver_checks_oracle(H, v)[1][0]
-                lemma, cs, Ds = signaling._lemma_blocks(H, v.astype(bool))
+                lemma, cs, Ds = lemma_blocks(H, v.astype(bool))
                 assert lemma[0, 0, 0] and cs[0, 0, 0] == c
                 np.testing.assert_array_equal(Ds[0, 0, 0], D)
-                ok = signaling._schur(K, c, D, (levels * sigma) ** 2)[1]
+                ok = signaling._schur(K, c, D)((levels * sigma) ** 2)[1]
                 assert not ok[levels >= 1].any(), (kind, c, sigma, ok)
                 if kind != "near-singular":
                     assert ok[levels < 1].all(), (kind, c, sigma, ok)
@@ -274,11 +322,15 @@ class TestScreen:
         assert certified["past mu_min"] > 0 or K < 5  # such blocks exist from K = 5
 
     def test_lemma_checks_refuse(self):
-        # fake vectors, zeroed vectors, a broken h1 and huge coefficients
-        # leave the lemma, so their matrices always go through the SVD
+        # zeroed and user-swapped vectors, a broken h1 and huge coefficients
+        # leave the lemma, so their matrices always go through the SVD. The
+        # generic oracle tests the vectors' structure; the kernel refuses a
+        # zeroed pattern outright, and its h1-flatness and magnitude guard
+        # catch the rest: a swap is still a permutation
         rng = np.random.default_rng(3)
-        H, v = lemma_thread(4, 1, rng.normal(size=(2, 2)) + 0j, rng)
-        assert signaling._lemma_blocks(H, v.astype(bool))[0][0, 0, 0]
+        H, M = lemma_thread(4, 1, rng.normal(size=(2, 2)) + 0j, rng)
+        v = beamforming_vectors(M)
+        assert lemma_blocks(H, v.astype(bool))[0][0, 0, 0]
         zeroed = v.copy()
         zeroed[0, 2] = 0
         swapped = v[:, [1, 0, 2, 3]]
@@ -286,7 +338,18 @@ class TestScreen:
         broken[0, 0, 0, 0, 0] *= 1 + 1e-15
         huge = H * 1e200
         for h, vec in ((H, zeroed), (H, swapped), (broken, v), (huge, v)):
-            assert not signaling._lemma_blocks(h, vec.astype(bool))[0][0, 0, 0]
+            assert not lemma_blocks(h, vec.astype(bool))[0][0, 0, 0]
+        M_zeroed = M.copy()
+        M_zeroed[0, 2] = 0
+        with pytest.raises(ValueError):
+            receiver_checks(H, M_zeroed)
+
+        def columns(M):
+            return np.argmax(M, axis=-1).T[:, None, :]
+
+        assert signaling._meets_lemma(H, columns(M))[0, 0, 0]
+        for h, m in ((H, M[:, [1, 0, 2, 3]]), (broken, M), (huge, M)):
+            assert not signaling._meets_lemma(h, columns(m))[0, 0, 0]
 
     @settings(max_examples=30, deadline=None)
     @given(cfg=feasible_configs(), seed=st.integers(0, 1000))
@@ -302,11 +365,36 @@ class TestScreen:
                         lambda key, ok: (-key, ok),
                         lambda key, ok: (rng.random(np.shape(key)), ok)):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(signaling, "_schur", lambda *a, variant=variant: variant(*schur(*a)))
+                mp.setattr(signaling, "_schur",
+                           lambda *a, variant=variant: lambda lam: variant(*schur(*a)(lam)))
                 other = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=6)
             assert float.hex(screened.min_singular) == float.hex(other.min_singular)
             assert screened.singular_witness == other.singular_witness
             assert screened == other
+
+
+class TestPairKernel:
+    """The slot-pair kernel against the generic path it replaced, kept as its oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=feasible_configs(k_max=7), seed=st.integers(0, 1000), trials=st.integers(1, 6))
+    def test_bits_match_generic_path(self, cfg, seed, trials):
+        sched = schedule_of(cfg)
+        slots = sched.slots[np.sort(np.unique(sched.start_groups, return_index=True)[1])]
+        H, _ = channel_coeffs(cfg, slots, seed, trials)
+        M = pattern_matrix(cfg, slots)
+        got = signaling._receiver_margins(H, np.argmax(M, axis=-1))
+        want = receiver_margins_generic(H, beamforming_vectors(M))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+        # the whole report, witnesses included, with the generic path inside
+        report = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=trials)
+        patterns = np.eye(cfg.K, dtype=int)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signaling, "_receiver_margins",
+                       lambda H, c: receiver_margins_generic(H, beamforming_vectors(patterns[c])))
+            assert verify_schedule_end_to_end(cfg, sched, seed=seed, trials=trials) == report
 
 
 class TestEndToEnd:
@@ -329,8 +417,7 @@ class TestEndToEnd:
         sched = schedule_of(cfg)
         summary = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=4)
         H, _ = channel_coeffs(cfg, sched.slots, seed, 4)
-        v = np.stack([beamforming_vectors(pattern_matrix(cfg, row)) for row in sched.slots])
-        residuals, singulars = receiver_checks(H, v)
+        residuals, singulars = receiver_checks(H, pattern_matrix(cfg, sched.slots))
         assert summary.max_residual == residuals.max()
         assert summary.min_singular == singulars.min()
         assert summary.n_tuples == len(sched.slots) == cfg.N
@@ -381,12 +468,12 @@ class TestEndToEnd:
             assert not (rows[:w.thread] == rows[w.thread]).all(axis=1).any()
         # each receiver matrix recomputed alone, on its own trial
         H, _ = channel_coeffs(cfg, [res_w.slots], seed, trials)
-        v = beamforming_vectors(pattern_matrix(cfg, res_w.slots))[None]
-        residuals, _ = receiver_checks(H[:, res_w.trial:res_w.trial + 1], v)
+        residuals, _ = receiver_checks(H[:, res_w.trial:res_w.trial + 1],
+                                       pattern_matrix(cfg, res_w.slots))
         assert residuals[res_w.receiver - 1, res_w.interferer - 1] == summary.max_residual
         H, _ = channel_coeffs(cfg, [sig_w.slots], seed, trials)
-        v = beamforming_vectors(pattern_matrix(cfg, sig_w.slots))[None]
-        _, singulars = receiver_checks(H[:, sig_w.trial:sig_w.trial + 1], v)
+        _, singulars = receiver_checks(H[:, sig_w.trial:sig_w.trial + 1],
+                                       pattern_matrix(cfg, sig_w.slots))
         assert singulars[sig_w.receiver - 1] == summary.min_singular
 
     def test_deterministic(self):
@@ -415,6 +502,9 @@ class TestEndToEnd:
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
         with pytest.raises(ValueError):
             verify_schedule_end_to_end(FIG_CFG, sched, seed=0, trials=0)
+        # 3 * 10^9 * 4 * 4 coefficient cells, refused before any draw
+        with pytest.raises(SearchBudgetExceeded, match="48000000000 coefficient cells"):
+            verify_schedule_end_to_end(FIG_CFG, sched, seed=0, trials=10**9)
 
     def test_config_must_match_schedule(self):
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
