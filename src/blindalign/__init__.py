@@ -20,11 +20,9 @@ from .pattern import (
     enumerate_feasible_patterns,
 )
 from .feasibility import (
-    check_weak,
     check_feasible,
     FeasibilityReport,
     check_config,
-    circular_gap_check,
     FeasibleRegion,
     feasible_region,
     find_feasible_subset,

@@ -33,6 +33,7 @@ __all__ = [
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MC_CHUNK = 1 << 15  # fixed: estimates are bit-identical for any thread count
+_EXACT_PAIRS = 10**8  # exact_count's size bound; past it, use monte_carlo_p
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,7 @@ def _occupied_sets(N: int, j: int, lo: int, hi: int) -> np.ndarray:
     return cols
 
 
-def exact_count(N: int, K: int, k_target: int, guard: int = 10**8,
-                threads: int = 1) -> CountResult:
+def exact_count(N: int, K: int, k_target: int, *, threads: int = 1) -> CountResult:
     """Exact count of the N^(K-1) placements with no feasible subset.
 
     Feasibility depends only on the set of occupied boxes, so the count runs
@@ -151,9 +151,9 @@ def exact_count(N: int, K: int, k_target: int, guard: int = 10**8,
     bad = sum_j c_j * gamma_count(j, K-1, j-1), where c_j counts the sets
     with no feasible k_target-subset and the multiplier counts the ways the
     K-1 labeled balls land on {0} ∪ S covering S. Sets with j < k_target
-    have no subset to test and are all bad. ``guard`` bounds the number of
-    (occupied set, k_target-subset) pairs, sum_j C(N-1, j-1) * C(j, k_target);
-    the greedy-jump kernel never tries those subsets one by one, so this is a
+    have no subset to test and are all bad. ``_EXACT_PAIRS`` bounds the (occupied
+    set, k_target-subset) pairs, sum_j C(N-1, j-1) * C(j, k_target); the
+    greedy-jump kernel never tries those subsets one by one, so this is a
     size bound on the instance, not a count of the work done.
     """
     _check_positive(N=N, threads=threads)
@@ -161,11 +161,9 @@ def exact_count(N: int, K: int, k_target: int, guard: int = 10**8,
         raise ValueError(f"k_target must be in 2..{K}")
     sizes = range(1, min(K, N) + 1)
     work = sum(math.comb(N - 1, j - 1) * math.comb(j, k_target) for j in sizes)
-    if work > guard:
-        raise SearchBudgetExceeded(
-            f"{work} (occupied set, {k_target}-subset) pairs exceed the guard "
-            f"{guard}; use monte_carlo_p instead"
-        )
+    if work > _EXACT_PAIRS:
+        raise SearchBudgetExceeded(f"{work} (occupied set, {k_target}-subset) pairs exceed "
+                                   f"the guard {_EXACT_PAIRS}; use monte_carlo_p instead")
     chunk = 1 << 20
     tasks = [(j, lo) for j in sizes for lo in range(0, math.comb(N - 1, j - 1), chunk)]
 
@@ -184,15 +182,14 @@ def exact_count(N: int, K: int, k_target: int, guard: int = 10**8,
     return CountResult(value=value, kind="exact_occupancy")
 
 
-def probability_exact(N: int, K: int, k_target: int, guard: int = 10**8,
-                      threads: int = 1) -> ProbabilityEstimate:
+def probability_exact(N: int, K: int, k_target: int, *, threads: int = 1) -> ProbabilityEstimate:
     """P(some k_target-user subset is feasible), exactly: pairs from the
     closed form ``f_2user`` (no guard needed), larger subsets by ``exact_count``."""
     _check_positive(N=N, threads=threads)
     if k_target == 2:
         bad = f_2user(N, K).value
     else:
-        bad = exact_count(N, K, k_target, guard=guard, threads=threads).value
+        bad = exact_count(N, K, k_target, threads=threads).value
     p = float(1 - Fraction(bad, N ** (K - 1)))
     return ProbabilityEstimate(p=p, method="exact")
 

@@ -2,8 +2,8 @@
 
 The governing condition for K users is sum(s) <= (K+1) * min(s) on the
 circular gap vector s, equivalently: every gap >= ceil(N / (K+1)). The
-functions here are three views of that one condition plus region/subset
-enumeration built on it; every gap test on offsets runs through one kernel.
+functions here are two views of that one condition plus region and subset
+search built on it; every gap test on offsets runs through one kernel.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -19,11 +18,9 @@ from .errors import SearchBudgetExceeded
 from .pattern import ChannelConfig, group_profile
 
 __all__ = [
-    "check_weak",
     "check_feasible",
     "FeasibilityReport",
     "check_config",
-    "circular_gap_check",
     "FeasibleRegion",
     "feasible_region",
     "find_feasible_subset",
@@ -32,17 +29,6 @@ __all__ = [
 
 _ROW_BLOCK = 4096  # rows per kernel pass: bounds its temporaries, not its result
 _REGION_CELLS = 2**20  # region grids live in memory: the CLI peaks at 54 MB at N = 1024
-
-
-def check_weak(s) -> bool:
-    """Necessary 3-user condition: max gap at most twice the min gap.
-
-    Weaker than :func:`check_feasible`; exposed as a quick diagnostic only.
-    """
-    s = tuple(s)
-    if len(s) != 3:
-        raise ValueError("weak condition is defined for 3-user profiles only")
-    return max(s) <= 2 * min(s)
 
 
 def check_feasible(s) -> bool:
@@ -151,21 +137,6 @@ def check_config(cfg: ChannelConfig) -> FeasibilityReport:
     )
 
 
-def circular_gap_check(offsets, N: int) -> bool:
-    """True iff all circular gaps of the offset multiset reach ceil(N/(K+1)).
-
-    Agrees with :func:`check_config` on every input: an integer gap g
-    satisfies g >= N/(K+1) exactly when g >= ceil(N/(K+1)).
-    """
-    offsets = tuple(offsets)
-    K = len(offsets)
-    if K < 2:
-        raise ValueError("need at least 2 offsets")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return bool(feasible_subset_rows([[int(o) % N for o in offsets]], N, K)[0])
-
-
 @dataclass(frozen=True)
 class FeasibleRegion:
     """All feasible (offset_2, offset_3) pairs for a 3-user channel, benchmark
@@ -203,7 +174,12 @@ def find_feasible_subset(offsets, N: int, k_target: int):
     """First (lexicographically smallest) k_target-user subset that is feasible.
 
     Returns a tuple of 1-based user indices, or None when no subset of that
-    size has all circular gaps >= ceil(N/(k_target+1)).
+    size has all circular gaps >= ceil(N/(k_target+1)); k_target = K tests
+    the whole config. A prefix search: with users F chosen, each user u that
+    far from all of F gives one kernel row, F, u and every user that far
+    from all of them, padded with u's offset. It is feasible iff F and u lie
+    in a feasible subset, so the first such u is next: k_target calls on at
+    most K rows, O(K^2 * k_target) cells instead of C(K, k_target) subsets.
     """
     offsets = tuple(offsets)
     K = len(offsets)
@@ -211,7 +187,16 @@ def find_feasible_subset(offsets, N: int, k_target: int):
         raise ValueError(f"k_target must be in 2..{K}")
     if N < 1:
         raise ValueError("N must be >= 1")
-    subsets = list(combinations(range(1, K + 1), k_target))
-    rows = [[int(offsets[u - 1]) % N for u in users] for users in subsets]
-    ok = feasible_subset_rows(rows, N, k_target)
-    return subsets[int(ok.argmax())] if ok.any() else None
+    pos = np.array([int(o) % N for o in offsets], dtype=row_dtype(N))
+    gap = (pos[:, None] - pos) % N
+    far = np.minimum(gap, N - gap) >= -(-N // (k_target + 1))
+    chosen, free = [], np.ones(K, dtype=bool)
+    for _ in range(k_target):
+        cands = np.flatnonzero(free)
+        keep = np.isin(np.arange(K), chosen) | (free & far[cands])
+        ok = feasible_subset_rows(np.where(keep, pos, pos[cands, None]), N, k_target)
+        if not ok.any():
+            return None
+        chosen.append(int(cands[ok.argmax()]))
+        free &= far[chosen[-1]]
+    return tuple(u + 1 for u in chosen)

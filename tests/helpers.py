@@ -114,6 +114,17 @@ def min_circular_gap(offsets, N):
     return min(gaps)
 
 
+def first_feasible_subset_oracle(offsets, N, k_target):
+    """Slow oracle for ``find_feasible_subset``: the first k_target-subset,
+    in ``itertools.combinations`` order, whose circular gaps all reach
+    ceil(N/(k_target+1)), as 1-based users, or None."""
+    need = -(-N // (k_target + 1))
+    for users in combinations(range(1, len(offsets) + 1), k_target):
+        if min_circular_gap([offsets[u - 1] for u in users], N) >= need:
+            return users
+    return None
+
+
 def subset_rows_oracle(offs, N, k_target):
     """Slow oracle for ``feasible_subset_rows``: per row, does some k_target
     of its offsets have every circular gap >= ceil(N/(k_target+1))? Every

@@ -20,6 +20,7 @@ from blindalign import (
     p_upper_3,
     probability_exact,
 )
+from blindalign import counting
 from blindalign.counting import _occupied_sets
 from blindalign.feasibility import row_dtype
 from helpers import enumeration_count, stirling2
@@ -210,15 +211,19 @@ class TestExactCount:
                 bad += 1
         assert exact_count(N, K, 3).value == bad
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        assert counting._EXACT_PAIRS == 10**8
+        monkeypatch.setattr(counting, "_EXACT_PAIRS", 10**6)
         with pytest.raises(SearchBudgetExceeded, match="monte_carlo"):
-            exact_count(100, 6, 3, guard=10**6)
+            exact_count(100, 6, 3)
 
-    def test_guard_counts_subset_tests(self):
+    def test_guard_counts_subset_tests(self, monkeypatch):
         # sum_j C(15, j-1) * C(j, 3) over j = 3..6 is 75,635 at (16,6,3)
-        assert exact_count(16, 6, 3, guard=75635).value == 334126
-        with pytest.raises(SearchBudgetExceeded, match="monte_carlo"):
-            exact_count(16, 6, 3, guard=75634)
+        monkeypatch.setattr(counting, "_EXACT_PAIRS", 75635)
+        assert exact_count(16, 6, 3).value == 334126
+        monkeypatch.setattr(counting, "_EXACT_PAIRS", 75634)
+        with pytest.raises(SearchBudgetExceeded, match="guard 75634; use monte_carlo"):
+            exact_count(16, 6, 3)
 
     def test_threads_do_not_change_result(self):
         assert exact_count(8, 4, 3).value == exact_count(8, 4, 3, threads=4).value

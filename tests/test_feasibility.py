@@ -1,4 +1,5 @@
-from itertools import combinations, product
+import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from blindalign import (
     ChannelConfig,
     check_config,
     check_feasible,
-    check_weak,
-    circular_gap_check,
     feasible_region,
     find_feasible_subset,
     group_profile,
@@ -18,7 +17,14 @@ from blindalign import (
 from blindalign.errors import SearchBudgetExceeded
 from blindalign.feasibility import (_REGION_CELLS, _ROW_BLOCK, feasible_sorted_block,
                                     feasible_subset_rows, row_dtype)
-from helpers import brute_force_solve, compositions, min_circular_gap, subset_rows_oracle
+from helpers import (brute_force_solve, compositions, first_feasible_subset_oracle,
+                     subset_rows_oracle)
+
+
+def whole_config_feasible(offsets, N):
+    """The circular gap check on offsets: the k_target = K subset search."""
+    offsets = tuple(offsets)
+    return find_feasible_subset(offsets, N, len(offsets)) is not None
 
 
 def _first_chain_ends_in_time(row, N, k_target):
@@ -35,22 +41,12 @@ def _first_chain_ends_in_time(row, N, k_target):
 
 
 class TestWeakCondition:
-    def test_known_values(self):
-        assert check_weak((1, 1, 2))
-        assert not check_weak((1, 1, 3))
-        assert check_weak((5, 5, 10))
-
-    def test_rejects_other_sizes(self):
-        with pytest.raises(ValueError):
-            check_weak((1, 1))
-        with pytest.raises(ValueError):
-            check_weak((1, 1, 1, 1))
-
     def test_implied_by_full_condition(self):
+        # the weak 3-user condition, max gap at most twice the min gap
         for N in range(1, 41):
             for s in compositions(N, 3):
                 if check_feasible(s):
-                    assert check_weak(s)
+                    assert max(s) <= 2 * min(s)
 
 
 class TestFullCondition:
@@ -74,7 +70,7 @@ class TestThreeFormulations:
         for cfg in self.exhaustive_cases():
             a = check_config(cfg).feasible
             b = check_feasible(group_profile(cfg))
-            c = circular_gap_check(cfg.offsets, cfg.N)
+            c = whole_config_feasible(cfg.offsets, cfg.N)
             assert a == b == c
 
     def test_random_higher_k(self):
@@ -85,7 +81,7 @@ class TestThreeFormulations:
             cfg = ChannelConfig(N, tuple(int(x) for x in rng.integers(0, N, K)))
             a = check_config(cfg).feasible
             b = check_feasible(group_profile(cfg))
-            c = circular_gap_check(cfg.offsets, cfg.N)
+            c = whole_config_feasible(cfg.offsets, cfg.N)
             assert a == b == c
 
     def test_duplicate_offsets_infeasible(self):
@@ -109,23 +105,23 @@ class TestThreeFormulations:
 
 class TestCircularGapCheck:
     def test_known_values(self):
-        assert circular_gap_check((0, 1, 2), 4)
-        assert circular_gap_check((0, 4, 8), 16)
-        assert not circular_gap_check((0, 2, 8), 16)
+        assert whole_config_feasible((0, 1, 2), 4)
+        assert whole_config_feasible((0, 4, 8), 16)
+        assert not whole_config_feasible((0, 2, 8), 16)
 
     def test_offsets_past_int64(self):
         N = 3 * 2**63
         for offsets in ((0, 2**63, 2**64), (0, 2**63, 2**64 + 5), (5, -1, 2**70)):
             expected = check_config(ChannelConfig(N, offsets)).feasible
-            assert circular_gap_check(offsets, N) == expected
-        assert circular_gap_check((0, 2**63, 2**64), N)
+            assert whole_config_feasible(offsets, N) == expected
+        assert whole_config_feasible((0, 2**63, 2**64), N)
         assert find_feasible_subset((0, 1, 2**63, 2**64), N, 3) == (1, 3, 4)
 
     def test_circular_not_linear_differences(self):
         # pairwise |differences| are all >= 5 here, but the ring gap 20-18=2
         # breaks feasibility; the circular reading must reject it
-        assert not circular_gap_check((0, 5, 18), 20)
-        assert circular_gap_check((0, 5, 15), 20)
+        assert not whole_config_feasible((0, 5, 18), 20)
+        assert whole_config_feasible((0, 5, 15), 20)
 
 
 class TestFeasibleRegion:
@@ -201,13 +197,55 @@ class TestFindFeasibleSubset:
             K = int(rng.integers(2, 7))
             k_target = int(rng.integers(2, K + 1))
             offsets = tuple(int(x) for x in rng.integers(0, N, K))
-            need = -(-N // (k_target + 1))
-            oracle = None
-            for users in combinations(range(1, K + 1), k_target):
-                if min_circular_gap([offsets[u - 1] for u in users], N) >= need:
-                    oracle = users
-                    break
-            assert find_feasible_subset(offsets, N, k_target) == oracle
+            assert (find_feasible_subset(offsets, N, k_target)
+                    == first_feasible_subset_oracle(offsets, N, k_target))
+
+    def test_matches_oracle_on_grid(self):
+        # every offset tuple with user 1 at 0, K <= 4, N <= 12, every k_target
+        for N in range(1, 13):
+            for K in range(2, 5):
+                for rest in product(range(N), repeat=K - 1):
+                    offsets = (0, *rest)
+                    for k in range(2, K + 1):
+                        assert (find_feasible_subset(offsets, N, k)
+                                == first_feasible_subset_oracle(offsets, N, k)), (offsets, N, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_property(self, data):
+        # points near multiples of N/(k+1) put gaps at the threshold
+        N = data.draw(st.integers(1, 60), label="N")
+        K = data.draw(st.integers(2, 8), label="K")
+        k = data.draw(st.integers(2, K), label="k")
+        point = st.one_of(st.integers(0, N - 1),
+                          st.builds(lambda q, e: (N * q // (k + 1) + e) % N,
+                                    st.integers(0, k), st.integers(-1, 1)))
+        offsets = tuple(data.draw(st.lists(point, min_size=K, max_size=K), label="offsets"))
+        assert find_feasible_subset(offsets, N, k) == first_feasible_subset_oracle(offsets, N, k)
+
+    def test_planted_subset_among_many_users(self):
+        # users 1..10 evenly spread, 30 random users after them
+        N = 10**4
+        rng = np.random.default_rng(47)
+        offsets = (*(i * N // 10 for i in range(10)), *(int(x) for x in rng.integers(0, N, 30)))
+        start = time.perf_counter()
+        assert find_feasible_subset(offsets, N, 10) == tuple(range(1, 11))
+        assert time.perf_counter() - start < 1.0
+
+    def test_forty_users_in_nine_clusters(self):
+        # clusters at multiples of N/9, each within 50 of its centre: users
+        # of one cluster are closer than ceil(N/10) = 1000, users of two are
+        # at least 1011 apart, so 10 users never fit and 9 fit only as one
+        # per cluster, the smallest of each first; C(40, 10) = 8.5e8 subsets
+        N = 10**4
+        rng = np.random.default_rng(53)
+        cluster = rng.integers(0, 9, 40)
+        offsets = tuple(int(x) for x in cluster * N // 9 + rng.integers(-50, 51, 40))
+        start = time.perf_counter()
+        assert find_feasible_subset(offsets, N, 10) is None
+        firsts = sorted(int(np.flatnonzero(cluster == c)[0]) + 1 for c in range(9))
+        assert find_feasible_subset(offsets, N, 9) == tuple(firsts)
+        assert time.perf_counter() - start < 1.0
 
     def test_subset_feasibility_agrees_with_solver(self):
         # a subset reported feasible must admit a decomposition certificate,
