@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ __all__ = [
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MC_CHUNK = 1 << 15  # fixed: estimates are bit-identical for any thread count
 _EXACT_PAIRS = 10**8  # exact_count's size bound; past it, use monte_carlo_p
+_EXTEND_CHUNK = 1 << 16  # candidate sets built at once: bounds memory, not the count
 
 
 @dataclass(frozen=True)
@@ -127,58 +129,58 @@ def f_2user(N: int, K: int) -> CountResult:
     return CountResult(value=total, kind="formula")
 
 
-def _occupied_sets(N: int, j: int, lo: int, hi: int) -> np.ndarray:
-    """Sets lo..hi-1 of {0} ∪ S, S a (j-1)-subset of 1..N-1 in colex order,
-    as (j, hi-lo) columns, each set sorted: S's i-th element is the largest
-    c with C(c, i) <= the rank left."""
-    rank = np.arange(lo, hi, dtype=np.int64)
-    cols = np.zeros((j, hi - lo), dtype=row_dtype(N))
-    for i in range(j - 1, 0, -1):
-        # capped at hi, above every rank, to stay in int64
-        table = np.array([min(math.comb(c, i), hi) for c in range(N - 1)],
-                         dtype=np.int64)
-        c = np.searchsorted(table, rank, side="right") - 1
-        cols[i] = c + 1
-        rank -= table[c]
-    return cols
+def _extensions(bad: np.ndarray, N: int):
+    """Each set of ``bad`` (sorted (j, n) columns, colex order) with each point
+    c above its top added, in colex order, in chunks of at most ``_EXTEND_CHUNK``
+    columns: the sets with top c extend the prefix of ``bad`` below c."""
+    ends = np.concatenate([[0], np.cumsum(np.searchsorted(bad[-1], np.arange(N)))])
+    for lo in range(0, ends[-1], _EXTEND_CHUNK):
+        runs = np.diff(np.clip(ends, lo, lo + _EXTEND_CHUNK))  # this chunk's columns per top
+        src = np.arange(lo, min(lo + _EXTEND_CHUNK, ends[-1])) - np.repeat(ends[:-1], runs)
+        cols = np.empty((len(bad) + 1, len(src)), dtype=bad.dtype)
+        np.take(bad, src, axis=1, out=cols[:-1])
+        cols[-1] = np.repeat(np.arange(N), runs)
+        yield cols
 
 
 def exact_count(N: int, K: int, k_target: int, *, threads: int = 1) -> CountResult:
     """Exact count of the N^(K-1) placements with no feasible subset.
 
     Feasibility depends only on the set of occupied boxes, so the count runs
-    over occupied sets {0} ∪ S of each size j, not over labeled placements:
-    bad = sum_j c_j * gamma_count(j, K-1, j-1), where c_j counts the sets
-    with no feasible k_target-subset and the multiplier counts the ways the
-    K-1 labeled balls land on {0} ∪ S covering S. Sets with j < k_target
-    have no subset to test and are all bad. ``_EXACT_PAIRS`` bounds the (occupied
-    set, k_target-subset) pairs, sum_j C(N-1, j-1) * C(j, k_target); the
-    greedy-jump kernel never tries those subsets one by one, so this is a
-    size bound on the instance, not a count of the work done.
+    over occupied sets {0} ∪ S of each size j: bad = sum_j c_j *
+    gamma_count(j, K-1, j-1), where c_j counts the sets with no feasible
+    k_target-subset and the multiplier the ways the K-1 labeled balls land on
+    {0} ∪ S covering S. Subsets of a bad set are bad, so the kernel sees only
+    the bad (j-1)-sets plus a point above their top (:func:`_extensions`),
+    and no set with j < k_target, where all are bad. ``_EXACT_PAIRS`` bounds
+    the (set, k_target-subset) pairs of all sets, sum_j C(N-1, j-1) *
+    C(j, k_target): a size bound on the instance, not the work done.
     """
     _check_positive(N=N, threads=threads)
     if not 2 <= k_target <= K:
         raise ValueError(f"k_target must be in 2..{K}")
-    sizes = range(1, min(K, N) + 1)
-    work = sum(math.comb(N - 1, j - 1) * math.comb(j, k_target) for j in sizes)
+    top = min(K, N)
+    work = sum(math.comb(N - 1, j - 1) * math.comb(j, k_target) for j in range(1, top + 1))
     if work > _EXACT_PAIRS:
         raise SearchBudgetExceeded(f"{work} (occupied set, {k_target}-subset) pairs exceed "
                                    f"the guard {_EXACT_PAIRS}; use monte_carlo_p instead")
-    chunk = 1 << 20
-    tasks = [(j, lo) for j in sizes for lo in range(0, math.comb(N - 1, j - 1), chunk)]
-
-    def count_chunk(task: tuple[int, int]) -> int:
-        j, lo = task
-        cols = _occupied_sets(N, j, lo, min(lo + chunk, math.comb(N - 1, j - 1)))
-        good = sum(int(feasible_sorted_block(cols[:, b:b + _ROW_BLOCK], N, k_target).sum())
-                   for b in range(0, cols.shape[1], _ROW_BLOCK))
-        return (cols.shape[1] - good) * gamma_count(j, K - 1, j - 1)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            value = sum(pool.map(count_chunk, tasks))
-    else:
-        value = sum(map(count_chunk, tasks))
+    bad, value = np.zeros((1, 1), dtype=row_dtype(N)), 1  # j = 1: every ball at box 0
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for j in range(2, top + 1):
+            kept, count = [], 0
+            for cols in _extensions(bad, N):
+                if j >= k_target:
+                    ok = (pool.map if pool else map)(
+                        lambda b: feasible_sorted_block(cols[:, b:b + _ROW_BLOCK], N, k_target),
+                        range(0, cols.shape[1], _ROW_BLOCK))
+                    cols = cols[:, ~np.concatenate(list(ok))]
+                count += cols.shape[1]
+                if j < top:
+                    kept.append(cols)
+            value += count * gamma_count(j, K - 1, j - 1)
+            if not count or j == top:
+                break
+            bad = np.concatenate(kept, axis=1)
     return CountResult(value=value, kind="exact_occupancy")
 
 
@@ -229,12 +231,8 @@ def monte_carlo_p(N: int, K: int, k_target: int, trials: int, seed: int = 0,
         offs[:, 1:] = gen.integers(0, N, (size, K - 1), np.int32 if N < 2**31 else np.int64)
         return int(feasible_subset_rows(offs, N, k_target).sum())
 
-    chunks = range((trials + _MC_CHUNK - 1) // _MC_CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(run_chunk, chunks))
-    else:
-        hits = sum(run_chunk(c) for c in chunks)
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        hits = sum((pool.map if pool else map)(run_chunk, range(-(-trials // _MC_CHUNK))))
 
     p = hits / trials
     half_width = _Z95 * math.sqrt(p * (1 - p) / trials)

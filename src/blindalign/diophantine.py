@@ -21,7 +21,8 @@ points, empty iff the gap condition of ``check_feasible`` fails.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import eq, sub
 
 from .errors import SearchBudgetExceeded
 from .feasibility import check_feasible
@@ -45,7 +46,7 @@ def _as_gaps(s) -> tuple[int, ...]:
 
 
 def verify_solution(s, lam) -> bool:
-    """Check all K(K+1) cyclic window sums and nonnegativity of ``lam``."""
+    """Check nonnegativity and all K(K+1) cyclic window sums, each slid from the last."""
     s = _as_gaps(s)
     K = len(s)
     m = K * (K + 1)
@@ -54,9 +55,8 @@ def verify_solution(s, lam) -> bool:
         raise ValueError(f"expected {m} entries, got {len(lam)}")
     if any(v < 0 for v in lam):
         return False
-    return all(
-        sum(lam[(i - d) % m] for d in range(K + 1)) == s[i % K] for i in range(m)
-    )
+    windows = accumulate(map(sub, lam[1:], lam[-K:] + lam[:-K - 1]), initial=lam[0] + sum(lam[-K:]))
+    return all(map(eq, windows, s * (K + 1)))
 
 
 def _family(s) -> tuple[tuple[int, ...], int]:

@@ -177,9 +177,9 @@ def find_feasible_subset(offsets, N: int, k_target: int):
     size has all circular gaps >= ceil(N/(k_target+1)); k_target = K tests
     the whole config. A prefix search: with users F chosen, each user u that
     far from all of F gives one kernel row, F, u and every user that far
-    from all of them, padded with u's offset. It is feasible iff F and u lie
-    in a feasible subset, so the first such u is next: k_target calls on at
-    most K rows, O(K^2 * k_target) cells instead of C(K, k_target) subsets.
+    from all of them, padded with copies of F and u in turn. It is feasible
+    iff F and u lie in a feasible subset, so the first such u is next: k_target
+    calls on at most K rows, O(K^2 * k_target) cells, not C(K, k_target) subsets.
     """
     offsets = tuple(offsets)
     K = len(offsets)
@@ -190,11 +190,13 @@ def find_feasible_subset(offsets, N: int, k_target: int):
     pos = np.array([int(o) % N for o in offsets], dtype=row_dtype(N))
     gap = (pos[:, None] - pos) % N
     far = np.minimum(gap, N - gap) >= -(-N // (k_target + 1))
-    chosen, free = [], np.ones(K, dtype=bool)
+    chosen, free, users = [], np.ones(K, dtype=bool), np.arange(K)
     for _ in range(k_target):
         cands = np.flatnonzero(free)
-        keep = np.isin(np.arange(K), chosen) | (free & far[cands])
-        ok = feasible_subset_rows(np.where(keep, pos, pos[cands, None]), N, k_target)
+        keep = np.isin(users, chosen) | (users == cands[:, None]) | (free & far[cands])
+        ring = users % (len(chosen) + 1)  # a copy adds no subset; few copies per point
+        pad = np.where(ring < len(chosen), pos[[*chosen, 0]][ring], pos[cands, None])
+        ok = feasible_subset_rows(np.where(keep, pos, pad), N, k_target)
         if not ok.any():
             return None
         chosen.append(int(cands[ok.argmax()]))

@@ -19,7 +19,10 @@ from blindalign import (
     slot_map,
     verify_solution,
 )
+from blindalign.counting import gamma_count
 from blindalign.diophantine import _as_gaps
+from blindalign.feasibility import (_ROW_BLOCK, feasible_sorted_block, feasible_subset_rows,
+                                    row_dtype)
 
 
 def brute_force_solve(s, enumerate_all: bool = False, max_nodes: int = 2_000_000):
@@ -125,6 +128,27 @@ def first_feasible_subset_oracle(offsets, N, k_target):
     return None
 
 
+def find_feasible_subset_single_padding(offsets, N, k_target):
+    """``find_feasible_subset`` with every row padded by copies of the
+    candidate u's offset alone: the same prefix search, all copies at one
+    point. The results must equal the spread padding's."""
+    offsets = tuple(offsets)
+    K = len(offsets)
+    pos = np.array([int(o) % N for o in offsets], dtype=row_dtype(N))
+    gap = (pos[:, None] - pos) % N
+    far = np.minimum(gap, N - gap) >= -(-N // (k_target + 1))
+    chosen, free = [], np.ones(K, dtype=bool)
+    for _ in range(k_target):
+        cands = np.flatnonzero(free)
+        keep = np.isin(np.arange(K), chosen) | (free & far[cands])
+        ok = feasible_subset_rows(np.where(keep, pos, pos[cands, None]), N, k_target)
+        if not ok.any():
+            return None
+        chosen.append(int(cands[ok.argmax()]))
+        free &= far[chosen[-1]]
+    return tuple(u + 1 for u in chosen)
+
+
 def subset_rows_oracle(offs, N, k_target):
     """Slow oracle for ``feasible_subset_rows``: per row, does some k_target
     of its offsets have every circular gap >= ceil(N/(k_target+1))? Every
@@ -149,6 +173,38 @@ def enumeration_count(N, K, k_target):
     digits = np.indices((N,) * (K - 1)).reshape(K - 1, -1).T
     offs = np.concatenate([np.zeros((len(digits), 1), dtype=digits.dtype), digits], axis=1)
     return int((~subset_rows_oracle(offs, N, k_target)).sum())
+
+
+def occupied_sets(N, j, lo, hi):
+    """Sets lo..hi-1 of {0} ∪ S, S a (j-1)-subset of 1..N-1 in colex order,
+    as (j, hi-lo) columns, each set sorted: S's i-th element is the largest
+    c with C(c, i) <= the rank left."""
+    rank = np.arange(lo, hi, dtype=np.int64)
+    cols = np.zeros((j, hi - lo), dtype=row_dtype(N))
+    for i in range(j - 1, 0, -1):
+        # capped at hi, above every rank, to stay in int64
+        table = np.array([min(math.comb(c, i), hi) for c in range(N - 1)],
+                         dtype=np.int64)
+        c = np.searchsorted(table, rank, side="right") - 1
+        cols[i] = c + 1
+        rank -= table[c]
+    return cols
+
+
+def occupancy_count_oracle(N, K, k_target):
+    """Oracle for ``exact_count``: every occupied set {0} ∪ S of each size j,
+    unranked in colex order (``occupied_sets``) and tested by the kernel in
+    chunks, bad or not; bad = sum_j c_j * gamma_count(j, K-1, j-1)."""
+    chunk = 1 << 20
+    value = 0
+    for j in range(1, min(K, N) + 1):
+        total = math.comb(N - 1, j - 1)
+        for lo in range(0, total, chunk):
+            cols = occupied_sets(N, j, lo, min(lo + chunk, total))
+            good = sum(int(feasible_sorted_block(cols[:, b:b + _ROW_BLOCK], N, k_target).sum())
+                       for b in range(0, cols.shape[1], _ROW_BLOCK))
+            value += (cols.shape[1] - good) * gamma_count(j, K - 1, j - 1)
+    return value
 
 
 def random_feasible_gaps(rng, K, n_max):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -21,9 +22,8 @@ from blindalign import (
     probability_exact,
 )
 from blindalign import counting
-from blindalign.counting import _occupied_sets
 from blindalign.feasibility import row_dtype
-from helpers import enumeration_count, stirling2
+from helpers import enumeration_count, occupancy_count_oracle, occupied_sets, stirling2
 
 
 def stirling2_recurrence(n, k):
@@ -254,18 +254,62 @@ class TestExactCount:
         assert exact_count(60, 5, 2).value == 723901 == f_2user(60, 5).value
         assert exact_count(16, 7, 3).value == 3299206
 
+    def test_matches_occupancy_oracle_grid(self):
+        # small N end below k_target, levels j < k skip the kernel, k = K
+        # tests only the full sets; enumeration checks the small instances
+        for N in range(1, 21):
+            for K in range(2, 8):
+                for k in range(2, K + 1):
+                    value = exact_count(N, K, k).value
+                    assert value == occupancy_count_oracle(N, K, k), (N, K, k)
+                    if N ** (K - 1) <= 5 * 10**4:
+                        assert value == enumeration_count(N, K, k), (N, K, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 40), K=st.integers(2, 7), data=st.data())
+    def test_matches_occupancy_oracle_property(self, N, K, data):
+        k = data.draw(st.integers(2, K), label="k")
+        if K > 5:
+            N = min(N, 28)  # keeps the oracle's C(N-1, K-1) sets near 10^5
+        assert exact_count(N, K, k).value == occupancy_count_oracle(N, K, k)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 37])
+    def test_small_chunks(self, monkeypatch, chunk):
+        # levels span many chunks; at (16,5,3) every 2-set is bad, so the 14
+        # candidates with top 15 alone exceed a chunk of 1, 2 or 5 columns
+        monkeypatch.setattr(counting, "_EXTEND_CHUNK", chunk)
+        for N, K, k in ((1, 3, 2), (7, 4, 4), (12, 5, 2), (16, 5, 3), (13, 6, 4)):
+            assert exact_count(N, K, k).value == occupancy_count_oracle(N, K, k), (N, K, k)
+        assert exact_count(16, 6, 3, threads=2).value == 334126
+
+    @pytest.mark.parametrize("chunk", [1, 4, 1 << 16])
+    def test_extensions_in_colex_order(self, monkeypatch, chunk):
+        # any subset-closed family in colex order: its sets with one point
+        # above the top, chunk by chunk, sorted and in colex order
+        monkeypatch.setattr(counting, "_EXTEND_CHUNK", chunk)
+        N, colex = 11, (lambda r: r[::-1])
+        family = sorted(((0, *c) for c in combinations(range(1, N), 2) if c[1] - c[0] != 3),
+                        key=colex)
+        chunks = list(counting._extensions(np.array(family, dtype=row_dtype(N)).T, N))
+        assert all(0 < c.shape[1] <= chunk and c.dtype == row_dtype(N) for c in chunks)
+        got = [tuple(r) for c in chunks for r in c.T.tolist()]
+        assert got == sorted((r + (c,) for r in family for c in range(r[-1] + 1, N)),
+                             key=colex)
+        chunks_per_top = Counter(t for c in chunks for t in set(c[-1].tolist()))
+        assert (max(chunks_per_top.values()) > 1) == (chunk < 1 << 16)
+
     def test_occupied_sets_unrank_every_subset(self):
         # sets come as sorted (j, rows) columns in the kernel's row type;
         # each chunk boundary must continue the same order without gaps
         for N, j in ((1, 1), (5, 1), (7, 3), (9, 4), (12, 6)):
             total = math.comb(N - 1, j - 1)
-            cols = _occupied_sets(N, j, 0, total)
+            cols = occupied_sets(N, j, 0, total)
             assert cols.shape == (j, total) and cols.dtype == row_dtype(N)
             expected = sorted(((0, *c) for c in combinations(range(1, N), j - 1)),
                               key=lambda r: r[::-1])
             assert [tuple(r) for r in cols.T.tolist()] == expected
             for lo, hi in ((0, 1), (1, total), (total // 3, total // 2 + 1)):
-                assert np.array_equal(_occupied_sets(N, j, lo, hi), cols[:, lo:hi])
+                assert np.array_equal(occupied_sets(N, j, lo, hi), cols[:, lo:hi])
 
 
 @pytest.mark.parametrize("call", [

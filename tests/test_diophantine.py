@@ -53,6 +53,26 @@ class TestVerifySolution:
             lam = tuple(int(x) for x in rng.integers(0, 3, K * (K + 1)))
             assert verify_solution(s, lam) == window_oracle(s, lam)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_sliding_windows_match_oracle(self, data):
+        # a member of the solution family (min(s) = sum(y) + sum(d)), past
+        # int64 at times, then maybe t moved from entry i + K + 1 to entry
+        # i: that changes only the windows holding one of the two
+        K = data.draw(st.integers(2, 7), label="K")
+        m = K * (K + 1)
+        size = st.one_of(st.integers(0, 4), st.integers(0, 2**70))
+        d = data.draw(st.lists(size, min_size=K, max_size=K), label="d")
+        d = [v - min(d) for v in d]
+        y = data.draw(st.lists(size, min_size=K + 1, max_size=K + 1), label="y")
+        s = tuple(sum(y) + sum(d) + v for v in d)
+        lam = [d[i % K] + y[i % (K + 1)] for i in range(m)]
+        assert verify_solution(s, lam)
+        i, t = data.draw(st.integers(0, m - 1), label="i"), data.draw(size, label="t")
+        lam[i] += t
+        lam[(i + K + 1) % m] -= t
+        assert verify_solution(s, lam) == window_oracle(s, lam)
+
 
 class TestClosedForms:
     def test_frozen_3user_vectors(self):

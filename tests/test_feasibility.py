@@ -17,8 +17,8 @@ from blindalign import (
 from blindalign.errors import SearchBudgetExceeded
 from blindalign.feasibility import (_REGION_CELLS, _ROW_BLOCK, feasible_sorted_block,
                                     feasible_subset_rows, row_dtype)
-from helpers import (brute_force_solve, compositions, first_feasible_subset_oracle,
-                     subset_rows_oracle)
+from helpers import (brute_force_solve, compositions, find_feasible_subset_single_padding,
+                     first_feasible_subset_oracle, subset_rows_oracle)
 
 
 def whole_config_feasible(offsets, N):
@@ -246,6 +246,19 @@ class TestFindFeasibleSubset:
         firsts = sorted(int(np.flatnonzero(cluster == c)[0]) + 1 for c in range(9))
         assert find_feasible_subset(offsets, N, 9) == tuple(firsts)
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_spread_padding_matches_single_padding(self, seed):
+        # about 300 users at N = 10^6 around k-1, k or k+1 evenly spread
+        # centres, so some searches find a subset and some end with None
+        rng = np.random.default_rng(seed)
+        N, K, k = 10**6, int(rng.integers(280, 321)), int(rng.integers(3, 11))
+        c = k - 1 + seed % 3
+        centres = rng.integers(0, N) + np.arange(c) * N // c
+        jitter = rng.integers(0, int(rng.integers(1, N // (2 * k + 2))), K)
+        offsets = tuple(int(x) for x in (rng.choice(centres, K) + jitter) % N)
+        assert (find_feasible_subset(offsets, N, k)
+                == find_feasible_subset_single_padding(offsets, N, k))
 
     def test_subset_feasibility_agrees_with_solver(self):
         # a subset reported feasible must admit a decomposition certificate,
