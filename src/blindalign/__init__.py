@@ -40,6 +40,7 @@ from .scheduler import (
     ValidationReport,
     validate_schedule,
     schedule_to_dict,
+    schedule_json,
     schedule_from_dict,
 )
 from .signaling import (

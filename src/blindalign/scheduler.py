@@ -8,6 +8,8 @@ slots carry indices past the period and are validated modulo the period.
 
 from __future__ import annotations
 
+import functools
+import json
 from dataclasses import dataclass
 from itertools import chain
 
@@ -30,6 +32,7 @@ __all__ = [
     "ValidationReport",
     "validate_schedule",
     "schedule_to_dict",
+    "schedule_json",
     "schedule_from_dict",
 ]
 
@@ -38,7 +41,8 @@ __all__ = [
 class Schedule:
     """Certificate ``lam`` and T threads: thread t takes the slots ``slots[t]``, one in
     each of K+1 consecutive groups from long group ``start_groups[t]``. Shapes (T, K+1)
-    and (T,); int64, or Python integers where a document's values do not fit int64."""
+    and (T,); int64, or Python integers where a document's values do not fit int64.
+    It owns read-only copies of its arrays, so its validation report stays valid."""
 
     cfg: ChannelConfig
     lam: tuple[int, ...]
@@ -50,10 +54,16 @@ class Schedule:
         if len(g) != 1 or S != (g[0], self.cfg.K + 1):
             raise ValueError(f"start_groups of shape {g} and slots of shape {S} do not "
                              f"match: expected (T,) and (T, K+1) = (T, {self.cfg.K + 1})")
+        object.__setattr__(self, "lam", tuple(self.lam))
+        for name in ("start_groups", "slots"):
+            object.__setattr__(self, name, owned := np.array(getattr(self, name)))
+            owned.flags.writeable = False
 
     @property
     def period(self) -> int:
         return (self.cfg.K + 1) * self.cfg.N
+
+    _report = functools.cached_property(lambda self: _validate(self))  # see validate_schedule
 
 
 def build_schedule(cfg: ChannelConfig, lam) -> Schedule:
@@ -105,7 +115,7 @@ class ValidationReport:
 
 
 def validate_schedule(sched: Schedule) -> ValidationReport:
-    """Independent re-check of the schedule invariants, on arrays.
+    """Independent re-check of the schedule invariants, on arrays, once per schedule.
 
     Coverage: every residue class modulo the period is used exactly once.
     Consecutiveness: each thread has K+1 slots in K+1 consecutive groups
@@ -115,6 +125,10 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
     the threads starting at each group. Values too large for int64
     arithmetic are checked as Python integers.
     """
+    return sched._report
+
+
+def _validate(sched: Schedule) -> ValidationReport:
     cfg, K, period = sched.cfg, sched.cfg.K, sched.period
     firsts, S = sched.start_groups, sched.slots
     ends = [int(x) for a in (S, firsts) if a.size for x in (a.min(), a.max())]
@@ -166,18 +180,20 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
 
 def schedule_to_dict(sched: Schedule) -> dict:
     """Canonical JSON-ready form (integers only, tuples in canonical order)."""
-    return {
-        "version": 1,
-        "N": sched.cfg.N,
-        "K": sched.cfg.K,
-        "offsets": list(sched.cfg.offsets),
-        "period": sched.period,
-        "lambda": list(sched.lam),
-        "tuples": [
-            {"start_group": g, "slots": row}
-            for g, row in zip(sched.start_groups.tolist(), sched.slots.tolist())
-        ],
-    }
+    cfg = sched.cfg
+    return {"version": 1, "N": cfg.N, "K": cfg.K, "offsets": list(cfg.offsets),
+            "period": sched.period, "lambda": list(sched.lam),
+            "tuples": [{"start_group": g, "slots": row} for g, row in
+                       zip(sched.start_groups.tolist(), sched.slots.tolist())]}
+
+
+def schedule_json(sched: Schedule) -> str:
+    """``json.dumps(schedule_to_dict(sched), sort_keys=True)``, rows formatted in one pass."""
+    bare = Schedule(sched.cfg, sched.lam, sched.start_groups[:0], sched.slots[:0])
+    head, tail = json.dumps(schedule_to_dict(bare), sort_keys=True).split('"tuples": []')
+    row = '{"slots": [' + ", ".join(["%d"] * (sched.cfg.K + 1)) + '], "start_group": %d}'
+    values = np.column_stack([sched.slots, sched.start_groups]).ravel().tolist()
+    return f'{head}"tuples": [{", ".join([row] * len(sched.slots)) % tuple(values)}]{tail}'
 
 
 def _json_int(x) -> int:
@@ -211,7 +227,8 @@ def schedule_from_dict(data: dict) -> Schedule:
         lam = tuple(_json_int(v) for v in data["lambda"])
         starts = [t["start_group"] for t in data["tuples"]]
         rows = [t["slots"] for t in data["tuples"]]
-        if set(map(type, chain(starts, *rows))) - {int}:  # name the first culprit
+        flat = list(chain.from_iterable(rows))
+        if set(map(type, chain(starts, flat))) - {int}:  # name the first culprit
             _json_int(next(x for g, r in zip(starts, rows) for x in (g, *r) if type(x) is not int))
         if set(map(len, rows)) - {cfg.K + 1}:
             i = next(i for i, row in enumerate(rows) if len(row) != cfg.K + 1)
@@ -219,4 +236,4 @@ def schedule_from_dict(data: dict) -> Schedule:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed schedule document: {exc!r}") from exc
     return Schedule(cfg=cfg, lam=lam, start_groups=_int_array(starts),
-                    slots=_int_array(rows).reshape(-1, cfg.K + 1))
+                    slots=_int_array(flat).reshape(-1, cfg.K + 1))

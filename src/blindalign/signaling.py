@@ -163,8 +163,8 @@ def _sum2(a: np.ndarray) -> np.ndarray:
 @np.errstate(all="ignore")  # lemma-breaking inputs give nan, which certifies nothing
 def _schur(K: int, c, D):
     """S(lam) of the receiver matrices with blocks ``D`` (..., 2, 2): a
-    function of ``lam`` that returns the smallest eigenvalue of S(lam), and
-    whether S(lam) is certified positive definite.
+    function of ``lam`` that returns the smallest eigenvalue of S(lam), or with
+    ``certify`` whether S(lam) is certified positive definite.
 
     ``D`` holds the receiver's (h1, h2) on slots c and c+1 of its transition
     column ``c`` (broadcast against ``D.shape[:-2]``, as is ``lam``); every
@@ -182,25 +182,26 @@ def _schur(K: int, c, D):
     power = (D.conj() * D).real  # np.linalg.norm's terms, added as it adds them
     D = D / np.maximum(np.sqrt(power[..., :1, :] + power[..., 1:, :]), 1e-300)
     p = _sum2(D.real ** 2 + D.imag ** 2)  # row powers on slots c, c+1
-    cross = np.abs(D[..., 0, 0] * D[..., 1, 1]) + np.abs(D[..., 0, 1] * D[..., 1, 0])
     delta = np.abs(D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]) ** 2
 
     @np.errstate(all="ignore")
-    def at(lam):
+    def at(lam, certify=False):
         lam = np.asarray(lam, dtype=float)
         w = 1 - (q @ (1 / (mu - lam[..., None]))[..., None])[..., 0]  # (w_L, w_R)
         pw = _sum2(w * p)
         tr = pw - 2 * lam
         det = w[..., 0] * w[..., 1] * delta - lam * pw + lam * lam
+        if not certify:
+            return (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))) / 2
         # below the poles w = 1 - (positive terms), so |w| <= 2 - w; rounding
         # stays under a small multiple of eps times these sums of magnitudes
         wabs = 2 - w
         apw = _sum2(wabs * p)
         tol = _SIGN_TOL * (K + 1)
+        cross = np.abs(D[..., 0, 0] * D[..., 1, 1]) + np.abs(D[..., 0, 1] * D[..., 1, 0])
         det_tol = tol * (wabs[..., 0] * wabs[..., 1] * cross ** 2 + np.abs(lam) * apw + lam * lam)
-        certified = ((lam <= (1 - _POLE_GAP) * mu.min(axis=-1))
-                     & (tr > tol * (apw + 2 * np.abs(lam))) & (det > det_tol))
-        return (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))) / 2, certified
+        return ((lam <= (1 - _POLE_GAP) * mu.min(axis=-1))
+                & (tr > tol * (apw + 2 * np.abs(lam))) & (det > det_tol))
     return at
 
 
@@ -268,13 +269,13 @@ def _receiver_margins(H: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndar
     cr = c.T[:, None, :]  # (K, 1, T), receiver-major
     lemma = _meets_lemma(H, cr)
     schur = _schur(K, cr, P[range(K), :, :, range(K)])
-    guess = np.where(lemma, schur(0.0)[0], np.inf).reshape(K, -1)
+    guess = np.where(lemma, schur(0.0), np.inf).reshape(K, -1)
     first = ~lemma
     first.reshape(K, -1)[range(K), guess.argmin(axis=1)] = True
     singulars = np.full(lemma.shape, np.inf)
     singulars[first] = _smallest_singular(P, c, first)
     floor = singulars.min(axis=(1, 2)) + _SVD_SLACK * (K + 1) ** 2
-    rest = lemma & ~first & ~schur((floor ** 2)[:, None, None])[1]
+    rest = lemma & ~first & ~schur((floor ** 2)[:, None, None], certify=True)
     if rest.any():
         singulars[rest] = _smallest_singular(P, c, rest)
     return residuals, singulars

@@ -367,13 +367,13 @@ def receiver_margins_generic(H, v):
 
     lemma, c, D = lemma_blocks(H, mask)
     schur = signaling._schur(K, c, D)
-    guess = np.where(lemma, schur(0.0)[0], np.inf).reshape(K, -1)
+    guess = np.where(lemma, schur(0.0), np.inf).reshape(K, -1)
     first = ~lemma
     first.reshape(K, -1)[range(K), guess.argmin(axis=1)] = True
     singulars = np.full(lemma.shape, np.inf)
     singulars[first] = smallest_singular_generic(H, mask, first)
     floor = singulars.min(axis=(1, 2)) + signaling._SVD_SLACK * (K + 1) ** 2
-    rest = lemma & ~first & ~schur((floor ** 2)[:, None, None])[1]
+    rest = lemma & ~first & ~schur((floor ** 2)[:, None, None], certify=True)
     if rest.any():
         singulars[rest] = smallest_singular_generic(H, mask, rest)
     return residuals, singulars

@@ -25,6 +25,7 @@ from blindalign import (
     probability_exact,
     schedule_to_dict,
 )
+from blindalign import scheduler
 from blindalign.cli import main
 from helpers import (
     TAMPERINGS,
@@ -133,6 +134,15 @@ class TestDecomposeVerify:
         assert code == 0
         assert "verification: PASS" in out
         assert "symbols per slot: 3/2" in out
+
+    def test_verify_validates_once(self, tmp_path, capsys, monkeypatch):
+        # the CLI's check and the verifier's share one validation report
+        path = tmp_path / "sched.json"
+        run(capsys, "decompose", "--N", "60", "--offsets", "0,15,30,45", "--out", str(path))
+        calls, slot_group = [], scheduler.slot_group
+        monkeypatch.setattr(scheduler, "slot_group", lambda *a: calls.append(1) or slot_group(*a))
+        code, out, _ = run(capsys, "verify", "--schedule", str(path), "--trials", "2")
+        assert code == 0 and "verification: PASS" in out and len(calls) == 1
 
     def test_verify_deterministic(self, tmp_path, capsys):
         path = tmp_path / "sched.json"

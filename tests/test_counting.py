@@ -282,6 +282,20 @@ class TestExactCount:
             assert exact_count(N, K, k).value == occupancy_count_oracle(N, K, k), (N, K, k)
         assert exact_count(16, 6, 3, threads=2).value == 334126
 
+    def test_small_chunks_grid(self, monkeypatch):
+        # a chunk of 3 columns cuts most runs of one top, up to N = 40
+        monkeypatch.setattr(counting, "_EXTEND_CHUNK", 3)
+        for N in (2, 9, 17, 26, 33, 40):
+            for K in (2, 3, 4):
+                for k in range(2, K + 1):
+                    assert exact_count(N, K, k).value == occupancy_count_oracle(N, K, k), \
+                        (N, K, k)
+
+    def test_many_chunks_with_one_set_per_top(self):
+        # at K = 2 every top holds one set, so the level spans 61 chunks of
+        # 2^16 columns; each chunk clips only the tops it overlaps
+        assert exact_count(4_000_000, 2, 2).value == f_2user(4_000_000, 2).value
+
     @pytest.mark.parametrize("chunk", [1, 4, 1 << 16])
     def test_extensions_in_colex_order(self, monkeypatch, chunk):
         # any subset-closed family in colex order: its sets with one point

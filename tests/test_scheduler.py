@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -18,6 +19,7 @@ from blindalign import (
     group_slots,
     pattern_matrix,
     schedule_from_dict,
+    schedule_json,
     schedule_to_dict,
     slot_group,
     validate_schedule,
@@ -52,6 +54,7 @@ def assert_same_schedule(got, want):
 def assert_round_trips(sched):
     # equal after a trip through JSON text, and the same text a second time
     text = json.dumps(schedule_to_dict(sched), sort_keys=True)
+    assert schedule_json(sched) == text
     back = schedule_from_dict(json.loads(text))
     assert_same_schedule(back, sched)
     assert json.dumps(schedule_to_dict(back), sort_keys=True) == text
@@ -288,6 +291,89 @@ class TestValidateAgainstOracle:
             monkeypatch.setattr(scheduler, name, counted(name, getattr(scheduler, name)))
         assert validate_schedule(build(ChannelConfig(600, (0, 150, 300, 450)))).passed
         assert sorted(calls) == ["is_feasible_pattern", "pattern_matrix", "slot_group"]
+
+
+class TestOwnedSchedule:
+    """A schedule owns read-only copies of its arrays and validates once."""
+
+    def test_arrays_are_read_only_copies(self):
+        sched = build_schedule(FIG_CFG, FIG_LAMBDA)
+        lam, starts, slots = list(FIG_LAMBDA), sched.start_groups.copy(), sched.slots.copy()
+        own = Schedule(FIG_CFG, lam, starts, slots)
+        report = validate_schedule(own)
+        assert report.passed and own.lam == FIG_LAMBDA and type(own.lam) is tuple
+        # the caller's arrays change; the schedule and its report do not
+        lam[2], starts[:], slots[0, 0] = 5, 0, slots[1, 0]
+        assert_same_schedule(own, sched)
+        assert own.lam == FIG_LAMBDA and validate_schedule(own) is report and report.passed
+        assert not validate_schedule(Schedule(FIG_CFG, lam, starts, slots)).passed
+        for a in (own.start_groups, own.slots):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            own.slots = slots
+
+    def test_python_integer_arrays_are_read_only(self):
+        doc = schedule_to_dict(build_schedule(FIG_CFG, FIG_LAMBDA))
+        doc["tuples"][0]["slots"] = [n + 16 * 10**18 for n in doc["tuples"][0]["slots"]]
+        sched = schedule_from_dict(doc)
+        assert sched.slots.dtype == object
+        with pytest.raises(ValueError, match="read-only"):
+            sched.slots[0, 0] = 0
+
+    def test_validated_once_per_schedule(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scheduler, "slot_group", lambda *a: calls.append(1) or slot_group(*a))
+        cfg = ChannelConfig(60, (0, 15, 30, 45))
+        sched = build(cfg)
+        report = validate_schedule(sched)
+        assert validate_schedule(sched) is report and report.passed
+        assert verify_schedule_end_to_end(cfg, sched, seed=0, trials=1).passed
+        assert len(calls) == 1
+        assert validate_schedule(build(cfg)) == report and len(calls) == 2
+
+    @pytest.mark.parametrize("kind", TAMPERINGS)
+    @pytest.mark.parametrize("validated_first", [False, True])
+    def test_verifier_refuses_tampering(self, kind, validated_first):
+        # the same message whether the report is computed here or was cached
+        sched = tamper_schedule(build(ChannelConfig(12, (5, 9, 1))), kind, 3, 7)
+        failures = validate_schedule_oracle(sched).failures
+        assert failures
+        if validated_first:
+            assert validate_schedule(sched).failures == failures
+        with pytest.raises(ValueError, match=re.escape(
+                f"schedule fails validation: {failures[:3]}")):
+            verify_schedule_end_to_end(sched.cfg, sched, seed=0, trials=1)
+
+
+class TestScheduleJson:
+    """``schedule_json`` writes exactly ``json.dumps(schedule_to_dict(s), sort_keys=True)``."""
+
+    @staticmethod
+    def assert_canonical(sched):
+        assert schedule_json(sched) == json.dumps(schedule_to_dict(sched), sort_keys=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 7))
+    def test_builder_output(self, seed, K):
+        self.assert_canonical(build(random_feasible_config(np.random.default_rng(seed), K, 90)))
+
+    def test_values_past_int64(self):
+        doc = schedule_to_dict(build_schedule(FIG_CFG, FIG_LAMBDA))
+        doc["tuples"][1]["slots"] = [n - 2**70 for n in doc["tuples"][1]["slots"]]
+        doc["tuples"][2]["start_group"] = 3 * 10**25
+        sched = schedule_from_dict(doc)
+        assert sched.slots.dtype == sched.start_groups.dtype == object
+        self.assert_canonical(sched)
+        self.assert_canonical(schedule_from_dict(huge_n_small_slots_doc()))
+
+    def test_zero_threads(self):
+        doc = {**schedule_to_dict(build_schedule(FIG_CFG, FIG_LAMBDA)), "tuples": []}
+        sched = schedule_from_dict(doc)
+        assert sched.slots.shape == (0, 4)
+        self.assert_canonical(sched)
+        assert json.loads(schedule_json(sched)) == doc
 
 
 class TestDof:

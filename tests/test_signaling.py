@@ -277,7 +277,7 @@ class TestScreen:
             assert abs(np.linalg.det(S(sigma ** 2))) < 1e-9
             below = np.linalg.eigvalsh(S(0.999 * sigma ** 2))[0]
             assert below > 0
-            np.testing.assert_allclose(signaling._schur(K, c, D)(0.999 * sigma ** 2)[0],
+            np.testing.assert_allclose(signaling._schur(K, c, D)(0.999 * sigma ** 2),
                                        below, rtol=1e-9)
             # w(0) = 1/(n+1) on both chains
             np.testing.assert_allclose(1 - (q[c] / mu[c]).sum(axis=-1), [1 / (c + 1), 1 / (K - c)])
@@ -313,7 +313,7 @@ class TestScreen:
                 lemma, cs, Ds = lemma_blocks(H, v.astype(bool))
                 assert lemma[0, 0, 0] and cs[0, 0, 0] == c
                 np.testing.assert_array_equal(Ds[0, 0, 0], D)
-                ok = signaling._schur(K, c, D)((levels * sigma) ** 2)[1]
+                ok = signaling._schur(K, c, D)((levels * sigma) ** 2, certify=True)
                 assert not ok[levels >= 1].any(), (kind, c, sigma, ok)
                 if kind != "near-singular":
                     assert ok[levels < 1].all(), (kind, c, sigma, ok)
@@ -361,12 +361,12 @@ class TestScreen:
         screened = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=6)
         schur = signaling._schur
         rng = np.random.default_rng(seed)
-        for variant in (lambda key, ok: (key, np.zeros_like(ok)),
-                        lambda key, ok: (-key, ok),
-                        lambda key, ok: (rng.random(np.shape(key)), ok)):
+        for variant in (lambda out, certify: np.zeros_like(out) if certify else out,
+                        lambda out, certify: out if certify else -out,
+                        lambda out, certify: out if certify else rng.random(np.shape(out))):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(signaling, "_schur",
-                           lambda *a, variant=variant: lambda lam: variant(*schur(*a)(lam)))
+                mp.setattr(signaling, "_schur", lambda *a, variant=variant: (
+                    lambda lam, certify=False: variant(schur(*a)(lam, certify), certify)))
                 other = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=6)
             assert float.hex(screened.min_singular) == float.hex(other.min_singular)
             assert screened.singular_witness == other.singular_witness
