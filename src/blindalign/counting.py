@@ -10,8 +10,9 @@ with user 1 fixed at box 0.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,6 +59,15 @@ def _check_positive(**values: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+@contextmanager
+def _pool(threads: int):
+    """A ``map`` on at most min(threads, CPUs) workers, serial for one; every
+    caller's result is independent of the worker count."""
+    workers = min(threads, os.cpu_count() or 1)
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        yield pool.map if pool else map
+
+
 def gamma_count(n: int, theta: int, mu: int) -> int:
     """Placements of theta labeled balls into n labeled boxes covering mu
     designated boxes, by inclusion-exclusion over empty designated boxes.
@@ -74,10 +84,14 @@ def gamma_count(n: int, theta: int, mu: int) -> int:
 def f_low_3(N: int, K: int) -> CountResult:
     """Closed-form lower bound on placements with no feasible 3-user subset.
 
-    Type I counts all K-1 balls inside one arc of at most N/2 boxes; Type II
-    counts two-arc configurations whose arc lengths stay within N/4. The sum
-    is taken doubled, on exact integers, to clear its half-integer
-    coefficients; the doubled sum is provably even, which is asserted.
+    Type I counts all K-1 balls inside one arc of at most M = N/2 boxes;
+    Type II counts two-arc configurations whose arc lengths stay within
+    Q = N/4. Type I alone is M^K - (M-1)^K, counted as in :func:`f_2user`.
+    Both types are sums over arc lengths n of w(n) times the m-th backward
+    difference of n^(K-1), with w of degree m-1; summation by parts (Graham,
+    Knuth and Patashnik, *Concrete Mathematics* §2.6) collapses each sum to
+    boundary terms, which combine into the K-th powers below. The halving is
+    exact: M and M-2 have the same parity, so the second difference is even.
     """
     _check_positive(N=N)
     if N % 4 != 0:
@@ -87,46 +101,25 @@ def f_low_3(N: int, K: int) -> CountResult:
         )
     if K < 3:
         raise ValueError("defined for K >= 3")
-    T = K - 1
-    # gamma_count(n, T, mu) is the mu-th backward difference of n**T at n
-    # (valid for n >= mu): every term comes from one table of powers
-    g = [[n**T for n in range(N // 2 + 1)]]
-    for _ in range(4):
-        g.append([0, *(b - a for a, b in zip(g[-1], g[-1][1:]))])
-
-    twice = 2 * 2**T  # 1 + (2^T - 1), doubled
-    for n in range(2, N // 2 + 1):
-        twice += 4 * g[1][n] + 2 * (n - 2) * g[2][n]
-    for n in range(3, N // 4 + 2):
-        twice += 2 * (n - 1) * (2 * (n - 3) * g[3][n] + 3 * g[2][n])
-    # from n=4: the n=3 summand is identically zero via the (n-3) factor and
-    # a mu=4 count over 3 boxes is undefined
-    for n in range(4, N // 4 + 2):
-        twice += (n - 1) * (n - 3) * ((n - 4) * g[4][n] + 2 * g[3][n])
-    for n in range(N // 4 + 2, N // 2 + 1):
-        twice += (N // 2 - n + 1) * (n - 1) * (4 * g[3][n] + (n - 4) * g[4][n])
-
-    if twice % 2:
-        raise AssertionError(f"non-integral count {twice}/2 at N={N}, K={K}")
-    return CountResult(value=twice // 2, kind="formula_lower_bound")
+    M, Q = N // 2, N // 4
+    value = (M + 1) * (M**K - 2 * (M - 1) ** K + (M - 2) ** K) // 2 + Q**K - (Q - 1) ** K
+    return CountResult(value=value, kind="formula_lower_bound")
 
 
 def f_2user(N: int, K: int) -> CountResult:
     """Exact count of placements with no feasible 2-user subset, for every N.
 
     A pair works iff its circular distance is at least L = ceil(N/3), so
-    the bad events are exactly "all balls inside one arc of at most L
-    boxes", counted by arc length. The arc is unique: its span, below L,
-    is less than N/2.
+    the bad events are exactly "all K points inside one arc of L boxes".
+    The arc's leftmost point p is unique, since the span, below L, is less
+    than N/2: L^K - (L-1)^K tuples lie in [p, p+L-1] with a point at p, and
+    fixing user 1 at box 0 divides the N choices of p away.
     """
     _check_positive(N=N)
     if K < 2:
         raise ValueError("defined for K >= 2")
-    T = K - 1
-    total = 1
-    for n in range(2, -(-N // 3) + 1):
-        total += 2 * (n**T - (n - 1) ** T) + (n - 2) * gamma_count(n, T, 2)
-    return CountResult(value=total, kind="formula")
+    L = -(-N // 3)
+    return CountResult(value=L**K - (L - 1) ** K, kind="formula")
 
 
 def _extensions(bad: np.ndarray, N: int):
@@ -167,12 +160,12 @@ def exact_count(N: int, K: int, k_target: int, *, threads: int = 1) -> CountResu
         raise SearchBudgetExceeded(f"{work} (occupied set, {k_target}-subset) pairs exceed "
                                    f"the guard {_EXACT_PAIRS}; use monte_carlo_p instead")
     bad, value = np.zeros((1, 1), dtype=row_dtype(N)), 1  # j = 1: every ball at box 0
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+    with _pool(threads) as pmap:
         for j in range(2, top + 1):
             kept, count = [], 0
             for cols in _extensions(bad, N):
                 if j >= k_target:
-                    ok = (pool.map if pool else map)(
+                    ok = pmap(
                         lambda b: feasible_sorted_block(cols[:, b:b + _ROW_BLOCK], N, k_target),
                         range(0, cols.shape[1], _ROW_BLOCK))
                     cols = cols[:, ~np.concatenate(list(ok))]
@@ -233,8 +226,8 @@ def monte_carlo_p(N: int, K: int, k_target: int, trials: int, seed: int = 0,
         offs[:, 1:] = gen.integers(0, N, (size, K - 1), np.int32 if N < 2**31 else np.int64)
         return int(feasible_subset_rows(offs, N, k_target).sum())
 
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        hits = sum((pool.map if pool else map)(run_chunk, range(-(-trials // _MC_CHUNK))))
+    with _pool(threads) as pmap:
+        hits = sum(pmap(run_chunk, range(-(-trials // _MC_CHUNK))))
 
     p = hits / trials
     half_width = _Z95 * math.sqrt(p * (1 - p) / trials)

@@ -99,6 +99,43 @@ def gamma_stirling(n, theta, mu):
     )
 
 
+def f_2user_oracle(N, K):
+    """Loop oracle for ``f_2user``: placements with all K points inside one
+    arc of at most L = ceil(N/3) boxes, counted by the length n of the
+    smallest such arc: user 1 at either end of it, or inside it with both
+    ends covered."""
+    T = K - 1
+    total = 1
+    for n in range(2, -(-N // 3) + 1):
+        total += 2 * (n**T - (n - 1) ** T) + (n - 2) * gamma_count(n, T, 2)
+    return total
+
+
+def f_low_3_oracle(N, K):
+    """Loop oracle for ``f_low_3`` (N % 4 == 0, K >= 3): the Type I and II
+    sums over arc lengths, doubled to clear their half-integer coefficients.
+    gamma_count(n, K-1, mu) is the mu-th backward difference of n^(K-1) at
+    n (valid for n >= mu), so every term comes from one table of powers."""
+    T = K - 1
+    g = [[n**T for n in range(N // 2 + 1)]]
+    for _ in range(4):
+        g.append([0, *(b - a for a, b in zip(g[-1], g[-1][1:]))])
+
+    twice = 2 * 2**T  # 1 + (2^T - 1), doubled
+    for n in range(2, N // 2 + 1):
+        twice += 4 * g[1][n] + 2 * (n - 2) * g[2][n]
+    for n in range(3, N // 4 + 2):
+        twice += 2 * (n - 1) * (2 * (n - 3) * g[3][n] + 3 * g[2][n])
+    # from n=4: the n=3 summand is identically zero via the (n-3) factor and
+    # a mu=4 count over 3 boxes is undefined
+    for n in range(4, N // 4 + 2):
+        twice += (n - 1) * (n - 3) * ((n - 4) * g[4][n] + 2 * g[3][n])
+    for n in range(N // 4 + 2, N // 2 + 1):
+        twice += (N // 2 - n + 1) * (n - 1) * (4 * g[3][n] + (n - 4) * g[4][n])
+    assert twice % 2 == 0, (N, K)
+    return twice // 2
+
+
 def compositions(total, parts):
     """All tuples of `parts` nonnegative integers summing to `total`."""
     for cut in combinations(range(total + parts - 1), parts - 1):

@@ -1,4 +1,5 @@
 import math
+import os
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -23,7 +24,8 @@ from blindalign import (
 )
 from blindalign import counting
 from blindalign.feasibility import row_dtype
-from helpers import enumeration_count, occupancy_count_oracle, occupied_sets, stirling2
+from helpers import (enumeration_count, f_2user_oracle, f_low_3_oracle, occupancy_count_oracle,
+                     occupied_sets, stirling2)
 
 
 def stirling2_recurrence(n, k):
@@ -43,6 +45,14 @@ def occupancy_oracle(n, theta, mu):
         if all(box in placement for box in range(mu)):
             count += 1
     return count
+
+
+def forbid_loops_over_n(monkeypatch):
+    """Make any ``range`` in ``counting`` fail at once: a loop or table over
+    the arc lengths would run for hours at N = 10^9 and need N/2 powers."""
+    def no_range(*args):
+        raise AssertionError(f"counting called range{args}")
+    monkeypatch.setattr(counting, "range", no_range, raising=False)
 
 
 def f_low_3_proof_path(N, K):
@@ -131,6 +141,20 @@ class TestFLow3:
         # the value the rational-coefficient evaluation gave at (400, 11)
         assert f_low_3(400, 11).value == 5412354352475971940307478
 
+    def test_matches_loop_oracle_grid(self):
+        for N in range(4, 401, 4):
+            for K in range(3, 25):
+                assert f_low_3(N, K).value == f_low_3_oracle(N, K), (N, K)
+
+    @settings(max_examples=60, deadline=None)
+    @given(Q=st.integers(1, 250), K=st.integers(3, 40))
+    def test_matches_loop_oracle_property(self, Q, K):
+        assert f_low_3(4 * Q, K).value == f_low_3_oracle(4 * Q, K)
+
+    def test_huge_n_in_closed_form(self, monkeypatch):
+        forbid_loops_over_n(monkeypatch)
+        assert p_upper_3(10**9, 11).p == 0.9462785729421044
+
     def test_lower_bounds_enumeration(self):
         for N in (8, 12):
             for K in (3, 4):
@@ -178,6 +202,24 @@ class TestF2User:
             formula = f_2user(N, K).value
             assert formula == exact_count(N, K, 2).value, (N, K)
             assert formula == enumeration_count(N, K, 2), (N, K)
+
+    def test_matches_loop_oracle_grid(self):
+        for N in range(1, 301):
+            for K in range(2, 13):
+                assert f_2user(N, K).value == f_2user_oracle(N, K), (N, K)
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 2000), K=st.integers(2, 30))
+    def test_matches_loop_oracle_property(self, N, K):
+        assert f_2user(N, K).value == f_2user_oracle(N, K)
+
+    def test_pair_limit(self, monkeypatch):
+        # all K points in an arc of a third of the ring: K / 3^(K-1) as N grows
+        forbid_loops_over_n(monkeypatch)
+        assert probability_exact(10**9, 11, 2).p == 0.9998137140331759
+        for K in range(2, 13):
+            p = probability_exact(3 * 10**9, K, 2).p
+            assert abs(p - (1 - K / 3 ** (K - 1))) < 1e-8, K
 
     def test_any_n_matches_exact_count(self):
         # the arc length runs to ceil(N/3), so N need not be a multiple of 3
@@ -324,6 +366,33 @@ class TestExactCount:
             assert [tuple(r) for r in cols.T.tolist()] == expected
             for lo, hi in ((0, 1), (1, total), (total // 3, total // 2 + 1)):
                 assert np.array_equal(occupied_sets(N, j, lo, hi), cols[:, lo:hi])
+
+
+@pytest.mark.parametrize("cpus, threads, workers", [
+    (4, 100_000, 4), (4, 2, 2), (2, 3, 2), (None, 8, None), (1, 8, None), (8, 1, None)])
+def test_pool_capped_at_cpu_count(monkeypatch, cpus, threads, workers):
+    # a recording executor that maps serially: no test starts real threads
+    opened = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(counting, "ThreadPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    est = monte_carlo_p(12, 4, 3, trials=100_000, seed=3, threads=threads)
+    assert est.p.hex() == "0x1.68c3f3e0370cep-2"
+    assert exact_count(16, 6, 3, threads=threads).value == 334126
+    assert opened == ([workers] * 2 if workers else [])
 
 
 @pytest.mark.parametrize("call", [
