@@ -125,16 +125,25 @@ def f_2user(N: int, K: int) -> CountResult:
 def _extensions(bad: np.ndarray, N: int):
     """Each set of ``bad`` (sorted (j, n) columns, colex order) with each point
     c above its top added, in colex order, in chunks of at most ``_EXTEND_CHUNK``
-    columns: the sets with top c extend the prefix of ``bad`` below c."""
-    ends = np.concatenate([[0], np.cumsum(np.searchsorted(bad[-1], np.arange(N)))])
-    for lo in range(0, ends[-1], _EXTEND_CHUNK):
-        hi = min(lo + _EXTEND_CHUNK, ends[-1])
-        first, stop = np.searchsorted(ends, lo, "right") - 1, np.searchsorted(ends, hi)
-        runs = np.diff(np.clip(ends[first:stop + 1], lo, hi))  # columns of the tops in the chunk
-        src = np.arange(lo, hi) - np.repeat(ends[first:stop], runs)
+    columns: the sets with top c extend the prefix of ``bad`` below c.
+
+    Every point from the lowest top + 1 on extends at least one set, so a
+    chunk of w columns spans at most w points, and each chunk reads the
+    prefix lengths of just those points: no array spans all N points."""
+    top = bad[-1]
+    total = len(top) * (N - 1) - int(top.sum(dtype=np.int64))
+    c, first = (int(top[0]) + 1 if len(top) else N), 0  # the chunk's first point and column
+    for lo in range(0, total, _EXTEND_CHUNK):
+        hi = min(lo + _EXTEND_CHUNK, total)
+        points = np.arange(c, min(c + hi - lo, N), dtype=top.dtype)
+        ends = np.cumsum(np.concatenate([[first], np.searchsorted(top, points)]))
+        runs = np.diff(np.clip(ends, lo, hi))  # columns of each point in the chunk
+        src = np.arange(lo, hi) - np.repeat(ends[:-1], runs)
         cols = np.empty((len(bad) + 1, len(src)), dtype=bad.dtype)
         np.take(bad, src, axis=1, out=cols[:-1])
-        cols[-1] = np.repeat(np.arange(first, stop), runs)
+        cols[-1] = np.repeat(points, runs)
+        at = int(np.searchsorted(ends, hi, "right")) - 1
+        c, first = c + at, int(ends[at])
         yield cols
 
 

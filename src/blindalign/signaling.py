@@ -23,6 +23,7 @@ above it, and only the rest need an SVD.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,6 +54,10 @@ _CANDIDATES = 16  # rejection budget per coefficient; P(exhaust) ~ 1e-46
 # coefficient cells K * trials * T * (K+1) one verification may hold; it
 # peaks at about 200 bytes per cell, so about 0.4 GB at this limit
 _VERIFY_CELLS = 2**21
+# channel_coeffs' key and its drawn (user, block) tables, one key at a time and
+# at most _VERIFY_CELLS (user, block, trial) entries of 32 bytes: 64 MB
+_store: list = [None, {}]
+_store_lock = threading.Lock()
 
 # The decodability screen (see _schur). Schur certificates are used only at
 # lambda <= (1 - gap) * mu_min: there each 1/(mu - lambda) keeps its
@@ -86,15 +91,40 @@ def beamforming_vectors(M) -> np.ndarray:
     return ((slot == c) | (slot == c + 1)).astype(np.int64)
 
 
+def _draw(seed: int, pairs: list[tuple[int, int]], trials: int) -> np.ndarray:
+    """Accepted coefficients (len(pairs), trials, 2) of the (user, block)
+    pairs, users counted from 0, read-only."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, _KEY_SALT], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # fresh: empty buffer, counter rewritten per block
+    # labels below 0 wrap modulo 2^64, as a cast to uint64 wraps them
+    counters = np.array([(0, 0, user + 1, b) for user, b in pairs], dtype=np.int64)
+    z = np.empty((len(pairs), trials, 2, _CANDIDATES, 2))
+    for row, counter in zip(z, counters.view(np.uint64)):
+        state["state"]["counter"] = counter
+        bitgen.state = state
+        gen.standard_normal(out=row)
+    table = z[..., 0, 0] + 1j * z[..., 0, 1]
+    # the first candidate fails for about 1 in 800 coefficients
+    for at in zip(*np.nonzero(np.abs(table) < MAGNITUDE_FLOOR)):
+        h = z[at][:, 0] + 1j * z[at][:, 1]
+        ok = np.abs(h) >= MAGNITUDE_FLOOR
+        if not ok.any():
+            raise RuntimeError("rejection budget exhausted while drawing coefficients")
+        table[at] = h[ok.argmax()]
+    table.flags.writeable = False
+    return table
+
+
 def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
                    trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of every user on every slot of every thread.
 
     ``slots`` has shape (T, K+1). Returns ``H`` of shape (K, trials, T, K+1, 2),
     where ``H[i-1, r, t, n]`` is user i's (h1, h2) in trial r on thread t's
-    n-th slot, and the block labels (K, T, K+1) the slots fall in. Each
-    distinct (user, block) pair is drawn once, so slots in one fading block
-    get identical coefficients.
+    n-th slot, and the block labels (K, T, K+1) the slots fall in. Slots in
+    one fading block get identical coefficients.
 
     Counter-based: the draw of a (user, block) pair is a pure function of
     (seed, user, block), read from the Philox stream at counter
@@ -102,31 +132,44 @@ def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
     never depend on evaluation order. Real/imaginary parts are standard
     normal; magnitudes below the floor are rejected from a per-coefficient
     candidate budget.
+
+    A module-level store keeps each drawn pair's (trials, 2) table for one
+    key (seed, trials, floor, candidate budget) at a time, so each distinct
+    (user, block) pair is drawn once per store: a call with another key, or
+    one that would take the store past ``_VERIFY_CELLS`` (user, block, trial)
+    entries, starts a new one. ``H`` is always a fresh array.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     slots = np.asarray(slots, dtype=np.int64)
     blocks = slot_map(cfg, slots)[1]
-    H = np.empty((cfg.K, trials, *slots.shape, 2), dtype=complex)
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, _KEY_SALT], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state  # fresh: empty buffer, counter rewritten per block
-    for i, user_blocks in enumerate(blocks):
-        ub, inv = np.unique(user_blocks, return_inverse=True)
-        z = np.empty((len(ub), trials, 2, _CANDIDATES, 2))
-        for row, b in zip(z, ub):
-            state["state"]["counter"] = np.array([0, 0, i + 1, b], dtype=np.uint64)
-            bitgen.state = state
-            gen.standard_normal(out=row)
-        table = z[..., 0, 0] + 1j * z[..., 0, 1]
-        # the first candidate fails for about 1 in 800 coefficients
-        for at in zip(*np.nonzero(np.abs(table) < MAGNITUDE_FLOOR)):
-            h = z[at][:, 0] + 1j * z[at][:, 1]
-            ok = np.abs(h) >= MAGNITUDE_FLOOR
-            if not ok.any():
-                raise RuntimeError("rejection budget exhausted while drawing coefficients")
-            table[at] = h[ok.argmax()]
-        H[i] = np.moveaxis(table[inv.reshape(user_blocks.shape)], -2, 0)
-    return H, blocks
+    flat = blocks.reshape(cfg.K, slots.size)
+    lo, top = (int(flat.min()), int(flat.max())) if flat.size else (0, 0)
+    width = top - lo + 1
+    if cfg.K * width < 2**63:
+        keys = np.arange(cfg.K)[:, None] * width + (flat - lo)
+    else:  # the keys would overflow: number the distinct labels instead
+        labels, rank = np.unique(flat, return_inverse=True)
+        keys = np.arange(cfg.K)[:, None] * len(labels) + rank.reshape(flat.shape)
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    pairs = list(zip((first // slots.size).tolist(), flat.ravel()[first].tolist()))
+    key = (seed, trials, MAGNITUDE_FLOOR, _CANDIDATES)
+    stored, store = _store
+    tables = {p: store[p] for p in pairs if p in store} if stored == key else {}
+    new = [p for p in pairs if p not in tables]
+    if new:
+        drawn = _draw(seed, new, trials)
+        tables.update(zip(new, drawn))
+        with _store_lock:  # check, then write; calls read only their own tables
+            stored, store = _store
+            if stored != key or (len(store) + len(new)) * trials > _VERIFY_CELLS:
+                store = {}
+            if len(new) * trials <= _VERIFY_CELLS:
+                store.update(zip(new, drawn))
+            _store[:] = key, store
+    table = np.stack([tables[p] for p in pairs]) if pairs else np.empty((0, trials, 2), complex)
+    H = table[inv.reshape(cfg.K, 1, slots.size), np.arange(trials)[:, None]]
+    return H.reshape(cfg.K, trials, *slots.shape, 2), blocks
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -337,6 +338,17 @@ class TestExactCount:
         # at K = 2 every top holds one set, so the level spans 61 chunks of
         # 2^16 columns; each chunk clips only the tops it overlaps
         assert exact_count(4_000_000, 2, 2).value == f_2user(4_000_000, 2).value
+
+    def test_extensions_memory_does_not_grow_with_n(self):
+        # every chunk finds its own points, so the peak at N = 4*10^6 is about
+        # 4 MiB of per-chunk temporaries; arrays over all N points took 61 MiB
+        tracemalloc.start()
+        try:
+            assert exact_count(4_000_000, 2, 2).value == 2_666_667
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("chunk", [1, 4, 1 << 16])
     def test_extensions_in_colex_order(self, monkeypatch, chunk):

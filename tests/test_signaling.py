@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -145,9 +147,143 @@ class TestChannelDraws:
         assert rejected > 0
 
     def test_rejection_budget_exhausted(self, monkeypatch):
+        # the store is primed with these very pairs: the floor is part of its
+        # key, so the call must draw again and run out of candidates
+        channel_coeffs(FIG_CFG, self.SLOTS, seed=5, trials=3)
         monkeypatch.setattr(signaling, "MAGNITUDE_FLOOR", 100.0)
         with pytest.raises(RuntimeError, match="rejection budget"):
             channel_coeffs(FIG_CFG, self.SLOTS, seed=5, trials=3)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_must_be_positive(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            channel_coeffs(FIG_CFG, self.SLOTS, seed=5, trials=trials)
+
+
+def assert_bits_equal(got, want):
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestCoefficientStore:
+    """``channel_coeffs`` keeps drawn (user, block) tables across calls; every
+    result must equal the oracle, which draws each call afresh."""
+
+    CASES = [(cfg, schedule_of(cfg).slots) for cfg in (
+        FIG_CFG, ChannelConfig(23, (4, 9, 13, 18, 0)), evenly_spread(30, 3),
+        evenly_spread(20, 4), evenly_spread(60, 5))]
+
+    @pytest.fixture(autouse=True)
+    def empty_store(self, monkeypatch):
+        monkeypatch.setattr(signaling, "_store", [None, {}])
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Every (user, block) pair drawn, in order."""
+        drawn, draw = [], signaling._draw
+
+        def spy(seed, pairs, trials):
+            drawn.extend((seed, trials, *p) for p in pairs)
+            return draw(seed, pairs, trials)
+
+        monkeypatch.setattr(signaling, "_draw", spy)
+        return drawn
+
+    @staticmethod
+    def check(cfg, slots, seed, trials):
+        H, blocks = channel_coeffs(cfg, slots, seed, trials)
+        want, want_blocks = channel_coeffs_oracle(cfg, slots, seed, trials)
+        assert_bits_equal(H, want)
+        np.testing.assert_array_equal(blocks, want_blocks)
+        return H
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_sequence_of_configs_in_either_order(self, order, draws):
+        # thread subsets repeat pairs of earlier calls; both orders give the
+        # oracle's bits and draw each (user, block) pair once
+        calls = [(cfg, rows, 3) for cfg, slots in self.CASES
+                 for rows in (slots[:2], slots, slots[1::2])]
+        for cfg, rows, seed in calls[::order]:
+            self.check(cfg, rows, seed, 4)
+        assert len(draws) == len(set(draws))
+
+    def test_draws_each_pair_once_per_key(self, draws):
+        cfg, slots = self.CASES[1]
+        _, blocks = channel_coeffs(cfg, slots, 2, 3)
+        # from an empty store a call draws what the oracle draws
+        users = np.broadcast_to(np.arange(cfg.K)[:, None, None], blocks.shape)
+        assert draws == sorted({(2, 3, int(u), int(b)) for u, b in zip(users.flat, blocks.flat)})
+        first = len(draws)
+        channel_coeffs(cfg, slots[::-1], 2, 3)
+        for sched in (schedule_of(cfg), schedule_of(cfg)):
+            verify_schedule_end_to_end(cfg, sched, seed=2, trials=3)
+        assert len(draws) == first
+        # a new key draws again
+        channel_coeffs(cfg, slots, 2, 2)
+        assert len(draws) == 2 * first
+
+    @pytest.mark.parametrize("before, after", [(5, 2), (2, 5)])
+    def test_fewer_trials_give_a_prefix(self, before, after):
+        cfg, slots = self.CASES[1]
+        a = self.check(cfg, slots, 8, before)
+        b = self.check(cfg, slots, 8, after)
+        n = min(before, after)
+        assert_bits_equal(a[:, :n], b[:, :n])
+
+    def test_result_is_a_private_array(self):
+        cfg, slots = self.CASES[2]
+        H = self.check(cfg, slots, 1, 3)
+        assert H.flags.writeable and H.flags.c_contiguous
+        stored = signaling._store[1].values()
+        assert stored and not any(t.flags.writeable or np.shares_memory(H, t) for t in stored)
+        H[...] = 0
+        self.check(cfg, slots, 1, 3)
+        self.check(cfg, slots[:1], 1, 3)
+
+    def test_concurrent_calls(self):
+        # two threads, a short switch interval, and calls that share and swap
+        # keys: each call must still get the oracle's arrays
+        calls = [(cfg, slots[i::3], seed, trials) for cfg, slots in self.CASES
+                 for i in range(3) for seed, trials in ((1, 3), (2, 3), (1, 2))]
+        want = [channel_coeffs_oracle(*c)[0] for c in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                got = list(pool.map(lambda c: channel_coeffs(*c)[0], calls * 4, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want * 4):
+            assert_bits_equal(g, w)
+
+    def test_empty_slots(self):
+        for shape in ((0, 4), (0,)):
+            H = self.check(FIG_CFG, np.empty(shape, dtype=np.int64), 1, 2)
+            assert H.shape == (3, 2, *shape, 2)
+
+    @pytest.mark.parametrize("offsets, slots", [
+        ((0, 1), [[-5, 1, 2], [-9, -8, -7]]),  # labels below 0
+        ((0, 1), [[0, 1, 2], [2**63 - 3, 2**63 - 2, 2**63 - 1]]),
+        # labels 0..2^62: user * (2^62 + 1) + label wraps modulo 2^64, and
+        # user 4's label 0 would meet user 0's label 4
+        ((0, 1, 0, 1, 0), [[0, 8, 9], [2**63 - 3, 2**63 - 2, 2**63 - 1]]),
+    ])
+    def test_extreme_labels(self, offsets, slots):
+        cfg = ChannelConfig(2, offsets)
+        self.check(cfg, slots, 4, 3)
+        self.check(cfg, slots[::-1], 4, 3)
+
+    def test_store_starts_over_at_its_bound(self, monkeypatch, draws):
+        monkeypatch.setattr(signaling, "_VERIFY_CELLS", 16)
+        for _ in range(2):
+            for cfg, slots in self.CASES:
+                for rows in (slots[:1], slots[:3]):
+                    self.check(cfg, rows, 6, 2)
+                    assert len(signaling._store[1]) * 2 <= 16
+        # the store kept too little to spare the second round its draws
+        assert len(draws) > len(set(draws))
+        # a call larger than the bound alone stores nothing
+        self.check(*self.CASES[-1], 6, 2)
+        assert signaling._store[1] == {}
 
 
 class TestTupleVerifiers:
