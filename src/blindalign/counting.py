@@ -42,7 +42,7 @@ _EXTEND_CHUNK = 1 << 16  # candidate sets built at once: bounds memory, not the 
 @dataclass(frozen=True)
 class CountResult:
     value: int
-    kind: str  # formula_lower_bound | formula | exact_occupancy
+    kind: str  # formula_lower_bound | formula | exact_occupancy | exact_table
 
 
 @dataclass(frozen=True)
@@ -147,22 +147,65 @@ def _extensions(bad: np.ndarray, N: int):
         yield cols
 
 
+def _bad_sets_3(rows: tuple, N: int, j: int) -> int:
+    """c_j(N), the j-point sets {0} ∪ S ⊂ Z_N with no feasible 3-subset, from
+    the node table ``rows`` (``_triples.ROWS``, rows N = 1, 2, ...): its row N
+    if it has one, else the polynomial through the first j nodes N' >= 4
+    with N' = N mod 4, in the Newton form on that class's step of 4 (integer
+    differences and binomials, so exact)."""
+    if N <= len(rows):
+        return rows[N - 1][j - 1]
+    base = 4 + N % 4
+    diffs = [rows[base + 4 * i - 1][j - 1] for i in range(j)]
+    t, value = (N - base) // 4, 0
+    for i in range(j):
+        value += math.comb(t, i) * diffs[0]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    assert 0 <= value <= math.comb(N - 1, j - 1), (N, j, value)
+    return value
+
+
 def exact_count(N: int, K: int, k_target: int, *, threads: int = 1) -> CountResult:
     """Exact count of the N^(K-1) placements with no feasible subset.
 
-    Feasibility depends only on the set of occupied boxes, so the count runs
-    over occupied sets {0} ∪ S of each size j: bad = sum_j c_j *
-    gamma_count(j, K-1, j-1), where c_j counts the sets with no feasible
-    k_target-subset and the multiplier the ways the K-1 labeled balls land on
-    {0} ∪ S covering S. Subsets of a bad set are bad, so the kernel sees only
-    the bad (j-1)-sets plus a point above their top (:func:`_extensions`),
-    and no set with j < k_target, where all are bad. ``_EXACT_PAIRS`` bounds
-    the (set, k_target-subset) pairs of all sets, sum_j C(N-1, j-1) *
-    C(j, k_target): a size bound on the instance, not the work done.
+    Feasibility depends only on the set of occupied boxes, so bad = sum_j
+    c_j * gamma_count(j, K-1, j-1) over occupied sets {0} ∪ S of each size j,
+    where c_j counts the sets with no feasible k_target-subset and the
+    multiplier the ways the K-1 labeled balls land on {0} ∪ S covering S.
+
+    Triples with K <= ``_triples.J`` (12) read c_j(N) from a node table, kind
+    ``exact_table``, for any N and without a guard. The table holds the chain
+    DP's c_j(N) for N <= 51; past it, c_j is taken to be a polynomial of
+    degree j-1 on each residue class of N mod 4 (a quasi-polynomial: the bad
+    sets are the lattice points of a finite union of rational polytopes with
+    denominator 4, Ehrhart; Beck and Robins, *Computing the Continuous
+    Discretely*, ch. 3), interpolated through the first j nodes of N's class
+    (:func:`_bad_sets_3`). That is not proved here. Checks gate it: in the
+    tests every interpolation equals every later node in the table and the
+    pinned bad counts at N = 60, and ``tools/bad_sets_table.py --check``
+    runs the DP at N = 52..56.
+    Every other case walks the occupied sets (:func:`_occupancy_count`).
     """
     _check_positive(N=N, threads=threads)
     if not 2 <= k_target <= K:
         raise ValueError(f"k_target must be in 2..{K}")
+    if k_target == 3:
+        from . import _triples  # compiled by the first triple count, not by every import
+        if K <= _triples.J:
+            value = sum(_bad_sets_3(_triples.ROWS, N, j) * gamma_count(j, K - 1, j - 1)
+                        for j in range(1, min(K, N) + 1))
+            return CountResult(value=value, kind="exact_table")
+    return _occupancy_count(N, K, k_target, threads)
+
+
+def _occupancy_count(N: int, K: int, k_target: int, threads: int) -> CountResult:
+    """``exact_count`` by a walk over the bad occupied sets, grown a point at a
+    time. Subsets of a bad set are bad, so the kernel sees only the bad
+    (j-1)-sets plus a point above their top (:func:`_extensions`), and no set
+    with j < k_target, where all are bad. ``_EXACT_PAIRS`` bounds the (set,
+    k_target-subset) pairs of all sets, sum_j C(N-1, j-1) * C(j, k_target): a
+    size bound on the instance, not the work done.
+    """
     top = min(K, N)
     work = sum(math.comb(N - 1, j - 1) * math.comb(j, k_target) for j in range(1, top + 1))
     if work > _EXACT_PAIRS:
@@ -190,7 +233,8 @@ def exact_count(N: int, K: int, k_target: int, *, threads: int = 1) -> CountResu
 
 def probability_exact(N: int, K: int, k_target: int, *, threads: int = 1) -> ProbabilityEstimate:
     """P(some k_target-user subset is feasible), exactly: pairs from the
-    closed form ``f_2user`` (no guard needed), larger subsets by ``exact_count``."""
+    closed form ``f_2user`` and triples with K <= 12 from the node table (no
+    guard needed for either), other subsets by ``exact_count``'s guarded walk."""
     _check_positive(N=N, threads=threads)
     if k_target == 2:
         bad = f_2user(N, K).value

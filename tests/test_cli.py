@@ -448,7 +448,7 @@ class TestProb:
         assert rows[0]["p"] == pytest.approx(0.996206147, abs=1e-9)
 
     def test_exact_guard_exit_2(self, capsys):
-        code, _, err = run(capsys, "prob", "--N", "100", "--K", "6",
+        code, _, err = run(capsys, "prob", "--N", "100", "--K", "13",
                            "--k-target", "3", "--method", "exact")
         assert code == 2 and "monte_carlo" in err
 

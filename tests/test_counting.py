@@ -1,5 +1,6 @@
 import math
 import os
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -23,10 +24,10 @@ from blindalign import (
     p_upper_3,
     probability_exact,
 )
-from blindalign import counting
+from blindalign import _triples, counting
 from blindalign.feasibility import row_dtype
-from helpers import (enumeration_count, f_2user_oracle, f_low_3_oracle, occupancy_count_oracle,
-                     occupied_sets, stirling2)
+from helpers import (bad_set_counts, enumeration_count, f_2user_oracle, f_low_3_oracle,
+                     occupancy_count_oracle, occupied_sets, stirling2, subset_rows_oracle)
 
 
 def stirling2_recurrence(n, k):
@@ -258,15 +259,15 @@ class TestExactCount:
         assert counting._EXACT_PAIRS == 10**8
         monkeypatch.setattr(counting, "_EXACT_PAIRS", 10**6)
         with pytest.raises(SearchBudgetExceeded, match="monte_carlo"):
-            exact_count(100, 6, 3)
+            exact_count(100, 6, 4)
 
     def test_guard_counts_subset_tests(self, monkeypatch):
-        # sum_j C(15, j-1) * C(j, 3) over j = 3..6 is 75,635 at (16,6,3)
-        monkeypatch.setattr(counting, "_EXACT_PAIRS", 75635)
-        assert exact_count(16, 6, 3).value == 334126
-        monkeypatch.setattr(counting, "_EXACT_PAIRS", 75634)
-        with pytest.raises(SearchBudgetExceeded, match="guard 75634; use monte_carlo"):
-            exact_count(16, 6, 3)
+        # sum_j C(15, j-1) * C(j, 4) over j = 4..6 is 52,325 at (16,6,4)
+        monkeypatch.setattr(counting, "_EXACT_PAIRS", 52325)
+        assert exact_count(16, 6, 4).value == 1030906
+        monkeypatch.setattr(counting, "_EXACT_PAIRS", 52324)
+        with pytest.raises(SearchBudgetExceeded, match="guard 52324; use monte_carlo"):
+            exact_count(16, 6, 4)
 
     def test_threads_do_not_change_result(self):
         assert exact_count(8, 4, 3).value == exact_count(8, 4, 3, threads=4).value
@@ -322,8 +323,9 @@ class TestExactCount:
         # candidates with top 15 alone exceed a chunk of 1, 2 or 5 columns
         monkeypatch.setattr(counting, "_EXTEND_CHUNK", chunk)
         for N, K, k in ((1, 3, 2), (7, 4, 4), (12, 5, 2), (16, 5, 3), (13, 6, 4)):
-            assert exact_count(N, K, k).value == occupancy_count_oracle(N, K, k), (N, K, k)
-        assert exact_count(16, 6, 3, threads=2).value == 334126
+            assert counting._occupancy_count(N, K, k, 1).value == \
+                occupancy_count_oracle(N, K, k), (N, K, k)
+        assert counting._occupancy_count(16, 6, 3, 2).value == 334126
 
     def test_small_chunks_grid(self, monkeypatch):
         # a chunk of 3 columns cuts most runs of one top, up to N = 40
@@ -331,8 +333,8 @@ class TestExactCount:
         for N in (2, 9, 17, 26, 33, 40):
             for K in (2, 3, 4):
                 for k in range(2, K + 1):
-                    assert exact_count(N, K, k).value == occupancy_count_oracle(N, K, k), \
-                        (N, K, k)
+                    assert counting._occupancy_count(N, K, k, 1).value == \
+                        occupancy_count_oracle(N, K, k), (N, K, k)
 
     def test_many_chunks_with_one_set_per_top(self):
         # at K = 2 every top holds one set, so the level spans 61 chunks of
@@ -380,6 +382,110 @@ class TestExactCount:
                 assert np.array_equal(occupied_sets(N, j, lo, hi), cols[:, lo:hi])
 
 
+def bad_sets_by_scan(N, k, J):
+    """c_1..c_J by testing every k-subset of every set {0} ∪ S of each size."""
+    return [int((~subset_rows_oracle(occupied_sets(N, j, 0, math.comb(N - 1, j - 1)).T,
+                                     N, k)).sum()) if j >= k else math.comb(N - 1, j - 1)
+            for j in range(1, J + 1)]
+
+
+def lagrange(nodes, N):
+    """The polynomial through the (x, y) nodes at N, in exact fractions."""
+    value = Fraction(0)
+    for i, (xi, yi) in enumerate(nodes):
+        term = Fraction(yi)
+        for m, (xm, _) in enumerate(nodes):
+            if m != i:
+                term *= Fraction(N - xm, xi - xm)
+        value += term
+    return value
+
+
+def class_nodes(r, j, count):
+    """The first ``count`` table nodes N >= 4 with N = r mod 4, as (N, c_j(N))."""
+    return [(N, _triples.ROWS[N - 1][j - 1]) for N in range(4 + r, 4 * count + 4 + r, 4)]
+
+
+class TestTripleTable:
+    def test_dp_matches_combination_scan(self):
+        for k in (2, 3, 4):
+            for N in range(1, 19):
+                J = min(N, 7)
+                assert bad_set_counts(N, k, J) == bad_sets_by_scan(N, k, J), (N, k)
+
+    def test_dp_matches_occupancy_oracle_grid(self):
+        for N in range(1, 25):
+            c = bad_set_counts(N, 3, 7)
+            for K in range(3, 8):
+                bad = sum(c[j - 1] * gamma_count(j, K - 1, j - 1) for j in range(1, min(K, N) + 1))
+                assert bad == occupancy_count_oracle(N, K, 3), (N, K)
+
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(1, 24), K=st.integers(2, 7), data=st.data())
+    def test_dp_matches_occupancy_oracle_property(self, N, K, data):
+        k = data.draw(st.integers(2, K), label="k")
+        c = bad_set_counts(N, k, K)
+        bad = sum(c[j - 1] * gamma_count(j, K - 1, j - 1) for j in range(1, min(K, N) + 1))
+        assert bad == occupancy_count_oracle(N, K, k)
+
+    def test_table_rows_regenerate(self):
+        assert _triples.J == 12 and len(_triples.ROWS) == 51
+        assert all(len(row) == _triples.J for row in _triples.ROWS)
+        for N in range(1, 29):
+            assert list(_triples.ROWS[N - 1]) == bad_set_counts(N, 3, _triples.J), N
+
+    def test_interpolation_matches_later_nodes(self):
+        # the quasi-polynomial claim on the table itself: on each class mod 4
+        # the first j nodes predict every later node of c_j up to N = 51
+        checked = 0
+        for r in range(4):
+            for j in range(1, _triples.J + 1):
+                nodes = class_nodes(r, j, 12)
+                for N, y in nodes[j:]:
+                    assert lagrange(nodes[:j], N) == y, (r, j, N)
+                    checked += 1
+        assert checked == 4 * sum(12 - j for j in range(1, 13)) == 264
+
+    def test_interpolation_past_the_table(self):
+        # the Newton form of exact_count against Lagrange in fractions
+        for N in (*range(52, 72), 99, 100, 101, 102, 1000, 10**6 + 3):
+            for j in range(1, _triples.J + 1):
+                expected = lagrange(class_nodes(N % 4, j, j), N)
+                assert expected.denominator == 1
+                assert counting._bad_sets_3(_triples.ROWS, N, j) == expected, (N, j)
+
+    def test_pinned_bad_counts_at_60(self):
+        # past every node: the chain DP run directly at N = 60 gave both
+        assert exact_count(60, 11, 3) == CountResult(24_960_089_920_862_548, "exact_table")
+        assert exact_count(60, 10, 3) == CountResult(703_905_045_311_490, "exact_table")
+        assert probability_exact(60, 11, 3).p == 0.9587205747542848
+        assert probability_exact(60, 10, 3).p == 0.930152185051872
+
+    def test_equals_occupancy_path(self):
+        for N in range(1, 25):
+            for K in range(3, 8):
+                table = exact_count(N, K, 3)
+                walk = counting._occupancy_count(N, K, 3, 1)
+                assert table.kind == "exact_table" and walk.kind == "exact_occupancy"
+                assert table.value == walk.value, (N, K)
+
+    def test_huge_n_without_a_walk(self):
+        t = time.perf_counter()
+        res = exact_count(10**6, 11, 3)
+        assert time.perf_counter() - t < 0.1
+        assert res.kind == "exact_table" and 0 < res.value < (10**6) ** 10
+
+    def test_other_cases_stay_on_the_walk(self, monkeypatch):
+        # no guard on the table, but every other case keeps it; threads is checked
+        monkeypatch.setattr(counting, "_EXACT_PAIRS", 0)
+        assert exact_count(100, 12, 3).kind == "exact_table"
+        for N, K, k in ((16, 6, 4), (36, 5, 2), (14, 13, 3)):
+            with pytest.raises(SearchBudgetExceeded):
+                exact_count(N, K, k)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            exact_count(100, 6, 3, threads=0)
+
+
 @pytest.mark.parametrize("cpus, threads, workers", [
     (4, 100_000, 4), (4, 2, 2), (2, 3, 2), (None, 8, None), (1, 8, None), (8, 1, None)])
 def test_pool_capped_at_cpu_count(monkeypatch, cpus, threads, workers):
@@ -403,7 +509,7 @@ def test_pool_capped_at_cpu_count(monkeypatch, cpus, threads, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     est = monte_carlo_p(12, 4, 3, trials=100_000, seed=3, threads=threads)
     assert est.p.hex() == "0x1.68c3f3e0370cep-2"
-    assert exact_count(16, 6, 3, threads=threads).value == 334126
+    assert exact_count(16, 6, 4, threads=threads).value == 1030906
     assert opened == ([workers] * 2 if workers else [])
 
 
