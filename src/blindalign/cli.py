@@ -174,6 +174,8 @@ def _parse_k_values(args) -> list[int]:
 
 
 def _cmd_prob(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     rows = []
     for K in _parse_k_values(args):
         if args.method == "mc":
@@ -183,8 +185,7 @@ def _cmd_prob(args) -> int:
         elif args.method == "bound" and args.k_target == 3:
             est = counting.p_upper_3(args.N, K)
         else:  # the pair closed form is exact, so it is also the pair bound
-            est = counting.probability_exact(args.N, K, args.k_target,
-                                             threads=args.threads)
+            est = counting.probability_exact(args.N, K, args.k_target)
         rows.append({
             "N": args.N, "K": K, "k_target": args.k_target,
             "method": args.method, "p": est.p,
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for exact/mc (results do not depend on it)")
+                   help="cap on the Monte Carlo workers (results do not depend on it)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_prob)
 

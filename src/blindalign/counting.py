@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,15 +57,6 @@ def _check_positive(**values: int) -> None:
     for name, value in values.items():
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-
-
-@contextmanager
-def _pool(threads: int):
-    """A ``map`` on at most min(threads, CPUs) workers, serial for one; every
-    caller's result is independent of the worker count."""
-    workers = min(threads, os.cpu_count() or 1)
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        yield pool.map if pool else map
 
 
 def gamma_count(n: int, theta: int, mu: int) -> int:
@@ -125,25 +116,16 @@ def f_2user(N: int, K: int) -> CountResult:
 def _extensions(bad: np.ndarray, N: int):
     """Each set of ``bad`` (sorted (j, n) columns, colex order) with each point
     c above its top added, in colex order, in chunks of at most ``_EXTEND_CHUNK``
-    columns: the sets with top c extend the prefix of ``bad`` below c.
-
-    Every point from the lowest top + 1 on extends at least one set, so a
-    chunk of w columns spans at most w points, and each chunk reads the
-    prefix lengths of just those points: no array spans all N points."""
-    top = bad[-1]
-    total = len(top) * (N - 1) - int(top.sum(dtype=np.int64))
-    c, first = (int(top[0]) + 1 if len(top) else N), 0  # the chunk's first point and column
-    for lo in range(0, total, _EXTEND_CHUNK):
-        hi = min(lo + _EXTEND_CHUNK, total)
-        points = np.arange(c, min(c + hi - lo, N), dtype=top.dtype)
-        ends = np.cumsum(np.concatenate([[first], np.searchsorted(top, points)]))
-        runs = np.diff(np.clip(ends, lo, hi))  # columns of each point in the chunk
-        src = np.arange(lo, hi) - np.repeat(ends[:-1], runs)
+    columns: the sets with top c extend the prefix of ``bad`` below c."""
+    ends = np.concatenate([[0], np.cumsum(np.searchsorted(bad[-1], np.arange(N)))])
+    for lo in range(0, ends[-1], _EXTEND_CHUNK):
+        hi = min(lo + _EXTEND_CHUNK, ends[-1])
+        first, stop = np.searchsorted(ends, lo, "right") - 1, np.searchsorted(ends, hi)
+        runs = np.diff(np.clip(ends[first:stop + 1], lo, hi))  # columns of the tops in the chunk
+        src = np.arange(lo, hi) - np.repeat(ends[first:stop], runs)
         cols = np.empty((len(bad) + 1, len(src)), dtype=bad.dtype)
         np.take(bad, src, axis=1, out=cols[:-1])
-        cols[-1] = np.repeat(points, runs)
-        at = int(np.searchsorted(ends, hi, "right")) - 1
-        c, first = c + at, int(ends[at])
+        cols[-1] = np.repeat(np.arange(first, stop), runs)
         yield cols
 
 
@@ -165,12 +147,13 @@ def _bad_sets_3(rows: tuple, N: int, j: int) -> int:
     return value
 
 
-def exact_count(N: int, K: int, k_target: int, *, threads: int = 1) -> CountResult:
+def exact_count(N: int, K: int, k_target: int) -> CountResult:
     """Exact count of the N^(K-1) placements with no feasible subset.
 
-    Feasibility depends only on the set of occupied boxes, so bad = sum_j
-    c_j * gamma_count(j, K-1, j-1) over occupied sets {0} ∪ S of each size j,
-    where c_j counts the sets with no feasible k_target-subset and the
+    Pairs are :func:`f_2user`, kind ``formula``, for any N. For larger
+    subsets feasibility depends only on the set of occupied boxes, so bad =
+    sum_j c_j * gamma_count(j, K-1, j-1) over occupied sets {0} ∪ S of each
+    size j, where c_j counts the sets with no feasible k_target-subset and the
     multiplier the ways the K-1 labeled balls land on {0} ∪ S covering S.
 
     Triples with K <= ``_triples.J`` (12) read c_j(N) from a node table, kind
@@ -184,27 +167,31 @@ def exact_count(N: int, K: int, k_target: int, *, threads: int = 1) -> CountResu
     tests every interpolation equals every later node in the table and the
     pinned bad counts at N = 60, and ``tools/bad_sets_table.py --check``
     runs the DP at N = 52..56.
-    Every other case walks the occupied sets (:func:`_occupancy_count`).
+    Every other case walks the occupied sets under a guard
+    (:func:`_occupancy_count`).
     """
-    _check_positive(N=N, threads=threads)
+    _check_positive(N=N)
     if not 2 <= k_target <= K:
         raise ValueError(f"k_target must be in 2..{K}")
+    if k_target == 2:
+        return f_2user(N, K)
     if k_target == 3:
         from . import _triples  # compiled by the first triple count, not by every import
         if K <= _triples.J:
             value = sum(_bad_sets_3(_triples.ROWS, N, j) * gamma_count(j, K - 1, j - 1)
                         for j in range(1, min(K, N) + 1))
             return CountResult(value=value, kind="exact_table")
-    return _occupancy_count(N, K, k_target, threads)
+    return _occupancy_count(N, K, k_target)
 
 
-def _occupancy_count(N: int, K: int, k_target: int, threads: int) -> CountResult:
+def _occupancy_count(N: int, K: int, k_target: int) -> CountResult:
     """``exact_count`` by a walk over the bad occupied sets, grown a point at a
     time. Subsets of a bad set are bad, so the kernel sees only the bad
     (j-1)-sets plus a point above their top (:func:`_extensions`), and no set
     with j < k_target, where all are bad. ``_EXACT_PAIRS`` bounds the (set,
     k_target-subset) pairs of all sets, sum_j C(N-1, j-1) * C(j, k_target): a
-    size bound on the instance, not the work done.
+    size bound on the instance, not the work done. Pairs never come here, so
+    its j = k_target term C(N-1, k_target-1) keeps N, and arrays over N, small.
     """
     top = min(K, N)
     work = sum(math.comb(N - 1, j - 1) * math.comb(j, k_target) for j in range(1, top + 1))
@@ -212,35 +199,26 @@ def _occupancy_count(N: int, K: int, k_target: int, threads: int) -> CountResult
         raise SearchBudgetExceeded(f"{work} (occupied set, {k_target}-subset) pairs exceed "
                                    f"the guard {_EXACT_PAIRS}; use monte_carlo_p instead")
     bad, value = np.zeros((1, 1), dtype=row_dtype(N)), 1  # j = 1: every ball at box 0
-    with _pool(threads) as pmap:
-        for j in range(2, top + 1):
-            kept, count = [], 0
-            for cols in _extensions(bad, N):
-                if j >= k_target:
-                    ok = pmap(
-                        lambda b: feasible_sorted_block(cols[:, b:b + _ROW_BLOCK], N, k_target),
-                        range(0, cols.shape[1], _ROW_BLOCK))
-                    cols = cols[:, ~np.concatenate(list(ok))]
-                count += cols.shape[1]
-                if j < top:
-                    kept.append(cols)
-            value += count * gamma_count(j, K - 1, j - 1)
-            if not count or j == top:
-                break
-            bad = np.concatenate(kept, axis=1)
+    for j in range(2, top + 1):
+        kept, count = [], 0
+        for cols in _extensions(bad, N):
+            if j >= k_target:
+                ok = [feasible_sorted_block(cols[:, b:b + _ROW_BLOCK], N, k_target)
+                      for b in range(0, cols.shape[1], _ROW_BLOCK)]
+                cols = cols[:, ~np.concatenate(ok)]
+            count += cols.shape[1]
+            if j < top:
+                kept.append(cols)
+        value += count * gamma_count(j, K - 1, j - 1)
+        if not count or j == top:
+            break
+        bad = np.concatenate(kept, axis=1)
     return CountResult(value=value, kind="exact_occupancy")
 
 
-def probability_exact(N: int, K: int, k_target: int, *, threads: int = 1) -> ProbabilityEstimate:
-    """P(some k_target-user subset is feasible), exactly: pairs from the
-    closed form ``f_2user`` and triples with K <= 12 from the node table (no
-    guard needed for either), other subsets by ``exact_count``'s guarded walk."""
-    _check_positive(N=N, threads=threads)
-    if k_target == 2:
-        bad = f_2user(N, K).value
-    else:
-        bad = exact_count(N, K, k_target, threads=threads).value
-    p = float(1 - Fraction(bad, N ** (K - 1)))
+def probability_exact(N: int, K: int, k_target: int) -> ProbabilityEstimate:
+    """P(some k_target-user subset is feasible), exactly: 1 - exact_count / N^(K-1)."""
+    p = float(1 - Fraction(exact_count(N, K, k_target).value, N ** (K - 1)))
     return ProbabilityEstimate(p=p, method="exact")
 
 
@@ -279,8 +257,9 @@ def monte_carlo_p(N: int, K: int, k_target: int, trials: int, seed: int = 0,
         offs[:, 1:] = gen.integers(0, N, (size, K - 1), np.int32 if N < 2**31 else np.int64)
         return int(feasible_subset_rows(offs, N, k_target).sum())
 
-    with _pool(threads) as pmap:
-        hits = sum(pmap(run_chunk, range(-(-trials // _MC_CHUNK))))
+    workers = min(threads, os.cpu_count() or 1)  # at most one per CPU, serial for one
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        hits = sum((pool.map if pool else map)(run_chunk, range(-(-trials // _MC_CHUNK))))
 
     p = hits / trials
     half_width = _Z95 * math.sqrt(p * (1 - p) / trials)

@@ -18,7 +18,6 @@ from blindalign import (
     build_schedule,
     check_feasible,
     closed_form_solution,
-    exact_count,
     feasible_region,
     group_profile,
     p_upper_3,
@@ -30,6 +29,7 @@ from blindalign.cli import main
 from helpers import (
     TAMPERINGS,
     compositions,
+    enumeration_count,
     huge_n_small_slots_doc,
     random_feasible_config,
     tamper_schedule,
@@ -432,7 +432,7 @@ class TestProb:
             code, out, _ = run(capsys, "prob", "--N", str(N), "--K", "4",
                                "--k-target", "2", "--method", "bound", "--format", "json")
             assert code == 0
-            bad = exact_count(N, 4, 2).value
+            bad = enumeration_count(N, 4, 2)
             assert json.loads(out)[0]["p"] == float(1 - Fraction(bad, N**3))
 
     def test_exact_2user_past_guard(self, capsys):
@@ -459,6 +459,7 @@ class TestProb:
         ("--N", "0", "--k-target", "3", "--method", "mc"),
         ("--N", "8", "--k-target", "3", "--method", "exact", "--threads", "0"),
         ("--N", "8", "--k-target", "3", "--method", "mc", "--threads", "0"),
+        ("--N", "8", "--k-target", "3", "--method", "bound", "--threads", "0"),
     ])
     def test_nonpositive_sizes_exit_2(self, capsys, argv):
         code, out, err = run(capsys, "prob", "--K", "3", *argv)

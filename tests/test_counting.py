@@ -202,7 +202,7 @@ class TestF2User:
         for N, K in ((6, 2), (9, 3), (9, 4), (12, 3), (12, 4), (15, 3),
                      (27, 5), (30, 5)):
             formula = f_2user(N, K).value
-            assert formula == exact_count(N, K, 2).value, (N, K)
+            assert formula == counting._occupancy_count(N, K, 2).value, (N, K)
             assert formula == enumeration_count(N, K, 2), (N, K)
 
     def test_matches_loop_oracle_grid(self):
@@ -224,10 +224,19 @@ class TestF2User:
             assert abs(p - (1 - K / 3 ** (K - 1))) < 1e-8, K
 
     def test_any_n_matches_exact_count(self):
-        # the arc length runs to ceil(N/3), so N need not be a multiple of 3
+        # the arc length runs to ceil(N/3), so N need not be a multiple of 3;
+        # exact_count answers pairs by f_2user, so check against the walk
         for N in (1, 2, 4, 5, 7, 8, 10, 11, 20, 22, 23, 37, 40):
             for K in (2, 3, 4, 5):
-                assert f_2user(N, K).value == exact_count(N, K, 2).value, (N, K)
+                assert f_2user(N, K).value == counting._occupancy_count(N, K, 2).value, (N, K)
+
+    def test_exact_count_pairs_are_the_closed_form(self, monkeypatch):
+        # no guard and no walk: N = 10^9 is answered in microseconds
+        forbid_loops_over_n(monkeypatch)
+        t = time.perf_counter()
+        res = exact_count(10**9, 11, 2)
+        assert time.perf_counter() - t < 0.01
+        assert res == f_2user(10**9, 11) and res.kind == "formula"
 
 
 class TestExactCount:
@@ -241,7 +250,7 @@ class TestExactCount:
         # is feasible: 6 of 16, leaving 10 without a feasible triple
         assert exact_count(4, 3, 3).value == 16 - feasible_region(4).count == 10
         assert exact_count(8, 3, 3).value == 52
-        assert exact_count(6, 2, 2) == CountResult(value=3, kind="exact_occupancy")
+        assert exact_count(6, 2, 2) == CountResult(value=3, kind="formula")
 
     def test_value_bounded_by_placements(self):
         for N, K in ((8, 3), (8, 4), (6, 5)):
@@ -269,11 +278,6 @@ class TestExactCount:
         with pytest.raises(SearchBudgetExceeded, match="guard 52324; use monte_carlo"):
             exact_count(16, 6, 4)
 
-    def test_threads_do_not_change_result(self):
-        assert exact_count(8, 4, 3).value == exact_count(8, 4, 3, threads=4).value
-        for N, K, k in ((16, 6, 3), (36, 5, 2)):
-            assert exact_count(N, K, k) == exact_count(N, K, k, threads=4)
-
     def test_matches_enumeration_grid(self):
         for N in range(1, 13):
             for K in range(2, 7):
@@ -295,7 +299,7 @@ class TestExactCount:
     def test_pinned_values(self):
         # 1 - 723901/60^4 is the 2-user probability behind gate 8b;
         # 3299206 was checked once against all 16^6 labeled placements
-        assert exact_count(60, 5, 2).value == 723901 == f_2user(60, 5).value
+        assert counting._occupancy_count(60, 5, 2).value == 723901 == exact_count(60, 5, 2).value
         assert exact_count(16, 7, 3).value == 3299206
 
     def test_matches_occupancy_oracle_grid(self):
@@ -323,9 +327,9 @@ class TestExactCount:
         # candidates with top 15 alone exceed a chunk of 1, 2 or 5 columns
         monkeypatch.setattr(counting, "_EXTEND_CHUNK", chunk)
         for N, K, k in ((1, 3, 2), (7, 4, 4), (12, 5, 2), (16, 5, 3), (13, 6, 4)):
-            assert counting._occupancy_count(N, K, k, 1).value == \
+            assert counting._occupancy_count(N, K, k).value == \
                 occupancy_count_oracle(N, K, k), (N, K, k)
-        assert counting._occupancy_count(16, 6, 3, 2).value == 334126
+        assert counting._occupancy_count(16, 6, 3).value == 334126
 
     def test_small_chunks_grid(self, monkeypatch):
         # a chunk of 3 columns cuts most runs of one top, up to N = 40
@@ -333,17 +337,12 @@ class TestExactCount:
         for N in (2, 9, 17, 26, 33, 40):
             for K in (2, 3, 4):
                 for k in range(2, K + 1):
-                    assert counting._occupancy_count(N, K, k, 1).value == \
+                    assert counting._occupancy_count(N, K, k).value == \
                         occupancy_count_oracle(N, K, k), (N, K, k)
 
-    def test_many_chunks_with_one_set_per_top(self):
-        # at K = 2 every top holds one set, so the level spans 61 chunks of
-        # 2^16 columns; each chunk clips only the tops it overlaps
-        assert exact_count(4_000_000, 2, 2).value == f_2user(4_000_000, 2).value
-
     def test_extensions_memory_does_not_grow_with_n(self):
-        # every chunk finds its own points, so the peak at N = 4*10^6 is about
-        # 4 MiB of per-chunk temporaries; arrays over all N points took 61 MiB
+        # pairs never reach the walk, whose run-end arrays over the N points
+        # would take about 61 MiB at N = 4*10^6
         tracemalloc.start()
         try:
             assert exact_count(4_000_000, 2, 2).value == 2_666_667
@@ -465,7 +464,7 @@ class TestTripleTable:
         for N in range(1, 25):
             for K in range(3, 8):
                 table = exact_count(N, K, 3)
-                walk = counting._occupancy_count(N, K, 3, 1)
+                walk = counting._occupancy_count(N, K, 3)
                 assert table.kind == "exact_table" and walk.kind == "exact_occupancy"
                 assert table.value == walk.value, (N, K)
 
@@ -476,14 +475,13 @@ class TestTripleTable:
         assert res.kind == "exact_table" and 0 < res.value < (10**6) ** 10
 
     def test_other_cases_stay_on_the_walk(self, monkeypatch):
-        # no guard on the table, but every other case keeps it; threads is checked
+        # no guard on the table or the pair closed form; every other case keeps it
         monkeypatch.setattr(counting, "_EXACT_PAIRS", 0)
         assert exact_count(100, 12, 3).kind == "exact_table"
-        for N, K, k in ((16, 6, 4), (36, 5, 2), (14, 13, 3)):
+        assert exact_count(36, 5, 2).kind == "formula"
+        for N, K, k in ((16, 6, 4), (14, 13, 3)):
             with pytest.raises(SearchBudgetExceeded):
                 exact_count(N, K, k)
-        with pytest.raises(ValueError, match="must be >= 1"):
-            exact_count(100, 6, 3, threads=0)
 
 
 @pytest.mark.parametrize("cpus, threads, workers", [
@@ -509,14 +507,13 @@ def test_pool_capped_at_cpu_count(monkeypatch, cpus, threads, workers):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     est = monte_carlo_p(12, 4, 3, trials=100_000, seed=3, threads=threads)
     assert est.p.hex() == "0x1.68c3f3e0370cep-2"
-    assert exact_count(16, 6, 4, threads=threads).value == 1030906
-    assert opened == ([workers] * 2 if workers else [])
+    assert opened == ([workers] if workers else [])
 
 
 @pytest.mark.parametrize("call", [
     lambda: exact_count(-4, 3, 3),
     lambda: exact_count(0, 3, 3),
-    lambda: exact_count(8, 3, 3, threads=0),
+    lambda: probability_exact(0, 3, 2),
     lambda: monte_carlo_p(0, 3, 3, trials=10),
     lambda: monte_carlo_p(8, 3, 3, trials=10, threads=0),
     lambda: f_low_3(0, 3),
@@ -595,10 +592,8 @@ class TestProbabilities:
         assert est.method == "exact"
         assert est.p == float(1 - Fraction(f_2user(100, 8).value, 100**7))
         for N, K in ((8, 4), (11, 5), (36, 5)):
-            p = float(1 - Fraction(exact_count(N, K, 2).value, N ** (K - 1)))
+            p = float(1 - Fraction(counting._occupancy_count(N, K, 2).value, N ** (K - 1)))
             assert probability_exact(N, K, 2).p == p
-        with pytest.raises(ValueError, match="must be >= 1"):
-            probability_exact(8, 3, 2, threads=0)
 
     def test_monte_carlo_fields(self):
         est = monte_carlo_p(8, 3, 3, trials=10_000, seed=0)
