@@ -100,19 +100,17 @@ def _draw(seed: int, pairs: list[tuple[int, int]], trials: int) -> np.ndarray:
     state = bitgen.state  # fresh: empty buffer, counter rewritten per block
     # labels below 0 wrap modulo 2^64, as a cast to uint64 wraps them
     counters = np.array([(0, 0, user + 1, b) for user, b in pairs], dtype=np.int64)
-    z = np.empty((len(pairs), trials, 2, _CANDIDATES, 2))
-    for row, counter in zip(z, counters.view(np.uint64)):
+    z = np.empty((trials, 2, _CANDIDATES, 2))
+    table = np.empty((len(pairs), trials, 2), dtype=complex)
+    for row, counter in zip(table, counters.view(np.uint64)):
         state["state"]["counter"] = counter
         bitgen.state = state
-        gen.standard_normal(out=row)
-    table = z[..., 0, 0] + 1j * z[..., 0, 1]
-    # the first candidate fails for about 1 in 800 coefficients
-    for at in zip(*np.nonzero(np.abs(table) < MAGNITUDE_FLOOR)):
-        h = z[at][:, 0] + 1j * z[at][:, 1]
+        gen.standard_normal(out=z)
+        h = z[..., 0] + 1j * z[..., 1]
         ok = np.abs(h) >= MAGNITUDE_FLOOR
-        if not ok.any():
+        if not ok.any(axis=-1).all():
             raise RuntimeError("rejection budget exhausted while drawing coefficients")
-        table[at] = h[ok.argmax()]
+        row[...] = np.take_along_axis(h, ok.argmax(axis=-1)[..., None], axis=-1)[..., 0]
     table.flags.writeable = False
     return table
 
@@ -130,8 +128,8 @@ def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
     (seed, user, block), read from the Philox stream at counter
     (0, 0, user, block), and trial r reads a fixed slice of it, so values
     never depend on evaluation order. Real/imaginary parts are standard
-    normal; magnitudes below the floor are rejected from a per-coefficient
-    candidate budget.
+    normal; each coefficient is the first of its ``_CANDIDATES`` candidates
+    whose magnitude is at or above the floor.
 
     A module-level store keeps each drawn pair's (trials, 2) table for one
     key (seed, trials, floor, candidate budget) at a time, so each distinct
@@ -144,13 +142,8 @@ def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
     slots = np.asarray(slots, dtype=np.int64)
     blocks = slot_map(cfg, slots)[1]
     flat = blocks.reshape(cfg.K, slots.size)
-    lo, top = (int(flat.min()), int(flat.max())) if flat.size else (0, 0)
-    width = top - lo + 1
-    if cfg.K * width < 2**63:
-        keys = np.arange(cfg.K)[:, None] * width + (flat - lo)
-    else:  # the keys would overflow: number the distinct labels instead
-        labels, rank = np.unique(flat, return_inverse=True)
-        keys = np.arange(cfg.K)[:, None] * len(labels) + rank.reshape(flat.shape)
+    labels, rank = np.unique(flat, return_inverse=True)
+    keys = np.arange(cfg.K)[:, None] * len(labels) + rank.reshape(flat.shape)
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
     pairs = list(zip((first // slots.size).tolist(), flat.ravel()[first].tolist()))
     key = (seed, trials, MAGNITUDE_FLOOR, _CANDIDATES)
@@ -167,7 +160,7 @@ def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
             if len(new) * trials <= _VERIFY_CELLS:
                 store.update(zip(new, drawn))
             _store[:] = key, store
-    table = np.stack([tables[p] for p in pairs]) if pairs else np.empty((0, trials, 2), complex)
+    table = np.array([tables[p] for p in pairs], dtype=complex).reshape(len(pairs), trials, 2)
     H = table[inv.reshape(cfg.K, 1, slots.size), np.arange(trials)[:, None]]
     return H.reshape(cfg.K, trials, *slots.shape, 2), blocks
 
@@ -264,16 +257,16 @@ def _smallest_singular(P: np.ndarray, c: np.ndarray, where: np.ndarray) -> np.nd
     return np.linalg.svd(B, compute_uv=False)[..., -1]
 
 
-def _meets_lemma(H: np.ndarray, cr: np.ndarray) -> np.ndarray:
+def _meets_lemma(P: np.ndarray) -> np.ndarray:
     """Which receiver matrices (K, trials, T) meet the chain lemma of
-    :func:`_schur`, their vectors straddling the transition columns ``cr``
-    (K, 1, T) of a permutation: the receiver's h1 must be equal on both slots
-    of every interferer, and its magnitudes must square without overflow or
-    underflow."""
-    h1 = H[..., 0]
-    mag = np.abs(H)
-    return (((h1[..., :-1] == h1[..., 1:]) | (np.arange(len(H)) == cr[..., None])).all(axis=-1)
-            & ((mag > _SAFE_MAGNITUDE[0]) & (mag < _SAFE_MAGNITUDE[1])).all(axis=(-2, -1)))
+    :func:`_schur`, from :func:`_receiver_margins`' slot pairs ``P``: the
+    receiver's h1 must be equal on both slots of every interferer, and its
+    magnitudes must square without overflow or underflow. The transition
+    columns are a permutation, so the pairs cover every slot."""
+    own = np.eye(len(P), dtype=bool)[:, None, None]
+    mag = np.abs(P)
+    return (((P[..., 0, 0] == P[..., 1, 0]) | own).all(axis=-1)
+            & ((mag > _SAFE_MAGNITUDE[0]) & (mag < _SAFE_MAGNITUDE[1])).all(axis=(-3, -2, -1)))
 
 
 def _receiver_margins(H: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,9 +302,8 @@ def _receiver_margins(H: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndar
     residuals = np.moveaxis(np.sqrt(det) / np.maximum(lmax, 1e-300), -1, 1)
     residuals[range(K), range(K)] = 0.0
 
-    cr = c.T[:, None, :]  # (K, 1, T), receiver-major
-    lemma = _meets_lemma(H, cr)
-    schur = _schur(K, cr, P[range(K), :, :, range(K)])
+    lemma = _meets_lemma(P)
+    schur = _schur(K, c.T[:, None, :], P[range(K), :, :, range(K)])
     guess = np.where(lemma, schur(0.0), np.inf).reshape(K, -1)
     first = ~lemma
     first.reshape(K, -1)[range(K), guess.argmin(axis=1)] = True
@@ -405,8 +397,6 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
     first such thread in schedule order; the worst values are exactly those
     of checking every thread.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if cfg != sched.cfg:
         raise ValueError(f"config {cfg} differs from the schedule's config {sched.cfg}")
     report = validate_schedule(sched)

@@ -396,6 +396,14 @@ def channel_coeffs_oracle(cfg, slots, seed, trials):
     return np.take_along_axis(h, np.argmax(ok, axis=-1)[..., None], axis=-1)[..., 0], blocks
 
 
+def slot_pairs(H, c):
+    """Every receiver's (h1, h2) on the two slots of each user's transition
+    column ``c`` (T, K): P (K, trials, T, K, 2, 2), the slot pairs that
+    ``signaling._receiver_margins`` gathers."""
+    T = H.shape[2]
+    return H[:, :, np.arange(T)[:, None, None], np.asarray(c)[..., None] + np.arange(2)]
+
+
 def lemma_blocks(H, mask):
     """Which receiver matrices (K, trials, T) meet the chain lemma on any 0/1
     vectors ``mask`` (T, K, K+1), with their transition columns c (K, 1, T)

@@ -161,6 +161,13 @@ class TestDecomposeVerify:
         assert code == 2 and out == ""
         assert "80000000000000 coefficient cells" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_2(self, tmp_path, capsys, trials):
+        path = tmp_path / "sched.json"
+        run(capsys, "decompose", "--N", "60", "--offsets", "0,15,30,45", "--out", str(path))
+        code, out, err = run(capsys, "verify", "--schedule", str(path), "--trials", trials)
+        assert (code, out, err) == (2, "", "error: trials must be >= 1\n")
+
     def test_infeasible_exit_1(self, capsys):
         code, _, err = run(capsys, "decompose", "--N", "8", "--offsets", "0,1,2")
         assert code == 1
@@ -399,6 +406,17 @@ class TestProb:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["N", "K", "k_target", "method", "p", "half_width"]
         assert [r[1] for r in rows[1:]] == ["3", "4", "5"]
+
+    @pytest.mark.parametrize("k_args, message", [
+        (("--K", "3", "--K-range", "3:5"), "give either --K or --K-range, not both"),
+        ((), "one of --K or --K-range is required"),
+        (("--K-range", "5:3"), "--K-range must be increasing"),
+        (("--K-range", "a:b"), "--K-range must be a:b, got 'a:b'"),
+    ], ids=["both", "neither", "decreasing", "not-integers"])
+    def test_k_selection_errors_exit_2(self, capsys, k_args, message):
+        code, out, err = run(capsys, "prob", "--N", "8", *k_args,
+                             "--k-target", "3", "--method", "exact")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_mc_seeded(self, capsys):
         args = ("prob", "--N", "12", "--K", "4", "--k-target", "3",

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from helpers import (
     random_feasible_config,
     receiver_checks_oracle,
     receiver_margins_generic,
+    slot_pairs,
 )
 
 FIG_CFG = ChannelConfig(4, (0, 1, 2))
@@ -132,8 +134,9 @@ class TestChannelDraws:
         assert np.abs(H).min() >= MAGNITUDE_FLOOR
 
     def test_rejection_path_matches_all_candidates(self):
-        # the kernel tests only each coefficient's first candidate unless it
-        # falls below the floor (about 1 in 800); the reference tests all 16
+        # at the 0.05 floor about 1 in 800 first candidates fails, so some
+        # coefficients here take a later one; the reference tests all 16
+        # candidates of every coefficient
         cfg = ChannelConfig(23, (4, 9, 13, 18, 0))
         slots = schedule_of(cfg).slots[:6]
         rejected = 0
@@ -145,6 +148,34 @@ class TestChannelDraws:
             first = coefficient_candidates(cfg, slots, seed, 20)[0][..., 0]
             rejected += int((np.abs(first) < MAGNITUDE_FLOOR).sum())
         assert rejected > 0
+
+    def test_candidates_past_the_second(self, monkeypatch):
+        # at a floor of 1.0 about 39% of candidates fail: many coefficients
+        # take their third candidate or a later one. The floor is part of the
+        # store's key, so nothing drawn at the default floor is reused
+        monkeypatch.setattr(signaling, "MAGNITUDE_FLOOR", 1.0)
+        cfg = ChannelConfig(23, (4, 9, 13, 18, 0))
+        slots = schedule_of(cfg).slots[:6]
+        H, blocks = channel_coeffs(cfg, slots, 4, 20)
+        want, want_blocks = channel_coeffs_oracle(cfg, slots, 4, 20)
+        assert_bits_equal(H, want)
+        np.testing.assert_array_equal(blocks, want_blocks)
+        first_two = coefficient_candidates(cfg, slots, 4, 20)[0][..., :2]
+        assert (np.abs(first_two) < 1.0).all(axis=-1).sum() > 100
+
+    def test_draw_memory(self):
+        # one (trials, 2, 16, 2) candidate buffer at a time: 8 pairs of 20,000
+        # trials peak near 36 MiB, where every pair's candidates at once take
+        # 78 MiB alone
+        pairs = [(user, b) for user in range(2) for b in range(4)]
+        tracemalloc.start()
+        try:
+            table = signaling._draw(3, pairs, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (8, 20_000, 2) and not table.flags.writeable
+        assert peak < 50 * 2**20
 
     def test_rejection_budget_exhausted(self, monkeypatch):
         # the store is primed with these very pairs: the floor is part of its
@@ -480,12 +511,32 @@ class TestScreen:
         with pytest.raises(ValueError):
             receiver_checks(H, M_zeroed)
 
-        def columns(M):
-            return np.argmax(M, axis=-1).T[:, None, :]
-
-        assert signaling._meets_lemma(H, columns(M))[0, 0, 0]
+        assert signaling._meets_lemma(slot_pairs(H, np.argmax(M, axis=-1)))[0, 0, 0]
         for h, m in ((H, M[:, [1, 0, 2, 3]]), (broken, M), (huge, M)):
-            assert not signaling._meets_lemma(h, columns(m))[0, 0, 0]
+            lemma = signaling._meets_lemma(slot_pairs(h, np.argmax(m, axis=-1)))
+            assert not lemma[0, 0, 0]
+            np.testing.assert_array_equal(
+                lemma, lemma_blocks(h, beamforming_vectors(m).astype(bool))[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=feasible_configs(k_max=7), seed=st.integers(0, 1000), trials=st.integers(1, 4),
+           scale=st.sampled_from([1.0, 1e200, 1e-200]))
+    def test_guard_matches_generic_oracle(self, cfg, seed, trials, scale):
+        # on each thread's true pattern and on random fake permutations, with
+        # one receiver's coefficient on one slot scaled in or out of the safe
+        # range, the guard on the slot pairs agrees with the generic guard on
+        # the whole coefficient array
+        slots = schedule_of(cfg).slots[:8]
+        H = channel_coeffs(cfg, slots, seed, trials)[0]
+        rng = np.random.default_rng(seed)
+        i, t, n, a = (int(rng.integers(d)) for d in (cfg.K, len(slots), cfg.K + 1, 2))
+        H[i, :, t, n, a] *= scale
+        fake = np.eye(cfg.K, dtype=int)[np.argsort(rng.random((len(slots), cfg.K)), axis=-1)]
+        for M in (pattern_matrix(cfg, slots), fake):
+            got = signaling._meets_lemma(slot_pairs(H, np.argmax(M, axis=-1)))
+            want = lemma_blocks(H, beamforming_vectors(M).astype(bool))[0]
+            assert got.shape == want.shape == (cfg.K, trials, len(slots))
+            np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=30, deadline=None)
     @given(cfg=feasible_configs(), seed=st.integers(0, 1000))
