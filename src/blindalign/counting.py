@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SearchBudgetExceeded
-from .feasibility import _ROW_BLOCK, feasible_sorted_block, feasible_subset_rows, row_dtype
+from .feasibility import feasible_subset_rows, row_dtype
 
 __all__ = [
     "CountResult",
@@ -27,6 +27,7 @@ __all__ = [
     "gamma_count",
     "f_low_3",
     "f_2user",
+    "bad_set_counts",
     "exact_count",
     "probability_exact",
     "p_upper_3",
@@ -35,14 +36,13 @@ __all__ = [
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MC_CHUNK = 1 << 15  # fixed: estimates are bit-identical for any thread count
-_EXACT_PAIRS = 10**8  # exact_count's size bound; past it, use monte_carlo_p
-_EXTEND_CHUNK = 1 << 16  # candidate sets built at once: bounds memory, not the count
+_DP_FRONTS = 2 * 10**5  # fronts bad_set_counts may process; past it, use monte_carlo_p
 
 
 @dataclass(frozen=True)
 class CountResult:
     value: int
-    kind: str  # formula_lower_bound | formula | exact_occupancy | exact_table
+    kind: str  # formula_lower_bound | formula | exact_table | exact_dp
 
 
 @dataclass(frozen=True)
@@ -113,38 +113,75 @@ def f_2user(N: int, K: int) -> CountResult:
     return CountResult(value=L**K - (L - 1) ** K, kind="formula")
 
 
-def _extensions(bad: np.ndarray, N: int):
-    """Each set of ``bad`` (sorted (j, n) columns, colex order) with each point
-    c above its top added, in colex order, in chunks of at most ``_EXTEND_CHUNK``
-    columns: the sets with top c extend the prefix of ``bad`` below c."""
-    ends = np.concatenate([[0], np.cumsum(np.searchsorted(bad[-1], np.arange(N)))])
-    for lo in range(0, ends[-1], _EXTEND_CHUNK):
-        hi = min(lo + _EXTEND_CHUNK, ends[-1])
-        first, stop = np.searchsorted(ends, lo, "right") - 1, np.searchsorted(ends, hi)
-        runs = np.diff(np.clip(ends[first:stop + 1], lo, hi))  # columns of the tops in the chunk
-        src = np.arange(lo, hi) - np.repeat(ends[first:stop], runs)
-        cols = np.empty((len(bad) + 1, len(src)), dtype=bad.dtype)
-        np.take(bad, src, axis=1, out=cols[:-1])
-        cols[-1] = np.repeat(np.arange(first, stop), runs)
-        yield cols
+def bad_set_counts(N: int, k: int, J: int) -> list[int]:
+    """[c_1, ..., c_J], c_j the number of j-point sets {0} ∪ S ⊂ Z_N with no
+    feasible k-subset, by a left-to-right DP over the points 1..N-1 (the
+    transfer-matrix method, Stanley, *EC1* §4.7). With L = ceil(N/(k+1)), a
+    set has a feasible k-subset iff the greedy chain from some start a < L,
+    each of its k-1 jumps to the first point at least L further on, ends by
+    a + N - L (Gupta, Lee and Leung, *Networks* 12, 1982; a feasible subset
+    starting at L or later can swap its first point for 0). A state is the
+    Pareto front of the live chains (picks c, distance e from the last pick
+    to the next point, capped at L, start a): dominated chains, and chains
+    that can no longer end by a + N - L, drop. A set whose chain ends is
+    good and leaves; one with no live chain once none can start stays bad.
+    Each front keeps its sets' counts by size in W-bit lanes of one integer,
+    so taking a point is a shift and sets past J points fall off the top.
+    The work, about exponential in L, is counted: past ``_DP_FRONTS``
+    fronts the DP refuses."""
+    L = -(-N // (k + 1))
+    W = max(math.comb(N - 1, j) for j in range(J)).bit_length()  # no lane overflows
+    mask = (1 << W * (J + 1)) - 1
+
+    def advance(chains, q):
+        """The Pareto front at the next point q of the chains still able to end."""
+        front = []
+        for t in sorted({(c, e, a) for c, e, a in chains
+                         if q + L - e + (k - c - 1) * L <= a + N - L}, reverse=True):
+            if not any(u[0] >= t[0] and u[1] >= t[1] and u[2] >= t[2] for u in front):
+                front.append(t)
+        return tuple(front)
+
+    states, dead, fronts = {((1, 1, 0),): 1 << W}, 0, 0  # {0}: one chain, started at 0
+    for p in range(1, N):
+        dead += (dead << W) & mask  # bad sets take p or not
+        new = {}
+        for front, lanes in states.items():
+            if (fronts := fronts + 1) > _DP_FRONTS:
+                raise SearchBudgetExceeded(f"chain DP past {_DP_FRONTS} fronts; use monte_carlo_p")
+            skip = advance([(c, min(e + 1, L), a) for c, e, a in front], p + 1)
+            took = [(c + 1, 1, a) if e == L else (c, min(e + 1, L), a) for c, e, a in front]
+            outcomes = [(skip, lanes)]
+            if all(c < k for c, _, _ in took):  # else a chain ended: the set is good
+                took += [(1, 1, p)] if p < L else []
+                outcomes.append((advance(took, p + 1), (lanes << W) & mask))
+            for f, v in outcomes:
+                if not f and p + 1 >= L:
+                    dead += v
+                elif v:
+                    new[f] = new.get(f, 0) + v
+        states = new
+    total = dead + sum(states.values())
+    return [total >> W * j & (1 << W) - 1 for j in range(1, J + 1)]
 
 
-def _bad_sets_3(rows: tuple, N: int, j: int) -> int:
-    """c_j(N), the j-point sets {0} ∪ S ⊂ Z_N with no feasible 3-subset, from
-    the node table ``rows`` (``_triples.ROWS``, rows N = 1, 2, ...): its row N
-    if it has one, else the polynomial through the first j nodes N' >= 4
-    with N' = N mod 4, in the Newton form on that class's step of 4 (integer
-    differences and binomials, so exact)."""
+def _bad_sets(rows: tuple, period: int, N: int, J: int) -> list[int]:
+    """[c_1, ..., c_J] at N from a node table of :func:`bad_set_counts` at
+    k = period - 1: row N, or past the rows :func:`exact_count`'s interpolation
+    in exact Newton form; a c_j outside 0..C(N-1, j-1) raises."""
     if N <= len(rows):
-        return rows[N - 1][j - 1]
-    base = 4 + N % 4
-    diffs = [rows[base + 4 * i - 1][j - 1] for i in range(j)]
-    t, value = (N - base) // 4, 0
-    for i in range(j):
-        value += math.comb(t, i) * diffs[0]
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    assert 0 <= value <= math.comb(N - 1, j - 1), (N, j, value)
-    return value
+        return list(rows[N - 1][:J])
+    base = period + N % period
+    t, c = (N - base) // period, []
+    for j in range(1, J + 1):
+        diffs, value = [rows[base + period * i - 1][j - 1] for i in range(j)], 0
+        for i in range(j):
+            value += math.comb(t, i) * diffs[0]
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        if not 0 <= value <= math.comb(N - 1, j - 1):
+            raise ArithmeticError(f"interpolated c_{j}({N}) = {value} outside 0..C({N-1}, {j-1})")
+        c.append(value)
+    return c
 
 
 def exact_count(N: int, K: int, k_target: int) -> CountResult:
@@ -156,64 +193,27 @@ def exact_count(N: int, K: int, k_target: int) -> CountResult:
     size j, where c_j counts the sets with no feasible k_target-subset and the
     multiplier the ways the K-1 labeled balls land on {0} ∪ S covering S.
 
-    Triples with K <= ``_triples.J`` (12) read c_j(N) from a node table, kind
-    ``exact_table``, for any N and without a guard. The table holds the chain
-    DP's c_j(N) for N <= 51; past it, c_j is taken to be a polynomial of
-    degree j-1 on each residue class of N mod 4 (a quasi-polynomial: the bad
-    sets are the lattice points of a finite union of rational polytopes with
-    denominator 4, Ehrhart; Beck and Robins, *Computing the Continuous
-    Discretely*, ch. 3), interpolated through the first j nodes of N's class
-    (:func:`_bad_sets_3`). That is not proved here. Checks gate it: in the
-    tests every interpolation equals every later node in the table and the
-    pinned bad counts at N = 60, and ``tools/bad_sets_table.py --check``
-    runs the DP at N = 52..56.
-    Every other case walks the occupied sets under a guard
-    (:func:`_occupancy_count`).
+    c_j(N) comes from :func:`bad_set_counts` with J = min(K, N), kind
+    ``exact_dp``, under its guard; for k_target 3 and 4 with K <= 12, from
+    its node tables ``_triples`` (N <= 51) and ``_quadruples`` (N <= 64),
+    kind ``exact_table``, for any N. Past the last row c_j is taken to be
+    the polynomial through the first j nodes N' >= k_target+1 of N's class
+    mod k_target+1 (Ehrhart quasi-polynomials; Beck and Robins, *Computing
+    the Continuous Discretely*, ch. 3). That is not proved here: the tests
+    and ``tools/bad_sets_table.py --check`` match it with later nodes.
     """
     _check_positive(N=N)
     if not 2 <= k_target <= K:
         raise ValueError(f"k_target must be in 2..{K}")
     if k_target == 2:
         return f_2user(N, K)
-    if k_target == 3:
-        from . import _triples  # compiled by the first triple count, not by every import
-        if K <= _triples.J:
-            value = sum(_bad_sets_3(_triples.ROWS, N, j) * gamma_count(j, K - 1, j - 1)
-                        for j in range(1, min(K, N) + 1))
-            return CountResult(value=value, kind="exact_table")
-    return _occupancy_count(N, K, k_target)
-
-
-def _occupancy_count(N: int, K: int, k_target: int) -> CountResult:
-    """``exact_count`` by a walk over the bad occupied sets, grown a point at a
-    time. Subsets of a bad set are bad, so the kernel sees only the bad
-    (j-1)-sets plus a point above their top (:func:`_extensions`), and no set
-    with j < k_target, where all are bad. ``_EXACT_PAIRS`` bounds the (set,
-    k_target-subset) pairs of all sets, sum_j C(N-1, j-1) * C(j, k_target): a
-    size bound on the instance, not the work done. Pairs never come here, so
-    its j = k_target term C(N-1, k_target-1) keeps N, and arrays over N, small.
-    """
-    top = min(K, N)
-    work = sum(math.comb(N - 1, j - 1) * math.comb(j, k_target) for j in range(1, top + 1))
-    if work > _EXACT_PAIRS:
-        raise SearchBudgetExceeded(f"{work} (occupied set, {k_target}-subset) pairs exceed "
-                                   f"the guard {_EXACT_PAIRS}; use monte_carlo_p instead")
-    bad, value = np.zeros((1, 1), dtype=row_dtype(N)), 1  # j = 1: every ball at box 0
-    for j in range(2, top + 1):
-        kept, count = [], 0
-        for cols in _extensions(bad, N):
-            if j >= k_target:
-                ok = [feasible_sorted_block(cols[:, b:b + _ROW_BLOCK], N, k_target)
-                      for b in range(0, cols.shape[1], _ROW_BLOCK)]
-                cols = cols[:, ~np.concatenate(ok)]
-            count += cols.shape[1]
-            if j < top:
-                kept.append(cols)
-        value += count * gamma_count(j, K - 1, j - 1)
-        if not count or j == top:
-            break
-        bad = np.concatenate(kept, axis=1)
-    return CountResult(value=value, kind="exact_occupancy")
+    from . import _quadruples, _triples  # compiled by the first count that reads a table
+    table = {3: _triples, 4: _quadruples}.get(k_target)
+    if table and K <= table.J:
+        c, kind = _bad_sets(table.ROWS, k_target + 1, N, min(K, N)), "exact_table"
+    else:
+        c, kind = bad_set_counts(N, k_target, min(K, N)), "exact_dp"
+    return CountResult(sum(c_j * gamma_count(j, K - 1, j - 1) for j, c_j in enumerate(c, 1)), kind)
 
 
 def probability_exact(N: int, K: int, k_target: int) -> ProbabilityEstimate:

@@ -244,59 +244,6 @@ def occupancy_count_oracle(N, K, k_target):
     return value
 
 
-def bad_set_counts(N, k, J):
-    """Oracle and generator of the triple node table: [c_1, ..., c_J], c_j the
-    number of j-point sets {0} ∪ S ⊂ Z_N with no feasible k-subset, by a
-    left-to-right DP over the points 1..N-1 (the transfer-matrix method,
-    Stanley, *EC1* §4.7).
-
-    With L = ceil(N/(k+1)), a set has a feasible k-subset iff the greedy
-    chain from some start a < L, each of its k-1 jumps to the first point at
-    least L further on, ends by a + N - L (Gupta, Lee and Leung, *Networks*
-    12, 1982; a feasible subset starting at L or later can swap its first
-    point for 0). A state is the Pareto front of the live chains (picks c,
-    distance e from the last pick to the next point, capped at L, start a):
-    a chain no larger than another in all three ends no sooner, so it is
-    dropped, and so is a chain that can no longer end by a + N - L. A set
-    whose chain ends is good and leaves the DP. Each front keeps its sets'
-    counts by size in W-bit lanes of one integer, so taking a point is a
-    shift and sets past J points fall off the top. A set with no live chain
-    once no chain can start stays bad whatever else it takes."""
-    L = -(-N // (k + 1))
-    W = max(math.comb(N - 1, j) for j in range(J)).bit_length()  # no lane overflows
-    mask = (1 << W * (J + 1)) - 1
-
-    def advance(chains, q):
-        """The Pareto front at the next point q of the chains still able to end."""
-        live = sorted({(c, e, a) for c, e, a in chains
-                       if q + L - e + (k - c - 1) * L <= a + N - L}, reverse=True)
-        front = []
-        for t in live:
-            if not any(u[0] >= t[0] and u[1] >= t[1] and u[2] >= t[2] for u in front):
-                front.append(t)
-        return tuple(front)
-
-    states, dead = {((1, 1, 0),): 1 << W}, 0  # {0}: one chain, started at 0
-    for p in range(1, N):
-        dead += (dead << W) & mask  # bad sets take p or not
-        new = {}
-        for front, lanes in states.items():
-            skip = advance([(c, min(e + 1, L), a) for c, e, a in front], p + 1)
-            took = [(c + 1, 1, a) if e == L else (c, min(e + 1, L), a) for c, e, a in front]
-            outcomes = [(skip, lanes)]
-            if all(c < k for c, _, _ in took):  # else a chain ended: the set is good
-                took += [(1, 1, p)] if p < L else []
-                outcomes.append((advance(took, p + 1), (lanes << W) & mask))
-            for f, v in outcomes:
-                if not f and p + 1 >= L:
-                    dead += v
-                elif v:
-                    new[f] = new.get(f, 0) + v
-        states = new
-    total = dead + sum(states.values())
-    return [total >> W * j & (1 << W) - 1 for j in range(1, J + 1)]
-
-
 def random_feasible_gaps(rng, K, n_max):
     """Gap vector with sum N <= n_max and every entry >= ceil(N/(K+1))."""
     while True:

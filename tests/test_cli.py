@@ -24,7 +24,7 @@ from blindalign import (
     probability_exact,
     schedule_to_dict,
 )
-from blindalign import scheduler
+from blindalign import counting, scheduler
 from blindalign.cli import main
 from helpers import (
     TAMPERINGS,
@@ -454,8 +454,8 @@ class TestProb:
             assert json.loads(out)[0]["p"] == float(1 - Fraction(bad, N**3))
 
     def test_exact_2user_past_guard(self, capsys):
-        # sum_j C(99, j-1) * C(j, 2) = 4.4e11 exceeds the guard; the pair closed form
-        # answers exactly, and --method bound gives the same value
+        # pairs never reach the DP or its guard: the closed form answers
+        # exactly, and --method bound gives the same value
         rows = []
         for method in ("exact", "bound"):
             code, out, _ = run(capsys, "prob", "--N", "100", "--K", "8", "--k-target", "2",
@@ -465,7 +465,10 @@ class TestProb:
         assert rows[0]["p"] == rows[1]["p"] == probability_exact(100, 8, 2).p
         assert rows[0]["p"] == pytest.approx(0.996206147, abs=1e-9)
 
-    def test_exact_guard_exit_2(self, capsys):
+    def test_exact_guard_exit_2(self, capsys, monkeypatch):
+        # a smaller front bound keeps this quick; TestExactCount checks that the
+        # real bound stops the DP within seconds
+        monkeypatch.setattr(counting, "_DP_FRONTS", 10**4)
         code, _, err = run(capsys, "prob", "--N", "100", "--K", "13",
                            "--k-target", "3", "--method", "exact")
         assert code == 2 and "monte_carlo" in err

@@ -2,7 +2,6 @@ import math
 import os
 import time
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -24,10 +23,10 @@ from blindalign import (
     p_upper_3,
     probability_exact,
 )
-from blindalign import _triples, counting
+from blindalign import _quadruples, _triples, counting
 from blindalign.feasibility import row_dtype
-from helpers import (bad_set_counts, enumeration_count, f_2user_oracle, f_low_3_oracle,
-                     occupancy_count_oracle, occupied_sets, stirling2, subset_rows_oracle)
+from helpers import (enumeration_count, f_2user_oracle, f_low_3_oracle, occupancy_count_oracle,
+                     occupied_sets, stirling2, subset_rows_oracle)
 
 
 def stirling2_recurrence(n, k):
@@ -55,6 +54,12 @@ def forbid_loops_over_n(monkeypatch):
     def no_range(*args):
         raise AssertionError(f"counting called range{args}")
     monkeypatch.setattr(counting, "range", no_range, raising=False)
+
+
+def dp_count(N, K, k):
+    """exact_count's sum over occupied-set sizes, c_j straight from the chain DP."""
+    c = counting.bad_set_counts(N, k, min(K, N))
+    return sum(c_j * gamma_count(j, K - 1, j - 1) for j, c_j in enumerate(c, 1))
 
 
 def f_low_3_proof_path(N, K):
@@ -202,7 +207,7 @@ class TestF2User:
         for N, K in ((6, 2), (9, 3), (9, 4), (12, 3), (12, 4), (15, 3),
                      (27, 5), (30, 5)):
             formula = f_2user(N, K).value
-            assert formula == counting._occupancy_count(N, K, 2).value, (N, K)
+            assert formula == occupancy_count_oracle(N, K, 2), (N, K)
             assert formula == enumeration_count(N, K, 2), (N, K)
 
     def test_matches_loop_oracle_grid(self):
@@ -225,13 +230,13 @@ class TestF2User:
 
     def test_any_n_matches_exact_count(self):
         # the arc length runs to ceil(N/3), so N need not be a multiple of 3;
-        # exact_count answers pairs by f_2user, so check against the walk
+        # exact_count answers pairs by f_2user, so check against the chain DP
         for N in (1, 2, 4, 5, 7, 8, 10, 11, 20, 22, 23, 37, 40):
             for K in (2, 3, 4, 5):
-                assert f_2user(N, K).value == counting._occupancy_count(N, K, 2).value, (N, K)
+                assert f_2user(N, K).value == dp_count(N, K, 2), (N, K)
 
     def test_exact_count_pairs_are_the_closed_form(self, monkeypatch):
-        # no guard and no walk: N = 10^9 is answered in microseconds
+        # no guard and no DP: N = 10^9 is answered in microseconds
         forbid_loops_over_n(monkeypatch)
         t = time.perf_counter()
         res = exact_count(10**9, 11, 2)
@@ -265,18 +270,21 @@ class TestExactCount:
         assert exact_count(N, K, 3).value == bad
 
     def test_guard(self, monkeypatch):
-        assert counting._EXACT_PAIRS == 10**8
-        monkeypatch.setattr(counting, "_EXACT_PAIRS", 10**6)
-        with pytest.raises(SearchBudgetExceeded, match="monte_carlo"):
-            exact_count(100, 6, 4)
+        # the DP counts the fronts it processes: (21,13,3) takes 1,862
+        assert counting._DP_FRONTS == 2 * 10**5
+        monkeypatch.setattr(counting, "_DP_FRONTS", 1862)
+        assert exact_count(21, 13, 3).kind == "exact_dp"
+        monkeypatch.setattr(counting, "_DP_FRONTS", 1861)
+        with pytest.raises(SearchBudgetExceeded, match="past 1861 fronts; use monte_carlo_p"):
+            exact_count(21, 13, 3)
 
-    def test_guard_counts_subset_tests(self, monkeypatch):
-        # sum_j C(15, j-1) * C(j, 4) over j = 4..6 is 52,325 at (16,6,4)
-        monkeypatch.setattr(counting, "_EXACT_PAIRS", 52325)
-        assert exact_count(16, 6, 4).value == 1030906
-        monkeypatch.setattr(counting, "_EXACT_PAIRS", 52324)
-        with pytest.raises(SearchBudgetExceeded, match="guard 52324; use monte_carlo"):
-            exact_count(16, 6, 4)
+    def test_guard_fires_within_seconds(self):
+        # at the real bound: about 8 s on a shared 2-vCPU host, where the DP
+        # would otherwise run for many minutes
+        t = time.perf_counter()
+        with pytest.raises(SearchBudgetExceeded, match="monte_carlo_p"):
+            exact_count(200, 8, 5)
+        assert time.perf_counter() - t < 60
 
     def test_matches_enumeration_grid(self):
         for N in range(1, 13):
@@ -299,12 +307,12 @@ class TestExactCount:
     def test_pinned_values(self):
         # 1 - 723901/60^4 is the 2-user probability behind gate 8b;
         # 3299206 was checked once against all 16^6 labeled placements
-        assert counting._occupancy_count(60, 5, 2).value == 723901 == exact_count(60, 5, 2).value
+        assert occupancy_count_oracle(60, 5, 2) == 723901 == exact_count(60, 5, 2).value
         assert exact_count(16, 7, 3).value == 3299206
 
     def test_matches_occupancy_oracle_grid(self):
-        # small N end below k_target, levels j < k skip the kernel, k = K
-        # tests only the full sets; enumeration checks the small instances
+        # small N end below k_target, sets of fewer than k points are all bad,
+        # k = K tests only the full sets; enumeration checks the small instances
         for N in range(1, 21):
             for K in range(2, 8):
                 for k in range(2, K + 1):
@@ -321,28 +329,9 @@ class TestExactCount:
             N = min(N, 28)  # keeps the oracle's C(N-1, K-1) sets near 10^5
         assert exact_count(N, K, k).value == occupancy_count_oracle(N, K, k)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 5, 37])
-    def test_small_chunks(self, monkeypatch, chunk):
-        # levels span many chunks; at (16,5,3) every 2-set is bad, so the 14
-        # candidates with top 15 alone exceed a chunk of 1, 2 or 5 columns
-        monkeypatch.setattr(counting, "_EXTEND_CHUNK", chunk)
-        for N, K, k in ((1, 3, 2), (7, 4, 4), (12, 5, 2), (16, 5, 3), (13, 6, 4)):
-            assert counting._occupancy_count(N, K, k).value == \
-                occupancy_count_oracle(N, K, k), (N, K, k)
-        assert counting._occupancy_count(16, 6, 3).value == 334126
-
-    def test_small_chunks_grid(self, monkeypatch):
-        # a chunk of 3 columns cuts most runs of one top, up to N = 40
-        monkeypatch.setattr(counting, "_EXTEND_CHUNK", 3)
-        for N in (2, 9, 17, 26, 33, 40):
-            for K in (2, 3, 4):
-                for k in range(2, K + 1):
-                    assert counting._occupancy_count(N, K, k).value == \
-                        occupancy_count_oracle(N, K, k), (N, K, k)
-
     def test_extensions_memory_does_not_grow_with_n(self):
-        # pairs never reach the walk, whose run-end arrays over the N points
-        # would take about 61 MiB at N = 4*10^6
+        # pairs never reach the chain DP, whose lanes and fronts grow with N:
+        # the closed form answers N = 4*10^6 in a few small integers
         tracemalloc.start()
         try:
             assert exact_count(4_000_000, 2, 2).value == 2_666_667
@@ -350,22 +339,6 @@ class TestExactCount:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-
-    @pytest.mark.parametrize("chunk", [1, 4, 1 << 16])
-    def test_extensions_in_colex_order(self, monkeypatch, chunk):
-        # any subset-closed family in colex order: its sets with one point
-        # above the top, chunk by chunk, sorted and in colex order
-        monkeypatch.setattr(counting, "_EXTEND_CHUNK", chunk)
-        N, colex = 11, (lambda r: r[::-1])
-        family = sorted(((0, *c) for c in combinations(range(1, N), 2) if c[1] - c[0] != 3),
-                        key=colex)
-        chunks = list(counting._extensions(np.array(family, dtype=row_dtype(N)).T, N))
-        assert all(0 < c.shape[1] <= chunk and c.dtype == row_dtype(N) for c in chunks)
-        got = [tuple(r) for c in chunks for r in c.T.tolist()]
-        assert got == sorted((r + (c,) for r in family for c in range(r[-1] + 1, N)),
-                             key=colex)
-        chunks_per_top = Counter(t for c in chunks for t in set(c[-1].tolist()))
-        assert (max(chunks_per_top.values()) > 1) == (chunk < 1 << 16)
 
     def test_occupied_sets_unrank_every_subset(self):
         # sets come as sorted (j, rows) columns in the kernel's row type;
@@ -400,9 +373,24 @@ def lagrange(nodes, N):
     return value
 
 
-def class_nodes(r, j, count):
-    """The first ``count`` table nodes N >= 4 with N = r mod 4, as (N, c_j(N))."""
-    return [(N, _triples.ROWS[N - 1][j - 1]) for N in range(4 + r, 4 * count + 4 + r, 4)]
+def class_nodes(table, period, r, j, count):
+    """The first ``count`` nodes N >= period of a node table with
+    N = r mod period, as (N, c_j(N))."""
+    return [(N, table.ROWS[N - 1][j - 1])
+            for N in range(period + r, period * (count + 1) + r, period)]
+
+
+def later_nodes_checked(table, period):
+    """On each class mod ``period`` the first j nodes predict every later
+    node of c_j in the table; returns the number of nodes checked."""
+    checked = 0
+    for r in range(period):
+        for j in range(1, table.J + 1):
+            nodes = class_nodes(table, period, r, j, table.J)
+            for N, y in nodes[j:]:
+                assert lagrange(nodes[:j], N) == y, (r, j, N)
+                checked += 1
+    return checked
 
 
 class TestTripleTable:
@@ -410,48 +398,60 @@ class TestTripleTable:
         for k in (2, 3, 4):
             for N in range(1, 19):
                 J = min(N, 7)
-                assert bad_set_counts(N, k, J) == bad_sets_by_scan(N, k, J), (N, k)
+                assert counting.bad_set_counts(N, k, J) == bad_sets_by_scan(N, k, J), (N, k)
 
     def test_dp_matches_occupancy_oracle_grid(self):
         for N in range(1, 25):
-            c = bad_set_counts(N, 3, 7)
             for K in range(3, 8):
-                bad = sum(c[j - 1] * gamma_count(j, K - 1, j - 1) for j in range(1, min(K, N) + 1))
-                assert bad == occupancy_count_oracle(N, K, 3), (N, K)
+                assert dp_count(N, K, 3) == occupancy_count_oracle(N, K, 3), (N, K)
 
     @settings(max_examples=25, deadline=None)
     @given(N=st.integers(1, 24), K=st.integers(2, 7), data=st.data())
     def test_dp_matches_occupancy_oracle_property(self, N, K, data):
         k = data.draw(st.integers(2, K), label="k")
-        c = bad_set_counts(N, k, K)
-        bad = sum(c[j - 1] * gamma_count(j, K - 1, j - 1) for j in range(1, min(K, N) + 1))
-        assert bad == occupancy_count_oracle(N, K, k)
+        assert dp_count(N, K, k) == occupancy_count_oracle(N, K, k)
 
     def test_table_rows_regenerate(self):
         assert _triples.J == 12 and len(_triples.ROWS) == 51
         assert all(len(row) == _triples.J for row in _triples.ROWS)
         for N in range(1, 29):
-            assert list(_triples.ROWS[N - 1]) == bad_set_counts(N, 3, _triples.J), N
+            assert list(_triples.ROWS[N - 1]) == counting.bad_set_counts(N, 3, _triples.J), N
+
+    def test_quadruple_rows_regenerate(self):
+        assert _quadruples.J == 12 and len(_quadruples.ROWS) == 64
+        assert all(len(row) == _quadruples.J for row in _quadruples.ROWS)
+        for N in range(1, 29):
+            assert list(_quadruples.ROWS[N - 1]) == counting.bad_set_counts(N, 4, 12), N
 
     def test_interpolation_matches_later_nodes(self):
         # the quasi-polynomial claim on the table itself: on each class mod 4
         # the first j nodes predict every later node of c_j up to N = 51
-        checked = 0
-        for r in range(4):
-            for j in range(1, _triples.J + 1):
-                nodes = class_nodes(r, j, 12)
-                for N, y in nodes[j:]:
-                    assert lagrange(nodes[:j], N) == y, (r, j, N)
-                    checked += 1
-        assert checked == 4 * sum(12 - j for j in range(1, 13)) == 264
+        assert later_nodes_checked(_triples, 4) == 4 * sum(12 - j for j in range(1, 13)) == 264
+
+    def test_quadruple_interpolation_matches_later_nodes(self):
+        # the same claim at k = 4, on each class mod 5 up to N = 64
+        assert later_nodes_checked(_quadruples, 5) == 5 * sum(12 - j for j in range(1, 13)) == 330
 
     def test_interpolation_past_the_table(self):
         # the Newton form of exact_count against Lagrange in fractions
-        for N in (*range(52, 72), 99, 100, 101, 102, 1000, 10**6 + 3):
-            for j in range(1, _triples.J + 1):
-                expected = lagrange(class_nodes(N % 4, j, j), N)
-                assert expected.denominator == 1
-                assert counting._bad_sets_3(_triples.ROWS, N, j) == expected, (N, j)
+        for table, period in ((_triples, 4), (_quadruples, 5)):
+            for N in (*range(len(table.ROWS) + 1, 72), 99, 100, 101, 102, 103, 1000, 10**6 + 3):
+                expected = [lagrange(class_nodes(table, period, N % period, j, j), N)
+                            for j in range(1, table.J + 1)]
+                assert all(e.denominator == 1 for e in expected)
+                assert counting._bad_sets(table.ROWS, period, N, table.J) == expected, N
+                assert counting._bad_sets(table.ROWS, period, N, 5) == expected[:5], N
+
+    def test_corrupt_node_raises(self):
+        # the only runtime check on the interpolation is a raise, not an
+        # assert, so it holds under python -O; the last node of class 3,
+        # N = 51, has weight 12 in c_12(55)
+        assert counting._bad_sets(_triples.ROWS, 4, 55, 12)[11] == 892_660_704
+        for shift in (10**30, -(10**30)):
+            rows = list(_triples.ROWS)
+            rows[50] = (*rows[50][:11], rows[50][11] + shift)
+            with pytest.raises(ArithmeticError, match=r"c_12\(55\) = .* outside 0..C\(54, 11\)"):
+                counting._bad_sets(tuple(rows), 4, 55, 12)
 
     def test_pinned_bad_counts_at_60(self):
         # past every node: the chain DP run directly at N = 60 gave both
@@ -460,13 +460,14 @@ class TestTripleTable:
         assert probability_exact(60, 11, 3).p == 0.9587205747542848
         assert probability_exact(60, 10, 3).p == 0.930152185051872
 
-    def test_equals_occupancy_path(self):
-        for N in range(1, 25):
-            for K in range(3, 8):
-                table = exact_count(N, K, 3)
-                walk = counting._occupancy_count(N, K, 3)
-                assert table.kind == "exact_table" and walk.kind == "exact_occupancy"
-                assert table.value == walk.value, (N, K)
+    def test_pinned_dp_values(self):
+        # the oracle confirms the first two in about 1 s each; no second
+        # engine answers (60,8,5), where it would test C(59, 7) = 3.4e8 sets
+        assert exact_count(21, 13, 3) == CountResult(248_674_434_060_781, "exact_dp")
+        assert occupancy_count_oracle(21, 13, 3) == 248_674_434_060_781
+        assert exact_count(24, 12, 4) == CountResult(384_951_528_892_614, "exact_table")
+        assert dp_count(24, 12, 4) == occupancy_count_oracle(24, 12, 4) == 384_951_528_892_614
+        assert exact_count(60, 8, 5) == CountResult(2_655_086_162_880, "exact_dp")
 
     def test_huge_n_without_a_walk(self):
         t = time.perf_counter()
@@ -474,14 +475,18 @@ class TestTripleTable:
         assert time.perf_counter() - t < 0.1
         assert res.kind == "exact_table" and 0 < res.value < (10**6) ** 10
 
-    def test_other_cases_stay_on_the_walk(self, monkeypatch):
-        # no guard on the table or the pair closed form; every other case keeps it
-        monkeypatch.setattr(counting, "_EXACT_PAIRS", 0)
-        assert exact_count(100, 12, 3).kind == "exact_table"
+    def test_dispatch_by_kind(self, monkeypatch):
+        # no guard on the pair closed form or the node tables; the DP keeps it
+        monkeypatch.setattr(counting, "_DP_FRONTS", 0)
         assert exact_count(36, 5, 2).kind == "formula"
-        for N, K, k in ((16, 6, 4), (14, 13, 3)):
+        assert exact_count(100, 12, 3).kind == "exact_table"
+        assert exact_count(200, 4, 4).kind == exact_count(64, 12, 4).kind == "exact_table"
+        for N, K, k in ((16, 6, 5), (14, 13, 3), (24, 13, 4)):
             with pytest.raises(SearchBudgetExceeded):
                 exact_count(N, K, k)
+        monkeypatch.undo()
+        for N, K, k in ((16, 6, 5), (14, 13, 3), (24, 13, 4)):
+            assert exact_count(N, K, k).kind == "exact_dp"
 
 
 @pytest.mark.parametrize("cpus, threads, workers", [
@@ -592,7 +597,7 @@ class TestProbabilities:
         assert est.method == "exact"
         assert est.p == float(1 - Fraction(f_2user(100, 8).value, 100**7))
         for N, K in ((8, 4), (11, 5), (36, 5)):
-            p = float(1 - Fraction(counting._occupancy_count(N, K, 2).value, N ** (K - 1)))
+            p = float(1 - Fraction(occupancy_count_oracle(N, K, 2), N ** (K - 1)))
             assert probability_exact(N, K, 2).p == p
 
     def test_monte_carlo_fields(self):

@@ -306,8 +306,8 @@ class TestFeasibleSubsetRows:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_sorted_block_matches_rows_and_oracle(self, data):
-        # the block kernel on pre-sorted (K, rows) columns, as exact_count
-        # hands them over; scaling rows and N by c keeps every verdict and
+        # the block kernel on pre-sorted (K, rows) columns, as the occupancy
+        # oracle hands them over; scaling rows and N by c keeps every verdict and
         # moves the columns to int32, int64 or Python-integer rows
         N = data.draw(st.integers(1, 40), label="N")
         K = data.draw(st.integers(2, 9), label="K")
