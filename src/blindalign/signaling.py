@@ -12,12 +12,12 @@ so the two received interference columns are exactly proportional. The
 desired user's two columns differ across its transition and stay generically
 independent from the K-1 interference directions.
 
-The verifier therefore gathers each receiver's (h1, h2) on every user's two
-slots once: alignment residuals are 2-entry sums over them, and a receiver
-matrix's smallest singular value solves a 2x2 secular equation in its own
-pair. Each receiver's likeliest minimum goes through the SVD first; a Schur
-certificate on that equation (``_schur``) then proves most other matrices
-above it, and only the rest need an SVD.
+The verifier therefore works on (user, block) entries: an interferer's two
+slots are one entry of every receiver, whose residual is computed once, and a
+receiver matrix's smallest singular value solves a 2x2 secular equation in its
+own slot pair. Each receiver's likeliest minimum goes through the SVD first; a
+Schur certificate on that equation (``_schur``) then proves most other
+matrices above it, and only the rest need an SVD.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ DECODABILITY_TOL = 1e-9
 _KEY_SALT = 0x9E3779B97F4A7C15  # distinguishes channel streams from other RNG users
 _CANDIDATES = 16  # rejection budget per coefficient; P(exhaust) ~ 1e-46
 # coefficient cells K * trials * T * (K+1) one verification may hold; it
-# peaks at about 200 bytes per cell, so about 0.4 GB at this limit
+# peaks at about 110 bytes per cell, so about 0.23 GB at this limit
 _VERIFY_CELLS = 2**21
 # channel_coeffs' key and its drawn (user, block) tables, one key at a time and
 # at most _VERIFY_CELLS (user, block, trial) entries of 32 bytes: 64 MB
@@ -137,15 +137,22 @@ def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
     one that would take the store past ``_VERIFY_CELLS`` (user, block, trial)
     entries, starts a new one. ``H`` is always a fresh array.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     slots = np.asarray(slots, dtype=np.int64)
     blocks = slot_map(cfg, slots)[1]
     flat = blocks.reshape(cfg.K, slots.size)
     labels, rank = np.unique(flat, return_inverse=True)
     keys = np.arange(cfg.K)[:, None] * len(labels) + rank.reshape(flat.shape)
     _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    pairs = list(zip((first // slots.size).tolist(), flat.ravel()[first].tolist()))
+    table = _tables(seed, first // slots.size, flat.ravel()[first], trials)
+    H = table[inv.reshape(cfg.K, 1, slots.size), np.arange(trials)[:, None]]
+    return H.reshape(cfg.K, trials, *slots.shape, 2), blocks
+
+
+def _tables(seed: int, users: np.ndarray, blocks: np.ndarray, trials: int) -> np.ndarray:
+    """Coefficients (len(users), trials, 2) of the (user, block) pairs, through the store."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    pairs = list(zip(users.tolist(), blocks.tolist()))
     key = (seed, trials, MAGNITUDE_FLOOR, _CANDIDATES)
     stored, store = _store
     tables = {p: store[p] for p in pairs if p in store} if stored == key else {}
@@ -160,9 +167,7 @@ def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
             if len(new) * trials <= _VERIFY_CELLS:
                 store.update(zip(new, drawn))
             _store[:] = key, store
-    table = np.array([tables[p] for p in pairs], dtype=complex).reshape(len(pairs), trials, 2)
-    H = table[inv.reshape(cfg.K, 1, slots.size), np.arange(trials)[:, None]]
-    return H.reshape(cfg.K, trials, *slots.shape, 2), blocks
+    return np.array([tables[p] for p in pairs], dtype=complex).reshape(len(pairs), trials, 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,7 +249,7 @@ def _schur(K: int, c, D):
 def _smallest_singular(P: np.ndarray, c: np.ndarray, where: np.ndarray) -> np.ndarray:
     """SVD margins of the receiver matrices selected by ``where`` (K, trials, T),
     in its C order, through one ``np.linalg.svd`` call; ``P`` and ``c`` are
-    :func:`_receiver_margins`' slot pairs and transition columns."""
+    :func:`_singulars`' slot pairs and transition columns."""
     K = P.shape[0]
     i, r, t = (a[:, None] for a in np.nonzero(where))
     # column order: the receiver's two desired columns, then one per interferer
@@ -259,7 +264,7 @@ def _smallest_singular(P: np.ndarray, c: np.ndarray, where: np.ndarray) -> np.nd
 
 def _meets_lemma(P: np.ndarray) -> np.ndarray:
     """Which receiver matrices (K, trials, T) meet the chain lemma of
-    :func:`_schur`, from :func:`_receiver_margins`' slot pairs ``P``: the
+    :func:`_schur`, from :func:`_singulars`' slot pairs ``P``: the
     receiver's h1 must be equal on both slots of every interferer, and its
     magnitudes must square without overflow or underflow. The transition
     columns are a permutation, so the pairs cover every slot."""
@@ -269,14 +274,27 @@ def _meets_lemma(P: np.ndarray) -> np.ndarray:
             & ((mag > _SAFE_MAGNITUDE[0]) & (mag < _SAFE_MAGNITUDE[1])).all(axis=(-3, -2, -1)))
 
 
-def _receiver_margins(H: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial, per-thread form of :func:`receiver_checks`.
+def _residuals(P: np.ndarray) -> np.ndarray:
+    """Singular-value ratio of each 2-column stack [x, y] = ``P`` (..., 2, 2),
+    slots by (h1, h2), via an explicit orthogonal rejection of y from x: the
+    cancellation happens on vector entries (absolute error ~eps), so exactly
+    proportional columns come out at ~1e-16 instead of the ~sqrt(eps) floor
+    of Gram-eigenvalue formulas."""
+    x, y = P[..., 0], P[..., 1]
+    nx2 = _sum2(x.real**2 + x.imag**2)
+    tr = nx2 + _sum2(y.real**2 + y.imag**2)
+    y = y - (_sum2(x.conj() * y) / np.maximum(nx2, 1e-300))[..., None] * x
+    det = nx2 * _sum2(y.real**2 + y.imag**2)  # = lambda_min * lambda_max of the Gram matrix
+    lmax = 0.5 * (tr + np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
+    return np.sqrt(det) / np.maximum(lmax, 1e-300)
 
-    ``c`` (T, K) holds each user's transition column, a permutation of
-    0..K-1 in every thread: user j's vector is nonzero on slots c and c+1.
-    Returns residuals (K, K, trials, T), zero on the receiver = interferer
-    diagonal, and normalized smallest singular values (K, trials, T). The
-    first SVD batch holds every matrix outside the chain lemma and, per
+
+def _singulars(P: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Normalized smallest singular values (K, trials, T) from the slot pairs
+    ``P[i, r, t, j, s]``, receiver i's (h1, h2) on slot ``c[t, j] + s``; ``c``
+    (T, K), a permutation in every thread, holds each user's transition column.
+
+    The first SVD batch holds every matrix outside the chain lemma and, per
     receiver, the lemma matrix with the smallest lambda_min(S(0)), which
     bounds sigma_min^2 from above since w(lambda) <= w(0). Each other
     lemma matrix whose S((sigma* + slack)^2) is certified positive
@@ -284,28 +302,11 @@ def _receiver_margins(H: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndar
     SVD value strictly above sigma*; it holds +inf. The rest go through a
     second batch, so the minimum and its position are exact.
     """
-    K, trials, T = H.shape[:3]
-    # P[i, r, t, j, s] is receiver i's (h1, h2) on slot c[t, j] + s
-    pairs = np.arange(T)[:, None, None] * (K + 1) + c[..., None] + np.arange(2)
-    P = np.take(H.reshape(K * trials, -1, 2), pairs.ravel(), axis=1).reshape(K, trials, T, K, 2, 2)
-    # singular-value ratio of each 2-column stack [h1 * v_j, h2 * v_j] = [x, y],
-    # computed via an explicit orthogonal rejection of y from x: the
-    # cancellation happens on vector entries (absolute error ~eps), so exactly
-    # proportional columns come out at ~1e-16 instead of the ~sqrt(eps) floor
-    # of Gram-eigenvalue formulas
-    x, y = P[..., 0], P[..., 1]
-    nx2 = _sum2(x.real**2 + x.imag**2)
-    tr = nx2 + _sum2(y.real**2 + y.imag**2)
-    y = y - (_sum2(x.conj() * y) / np.maximum(nx2, 1e-300))[..., None] * x
-    det = nx2 * _sum2(y.real**2 + y.imag**2)  # = lambda_min * lambda_max of the Gram matrix
-    lmax = 0.5 * (tr + np.sqrt(np.maximum(tr**2 - 4 * det, 0.0)))
-    residuals = np.moveaxis(np.sqrt(det) / np.maximum(lmax, 1e-300), -1, 1)
-    residuals[range(K), range(K)] = 0.0
-
+    K = len(P)
     lemma = _meets_lemma(P)
     schur = _schur(K, c.T[:, None, :], P[range(K), :, :, range(K)])
     guess = np.where(lemma, schur(0.0), np.inf).reshape(K, -1)
-    first = ~lemma
+    first = np.logical_not(lemma, order="C")  # so that the reshape below is a view
     first.reshape(K, -1)[range(K), guess.argmin(axis=1)] = True
     singulars = np.full(lemma.shape, np.inf)
     singulars[first] = _smallest_singular(P, c, first)
@@ -313,7 +314,7 @@ def _receiver_margins(H: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndar
     rest = lemma & ~first & ~schur((floor ** 2)[:, None, None], certify=True)
     if rest.any():
         singulars[rest] = _smallest_singular(P, c, rest)
-    return residuals, singulars
+    return singulars
 
 
 def receiver_checks(H: np.ndarray, M) -> tuple[np.ndarray, np.ndarray]:
@@ -337,9 +338,10 @@ def receiver_checks(H: np.ndarray, M) -> tuple[np.ndarray, np.ndarray]:
     M = np.asarray(M)
     if not is_feasible_pattern(M):
         raise ValueError("pattern matrices must be permutation matrices")
-    c = np.broadcast_to(np.argmax(M, axis=-1), (H.shape[2], H.shape[0]))
-    residuals, singulars = _receiver_margins(H, c)
-    return residuals.max(axis=(2, 3)), singulars.min(axis=(1, 2))
+    c = np.broadcast_to(np.argmax(M, axis=-1), (H.shape[2], len(H)))
+    P = np.ascontiguousarray(H[:, :, np.arange(len(c))[:, None, None], c[..., None] + np.arange(2)])
+    residuals = np.where(np.eye(len(H), dtype=bool), 0.0, _residuals(P).max(axis=(1, 2)))
+    return residuals, _singulars(P, c).min(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -407,10 +409,19 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
     if cells > _VERIFY_CELLS:
         raise SearchBudgetExceeded(f"{trials} trials of {len(keep)} distinct threads need "
                                    f"{cells} coefficient cells, over the limit {_VERIFY_CELLS}")
-    slots = np.asarray(sched.slots[keep], dtype=np.int64)
-    H, blocks = channel_coeffs(cfg, slots, seed, trials)
+    K, slots = cfg.K, np.asarray(sched.slots[keep], dtype=np.int64)
+    blocks = slot_map(cfg, slots)[1]
     # the pattern is the diff of the labels; validation made it a permutation
-    residuals, singulars = _receiver_margins(H, np.argmax(np.diff(blocks), axis=-1).T)
+    c = np.argmax(np.diff(blocks), axis=-1).T
+    # (K, T, K, 2) entries on the slot pairs; validated labels are small, >= 0
+    labels = blocks[:, np.arange(len(keep))[:, None, None], c[..., None] + np.arange(2)]
+    codes, inv = np.unique(labels * K + np.arange(K)[:, None, None, None], return_inverse=True)
+    inv = inv.reshape(labels.shape)
+    if ((inv[..., 0] != inv[..., 1]) & ~np.eye(K, dtype=bool)[:, None]).any():
+        raise ValueError("an interferer's two slots lie in two blocks of a receiver")
+    table = _tables(seed, codes % K, codes // K, trials)
+    index = inv[:, None] * trials + np.arange(trials)[:, None, None, None]
+    sig = _singulars(np.take(table.reshape(-1, 2), index, axis=0), c).transpose(2, 1, 0)
 
     def witness(d, trial, receiver, interferer=None):
         return Witness(int(keep[d]), int(sched.start_groups[keep[d]]), tuple(slots[d].tolist()),
@@ -419,9 +430,8 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
 
     # the diagonal is no interferer; worst entries are found in (thread, trial,
     # receiver, interferer) order, so ties go to the earliest thread
-    residuals[range(cfg.K), range(cfg.K)] = -1.0
-    res = residuals.transpose(3, 2, 0, 1)
-    sig = singulars.transpose(2, 1, 0)
+    res = _residuals(np.repeat(table[:, :, None], 2, axis=2))[inv[..., 0]].transpose(1, 3, 0, 2)
+    res[..., range(K), range(K)] = -1.0
     at_res = np.unravel_index(res.argmax(), res.shape)
     at_sig = np.unravel_index(sig.argmin(), sig.shape)
     max_residual, min_singular = float(res[at_res]), float(sig[at_sig])

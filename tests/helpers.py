@@ -346,7 +346,7 @@ def channel_coeffs_oracle(cfg, slots, seed, trials):
 def slot_pairs(H, c):
     """Every receiver's (h1, h2) on the two slots of each user's transition
     column ``c`` (T, K): P (K, trials, T, K, 2, 2), the slot pairs that
-    ``signaling._receiver_margins`` gathers."""
+    ``signaling.receiver_checks`` and the verifier gather."""
     T = H.shape[2]
     return H[:, :, np.arange(T)[:, None, None], np.asarray(c)[..., None] + np.arange(2)]
 
@@ -392,7 +392,8 @@ def receiver_margins_generic(H, v):
     (K, K, trials, T) one receiver at a time over every slot, and singular
     values (K, trials, T) through the same screen, with the structure of
     the vectors tested instead of assumed. On permutation vectors it must
-    give the bits of ``signaling._receiver_margins``."""
+    give the bits of ``signaling._residuals`` and
+    ``signaling._singulars``."""
     K = H.shape[0]
     mask = np.asarray(v, dtype=bool)
     residuals = np.empty((K, K, *H.shape[1:3]))

@@ -12,6 +12,7 @@ from blindalign import (
     MAGNITUDE_FLOOR,
     ChannelConfig,
     SearchBudgetExceeded,
+    Witness,
     beamforming_vectors,
     block_index,
     build_schedule,
@@ -35,6 +36,7 @@ from helpers import (
     receiver_checks_oracle,
     receiver_margins_generic,
     slot_pairs,
+    tamper_schedule,
 )
 
 FIG_CFG = ChannelConfig(4, (0, 1, 2))
@@ -561,27 +563,64 @@ class TestScreen:
 
 
 class TestPairKernel:
-    """The slot-pair kernel against the generic path it replaced, kept as its oracle."""
+    """The slot-pair kernels against the generic path they replaced, kept as their oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(cfg=feasible_configs(k_max=7), seed=st.integers(0, 1000), trials=st.integers(1, 6))
     def test_bits_match_generic_path(self, cfg, seed, trials):
+        K = cfg.K
         sched = schedule_of(cfg)
-        slots = sched.slots[np.sort(np.unique(sched.start_groups, return_index=True)[1])]
+        keep = np.sort(np.unique(sched.start_groups, return_index=True)[1])
+        slots = sched.slots[keep]
         H, _ = channel_coeffs(cfg, slots, seed, trials)
         M = pattern_matrix(cfg, slots)
-        got = signaling._receiver_margins(H, np.argmax(M, axis=-1))
+        c = np.argmax(M, axis=-1)
+        P = slot_pairs(H, c)
+        residuals = np.moveaxis(signaling._residuals(P), -1, 1)
+        residuals[range(K), range(K)] = 0.0
         want = receiver_margins_generic(H, beamforming_vectors(M))
-        for g, w in zip(got, want):
+        for g, w in zip((residuals, signaling._singulars(P, c)), want):
             assert g.shape == w.shape
             np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
-        # the whole report, witnesses included, with the generic path inside
+        # the whole report, witnesses included: the verifier's residuals come
+        # from its (user, block) entries, the expected ones from every slot
+        residuals, singulars = want
+        residuals[range(K), range(K)] = -1.0
+        res, sig = residuals.transpose(3, 2, 0, 1), singulars.transpose(2, 1, 0)
+        at_res = np.unravel_index(res.argmax(), res.shape)
+        at_sig = np.unravel_index(sig.argmin(), sig.shape)
+
+        def witness(d, trial, receiver, interferer=None):
+            return Witness(int(keep[d]), int(sched.start_groups[keep[d]]),
+                           tuple(slots[d].tolist()), int(trial), int(receiver) + 1,
+                           None if interferer is None else int(interferer) + 1)
+
         report = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=trials)
-        patterns = np.eye(cfg.K, dtype=int)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(signaling, "_receiver_margins",
-                       lambda H, c: receiver_margins_generic(H, beamforming_vectors(patterns[c])))
-            assert verify_schedule_end_to_end(cfg, sched, seed=seed, trials=trials) == report
+        assert float.hex(report.max_residual) == float.hex(res[at_res])
+        assert float.hex(report.min_singular) == float.hex(sig[at_sig])
+        assert report.residual_witness == witness(*at_res)
+        assert report.singular_witness == witness(*at_sig)
+
+    def test_guard_on_interferer_slots(self, monkeypatch):
+        # a receiver block boundary between an interferer's two slots would
+        # give that interferer two entries and break the per-entry residual;
+        # validation rules it out, so only a tampered label map reaches the
+        # guard. Receiver 1's labels drop by 1 past user 2's transition on
+        # the first thread, which leaves every transition column as it was
+        cfg = ChannelConfig(23, (4, 9, 13, 18, 0))
+        sched = schedule_of(cfg)
+        real = signaling.slot_map
+
+        def tampered(cfg, slots):
+            groups, blocks = real(cfg, slots)
+            blocks = blocks.copy()
+            blocks[0, 0, np.argmax(np.diff(blocks[1, 0])) + 1:] -= 1
+            return groups, blocks
+
+        assert verify_schedule_end_to_end(cfg, sched, seed=5, trials=2).passed
+        monkeypatch.setattr(signaling, "slot_map", tampered)
+        with pytest.raises(ValueError, match="two blocks of a receiver"):
+            verify_schedule_end_to_end(cfg, sched, seed=5, trials=2)
 
 
 class TestEndToEnd:
@@ -635,6 +674,23 @@ class TestEndToEnd:
             assert all(b[1:] == (cfg.K + 1, cfg.K + 1) for b in batches)
             assert cfg.K <= sum(b[0] for b in batches) <= cfg.K * 5 * distinct
 
+    def test_verification_memory(self):
+        # a verify_sweep config at seed 2 with 25 distinct threads and 10
+        # trials, the store warm: the slot pairs and one residual per (user,
+        # block) entry peak near 800 KiB, where the coefficient array and
+        # residuals on every slot pair took 1,446 KiB
+        cfg = ChannelConfig(59, (48, 12, 2, 23, 36))
+        sched = schedule_of(cfg)
+        warm = verify_schedule_end_to_end(cfg, sched, seed=2, trials=10)
+        tracemalloc.start()
+        try:
+            summary = verify_schedule_end_to_end(cfg, sched, seed=2, trials=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary == warm and summary.n_distinct == 25
+        assert peak < 2**20
+
     @pytest.mark.parametrize("cfg, seed, trials", [
         (FIG_CFG, 0, 100),
         (evenly_spread(60, 4), 2, 10),
@@ -687,8 +743,16 @@ class TestEndToEnd:
 
     def test_trials_validation(self):
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
-        with pytest.raises(ValueError):
-            verify_schedule_end_to_end(FIG_CFG, sched, seed=0, trials=0)
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                verify_schedule_end_to_end(FIG_CFG, sched, seed=0, trials=trials)
+            # after the config and validation checks, before any draw
+            with pytest.raises(ValueError, match="differs"):
+                verify_schedule_end_to_end(ChannelConfig(5, (0, 1, 2)), sched, seed=0,
+                                           trials=trials)
+            with pytest.raises(ValueError, match="fails validation"):
+                verify_schedule_end_to_end(FIG_CFG, tamper_schedule(sched, "changed lambda", 0, 1),
+                                           seed=0, trials=trials)
         # 3 * 10^9 * 4 * 4 coefficient cells, refused before any draw
         with pytest.raises(SearchBudgetExceeded, match="48000000000 coefficient cells"):
             verify_schedule_end_to_end(FIG_CFG, sched, seed=0, trials=10**9)
