@@ -12,12 +12,13 @@ so the two received interference columns are exactly proportional. The
 desired user's two columns differ across its transition and stay generically
 independent from the K-1 interference directions.
 
-The verifier therefore works on (user, block) entries: an interferer's two
-slots are one entry of every receiver, whose residual is computed once, and a
-receiver matrix's smallest singular value solves a 2x2 secular equation in its
-own slot pair. Each receiver's likeliest minimum goes through the SVD first; a
-Schur certificate on that equation (``_schur``) then proves most other
-matrices above it, and only the rest need an SVD.
+The verifier works on (user, block) entries: an interferer's two slots are
+one entry of every receiver (checked once per schedule), whose residual is
+computed once, so each receiver matrix's smallest singular value solves a 2x2
+secular equation in its own slot pair. Each receiver's likeliest minimum goes
+through the SVD first; a Schur certificate on that equation (``_schur``) then
+proves most other matrices above it, and only the rest need an SVD.
+``receiver_checks``, on any coefficients, runs the SVD on every matrix.
 """
 
 from __future__ import annotations
@@ -71,9 +72,6 @@ _SIGN_TOL = 1e-12
 # and the SVD's result: LAPACK's error is a small multiple of (K+1) eps
 # ||B||, ||B|| <= sqrt(K+1), and column normalization rounds by a few eps.
 _SVD_SLACK = 1e-14
-# Coefficient magnitudes whose squares neither overflow nor underflow, so
-# normalized columns are within rounding of the lemma's exact ones.
-_SAFE_MAGNITUDE = (1e-100, 1e100)
 
 
 def beamforming_vectors(M) -> np.ndarray:
@@ -201,16 +199,16 @@ def _sum2(a: np.ndarray) -> np.ndarray:
     return a[..., 0] + a[..., 1]
 
 
-@np.errstate(all="ignore")  # lemma-breaking inputs give nan, which certifies nothing
 def _schur(K: int, c, D):
     """S(lam) of the receiver matrices with blocks ``D`` (..., 2, 2): a
     function of ``lam`` that returns the smallest eigenvalue of S(lam), or with
     ``certify`` whether S(lam) is certified positive definite.
 
     ``D`` holds the receiver's (h1, h2) on slots c and c+1 of its transition
-    column ``c`` (broadcast against ``D.shape[:-2]``, as is ``lam``); every
-    interferer column is assumed to be a nonzero multiple of e_t + e_{t+1},
-    t != c. After column normalization such a matrix B has, for
+    column ``c`` (broadcast against ``D.shape[:-2]``, as is ``lam``); the
+    caller guarantees (see :func:`_singulars`) that D squares without
+    overflow or underflow and that every interferer column is a nonzero
+    multiple of e_t + e_{t+1}, t != c. After normalization such a B has, for
     lambda < mu_min (the chains' smallest eigenvalue), the 2x2 Schur
     complement S(lambda) = D^H diag(w_L, w_R) D - lambda I of
     B^H B - lambda I, where w(lambda) = 1 - sum_k q_k / (mu_k - lambda) over
@@ -225,7 +223,7 @@ def _schur(K: int, c, D):
     p = _sum2(D.real ** 2 + D.imag ** 2)  # row powers on slots c, c+1
     delta = np.abs(D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]) ** 2
 
-    @np.errstate(all="ignore")
+    @np.errstate(all="ignore")  # lam at or past a pole gives inf or nan, which certifies nothing
     def at(lam, certify=False):
         lam = np.asarray(lam, dtype=float)
         w = 1 - (q @ (1 / (mu - lam[..., None]))[..., None])[..., 0]  # (w_L, w_R)
@@ -249,7 +247,7 @@ def _schur(K: int, c, D):
 def _smallest_singular(P: np.ndarray, c: np.ndarray, where: np.ndarray) -> np.ndarray:
     """SVD margins of the receiver matrices selected by ``where`` (K, trials, T),
     in its C order, through one ``np.linalg.svd`` call; ``P`` and ``c`` are
-    :func:`_singulars`' slot pairs and transition columns."""
+    slot pairs and transition columns as :func:`_singulars` takes them."""
     K = P.shape[0]
     i, r, t = (a[:, None] for a in np.nonzero(where))
     # column order: the receiver's two desired columns, then one per interferer
@@ -260,18 +258,6 @@ def _smallest_singular(P: np.ndarray, c: np.ndarray, where: np.ndarray) -> np.nd
       np.arange(K + 1)[:, None]] = P[i, r, t, users, :, antenna]
     B = B / np.maximum(np.linalg.norm(B, axis=-2, keepdims=True), 1e-300)
     return np.linalg.svd(B, compute_uv=False)[..., -1]
-
-
-def _meets_lemma(P: np.ndarray) -> np.ndarray:
-    """Which receiver matrices (K, trials, T) meet the chain lemma of
-    :func:`_schur`, from :func:`_singulars`' slot pairs ``P``: the
-    receiver's h1 must be equal on both slots of every interferer, and its
-    magnitudes must square without overflow or underflow. The transition
-    columns are a permutation, so the pairs cover every slot."""
-    own = np.eye(len(P), dtype=bool)[:, None, None]
-    mag = np.abs(P)
-    return (((P[..., 0, 0] == P[..., 1, 0]) | own).all(axis=-1)
-            & ((mag > _SAFE_MAGNITUDE[0]) & (mag < _SAFE_MAGNITUDE[1])).all(axis=(-3, -2, -1)))
 
 
 def _residuals(P: np.ndarray) -> np.ndarray:
@@ -294,24 +280,25 @@ def _singulars(P: np.ndarray, c: np.ndarray) -> np.ndarray:
     ``P[i, r, t, j, s]``, receiver i's (h1, h2) on slot ``c[t, j] + s``; ``c``
     (T, K), a permutation in every thread, holds each user's transition column.
 
-    The first SVD batch holds every matrix outside the chain lemma and, per
-    receiver, the lemma matrix with the smallest lambda_min(S(0)), which
-    bounds sigma_min^2 from above since w(lambda) <= w(0). Each other
-    lemma matrix whose S((sigma* + slack)^2) is certified positive
-    definite, sigma* being its receiver's smallest SVD value so far, has an
-    SVD value strictly above sigma*; it holds +inf. The rest go through a
+    Every matrix must meet the chain lemma of :func:`_schur`: the verifier's
+    entry guard makes the receiver's h1 equal on each interferer's two slots,
+    and :func:`_draw` gives finite coefficients with |h| >= ``MAGNITUDE_FLOOR``.
+    The first SVD batch holds, per receiver, the matrix with the smallest
+    lambda_min(S(0)), which bounds sigma_min^2 from above since
+    w(lambda) <= w(0). Each other matrix whose S((sigma* + slack)^2) is
+    certified positive definite, sigma* being its receiver's SVD value, has
+    an SVD value strictly above sigma*; it holds +inf. The rest go through a
     second batch, so the minimum and its position are exact.
     """
     K = len(P)
-    lemma = _meets_lemma(P)
     schur = _schur(K, c.T[:, None, :], P[range(K), :, :, range(K)])
-    guess = np.where(lemma, schur(0.0), np.inf).reshape(K, -1)
-    first = np.logical_not(lemma, order="C")  # so that the reshape below is a view
-    first.reshape(K, -1)[range(K), guess.argmin(axis=1)] = True
-    singulars = np.full(lemma.shape, np.inf)
+    guess = schur(0.0)
+    first = np.zeros(guess.shape, dtype=bool)
+    first.reshape(K, -1)[range(K), guess.reshape(K, -1).argmin(axis=1)] = True
+    singulars = np.full(guess.shape, np.inf)
     singulars[first] = _smallest_singular(P, c, first)
     floor = singulars.min(axis=(1, 2)) + _SVD_SLACK * (K + 1) ** 2
-    rest = lemma & ~first & ~schur((floor ** 2)[:, None, None], certify=True)
+    rest = ~first & ~schur((floor ** 2)[:, None, None], certify=True)
     if rest.any():
         singulars[rest] = _smallest_singular(P, c, rest)
     return singulars
@@ -333,15 +320,18 @@ def receiver_checks(H: np.ndarray, M) -> tuple[np.ndarray, np.ndarray]:
     invariant). Receiver i's matrix holds its two desired columns plus one
     aligned column per interferer; the smallest singular value of the
     column-normalized matrix above tolerance means interference-free
-    detection.
+    detection. ``H`` need not meet the chain lemma, so every receiver matrix
+    goes through the SVD. The residuals square the coefficients, so they
+    overflow to nan past |h| of about 1e154.
     """
     M = np.asarray(M)
     if not is_feasible_pattern(M):
         raise ValueError("pattern matrices must be permutation matrices")
     c = np.broadcast_to(np.argmax(M, axis=-1), (H.shape[2], len(H)))
-    P = np.ascontiguousarray(H[:, :, np.arange(len(c))[:, None, None], c[..., None] + np.arange(2)])
+    P = H[:, :, np.arange(len(c))[:, None, None], c[..., None] + np.arange(2)]
     residuals = np.where(np.eye(len(H), dtype=bool), 0.0, _residuals(P).max(axis=(1, 2)))
-    return residuals, _singulars(P, c).min(axis=(1, 2))
+    singulars = _smallest_singular(P, c, np.ones(P.shape[:3], dtype=bool))
+    return residuals, singulars.reshape(len(H), -1).min(axis=1)
 
 
 @dataclass(frozen=True)

@@ -354,8 +354,10 @@ def slot_pairs(H, c):
 def lemma_blocks(H, mask):
     """Which receiver matrices (K, trials, T) meet the chain lemma on any 0/1
     vectors ``mask`` (T, K, K+1), with their transition columns c (K, 1, T)
-    and blocks D (K, trials, T, 2, 2): the generic form of the verifier's
-    guard, which also tests that the vectors straddle a permutation."""
+    and blocks D (K, trials, T, 2, 2). It tests the lemma's premises on the
+    whole coefficient array: the vectors straddle a permutation, each
+    receiver's h1 is flat on every interferer's two slots, and every
+    magnitude squares without overflow or underflow."""
     K = H.shape[0]
     c = np.minimum(np.argmax(mask, axis=-1), K - 1)  # (T, K), in range on any vectors
     slot = np.arange(K + 1)
@@ -366,7 +368,7 @@ def lemma_blocks(H, mask):
     h1 = H[..., 0]
     flat = (h1[..., :-1] == h1[..., 1:]) | (np.arange(K) == c[..., None])
     mag = np.abs(H)
-    lo, hi = signaling._SAFE_MAGNITUDE
+    lo, hi = 1e-100, 1e100
     lemma = flat.all(axis=-1) & structured & ((mag > lo) & (mag < hi)).all(axis=(-2, -1))
     at = c[..., None, None]
     D = np.concatenate([np.take_along_axis(H, at, axis=3),
@@ -391,9 +393,9 @@ def receiver_margins_generic(H, v):
     """The verifier kernel on any 0/1 vectors ``v`` (T, K, K+1): residuals
     (K, K, trials, T) one receiver at a time over every slot, and singular
     values (K, trials, T) through the same screen, with the structure of
-    the vectors tested instead of assumed. On permutation vectors it must
-    give the bits of ``signaling._residuals`` and
-    ``signaling._singulars``."""
+    the vectors tested instead of assumed. On permutation vectors and drawn
+    coefficients, where every matrix meets the lemma, it must give the bits
+    of ``signaling._residuals`` and ``signaling._singulars``."""
     K = H.shape[0]
     mask = np.asarray(v, dtype=bool)
     residuals = np.empty((K, K, *H.shape[1:3]))

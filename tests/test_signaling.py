@@ -320,7 +320,8 @@ class TestCoefficientStore:
 
 
 class TestTupleVerifiers:
-    """Negative and positive cases on ``receiver_checks``, the verifier kernel."""
+    """Negative and positive cases on ``receiver_checks``: the verifier's
+    residual kernel on any coefficients, and the SVD on every matrix."""
 
     def test_alignment_structural(self):
         for seed in range(20):
@@ -398,6 +399,28 @@ class TestTupleVerifiers:
             M[0, user] = 0
             with pytest.raises(ValueError):
                 receiver_checks(H, M)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=feasible_configs(k_max=7), seed=st.integers(0, 1000), trials=st.integers(1, 4),
+           scale=st.sampled_from([1e200, 1e-200, 1 + 1e-15]))
+    def test_matches_oracle_off_lemma(self, cfg, seed, trials, scale):
+        # one receiver's coefficient on one slot scaled out of the safe range
+        # or off a flat h1, on each thread's true pattern and on random fake
+        # permutations: the margins match the SVD oracle, and so do the
+        # residuals, except past |h| ~ 1e154, where their squares overflow
+        slots = schedule_of(cfg).slots[:8]
+        H = channel_coeffs(cfg, slots, seed, trials)[0]
+        rng = np.random.default_rng(seed)
+        i, t, n, a = (int(rng.integers(d)) for d in (cfg.K, len(slots), cfg.K + 1, 2))
+        H[i, :, t, n, a] *= scale
+        fake = np.eye(cfg.K, dtype=int)[np.argsort(rng.random((len(slots), cfg.K)), axis=-1)]
+        for M in (pattern_matrix(cfg, slots), fake):
+            with np.errstate(over="ignore", invalid="ignore"):  # squares past 1e154
+                residuals, singulars = receiver_checks(H, M)
+                want_residuals, want_singulars = receiver_checks_oracle(H, beamforming_vectors(M))
+            np.testing.assert_allclose(singulars, want_singulars, rtol=0, atol=1e-12)
+            if scale != 1e200:
+                np.testing.assert_allclose(residuals, want_residuals, rtol=0, atol=1e-12)
 
 
 def lemma_thread(K, c, D, rng):
@@ -492,10 +515,8 @@ class TestScreen:
 
     def test_lemma_checks_refuse(self):
         # zeroed and user-swapped vectors, a broken h1 and huge coefficients
-        # leave the lemma, so their matrices always go through the SVD. The
-        # generic oracle tests the vectors' structure; the kernel refuses a
-        # zeroed pattern outright, and its h1-flatness and magnitude guard
-        # catch the rest: a swap is still a permutation
+        # leave the lemma, and the generic oracle says so; receiver_checks
+        # refuses a zeroed pattern outright
         rng = np.random.default_rng(3)
         H, M = lemma_thread(4, 1, rng.normal(size=(2, 2)) + 0j, rng)
         v = beamforming_vectors(M)
@@ -512,33 +533,6 @@ class TestScreen:
         M_zeroed[0, 2] = 0
         with pytest.raises(ValueError):
             receiver_checks(H, M_zeroed)
-
-        assert signaling._meets_lemma(slot_pairs(H, np.argmax(M, axis=-1)))[0, 0, 0]
-        for h, m in ((H, M[:, [1, 0, 2, 3]]), (broken, M), (huge, M)):
-            lemma = signaling._meets_lemma(slot_pairs(h, np.argmax(m, axis=-1)))
-            assert not lemma[0, 0, 0]
-            np.testing.assert_array_equal(
-                lemma, lemma_blocks(h, beamforming_vectors(m).astype(bool))[0])
-
-    @settings(max_examples=40, deadline=None)
-    @given(cfg=feasible_configs(k_max=7), seed=st.integers(0, 1000), trials=st.integers(1, 4),
-           scale=st.sampled_from([1.0, 1e200, 1e-200]))
-    def test_guard_matches_generic_oracle(self, cfg, seed, trials, scale):
-        # on each thread's true pattern and on random fake permutations, with
-        # one receiver's coefficient on one slot scaled in or out of the safe
-        # range, the guard on the slot pairs agrees with the generic guard on
-        # the whole coefficient array
-        slots = schedule_of(cfg).slots[:8]
-        H = channel_coeffs(cfg, slots, seed, trials)[0]
-        rng = np.random.default_rng(seed)
-        i, t, n, a = (int(rng.integers(d)) for d in (cfg.K, len(slots), cfg.K + 1, 2))
-        H[i, :, t, n, a] *= scale
-        fake = np.eye(cfg.K, dtype=int)[np.argsort(rng.random((len(slots), cfg.K)), axis=-1)]
-        for M in (pattern_matrix(cfg, slots), fake):
-            got = signaling._meets_lemma(slot_pairs(H, np.argmax(M, axis=-1)))
-            want = lemma_blocks(H, beamforming_vectors(M).astype(bool))[0]
-            assert got.shape == want.shape == (cfg.K, trials, len(slots))
-            np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=30, deadline=None)
     @given(cfg=feasible_configs(), seed=st.integers(0, 1000))
@@ -672,6 +666,7 @@ class TestEndToEnd:
             # distinct-thread matrices
             assert 1 <= len(batches) <= 2
             assert all(b[1:] == (cfg.K + 1, cfg.K + 1) for b in batches)
+            assert batches[0][0] == cfg.K  # one matrix per receiver
             assert cfg.K <= sum(b[0] for b in batches) <= cfg.K * 5 * distinct
 
     def test_verification_memory(self):
