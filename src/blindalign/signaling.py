@@ -24,7 +24,6 @@ proves most other matrices above it, and only the rest need an SVD.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,10 +54,10 @@ _CANDIDATES = 16  # rejection budget per coefficient; P(exhaust) ~ 1e-46
 # coefficient cells K * trials * T * (K+1) one verification may hold; it
 # peaks at about 110 bytes per cell, so about 0.23 GB at this limit
 _VERIFY_CELLS = 2**21
-# channel_coeffs' key and its drawn (user, block) tables, one key at a time and
-# at most _VERIFY_CELLS (user, block, trial) entries of 32 bytes: 64 MB
-_store: list = [None, {}]
-_store_lock = threading.Lock()
+# the verifier's key and its grid of _draw on labels 0..L-1, at most
+# _VERIFY_CELLS (user, label, trial) entries of 32 bytes: 64 MB. Calls read
+# both in one unpack and publish a new pair in one assignment
+_grid: list = [None, None]
 
 # The decodability screen (see _schur). Schur certificates are used only at
 # lambda <= (1 - gap) * mu_min: there each 1/(mu - lambda) keeps its
@@ -89,18 +88,20 @@ def beamforming_vectors(M) -> np.ndarray:
     return ((slot == c) | (slot == c + 1)).astype(np.int64)
 
 
-def _draw(seed: int, pairs: list[tuple[int, int]], trials: int) -> np.ndarray:
-    """Accepted coefficients (len(pairs), trials, 2) of the (user, block)
-    pairs, users counted from 0, read-only."""
+def _draw(seed: int, K: int, labels, trials: int) -> np.ndarray:
+    """Accepted coefficients (K, len(labels), trials, 2) of every user, counted
+    from 0, on every block label, read-only."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, _KEY_SALT], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # fresh: empty buffer, counter rewritten per block
     # labels below 0 wrap modulo 2^64, as a cast to uint64 wraps them
-    counters = np.array([(0, 0, user + 1, b) for user, b in pairs], dtype=np.int64)
+    counters = np.stack(np.broadcast_arrays(0, 0, np.arange(1, K + 1)[:, None], labels), axis=-1)
     z = np.empty((trials, 2, _CANDIDATES, 2))
-    table = np.empty((len(pairs), trials, 2), dtype=complex)
-    for row, counter in zip(table, counters.view(np.uint64)):
+    grid = np.empty((K, len(labels), trials, 2), dtype=complex)
+    for row, counter in zip(grid.reshape(-1, trials, 2), counters.reshape(-1, 4).view(np.uint64)):
         state["state"]["counter"] = counter
         bitgen.state = state
         gen.standard_normal(out=z)
@@ -109,8 +110,8 @@ def _draw(seed: int, pairs: list[tuple[int, int]], trials: int) -> np.ndarray:
         if not ok.any(axis=-1).all():
             raise RuntimeError("rejection budget exhausted while drawing coefficients")
         row[...] = np.take_along_axis(h, ok.argmax(axis=-1)[..., None], axis=-1)[..., 0]
-    table.flags.writeable = False
-    return table
+    grid.flags.writeable = False
+    return grid
 
 
 def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
@@ -127,45 +128,30 @@ def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
     (0, 0, user, block), and trial r reads a fixed slice of it, so values
     never depend on evaluation order. Real/imaginary parts are standard
     normal; each coefficient is the first of its ``_CANDIDATES`` candidates
-    whose magnitude is at or above the floor.
-
-    A module-level store keeps each drawn pair's (trials, 2) table for one
-    key (seed, trials, floor, candidate budget) at a time, so each distinct
-    (user, block) pair is drawn once per store: a call with another key, or
-    one that would take the store past ``_VERIFY_CELLS`` (user, block, trial)
-    entries, starts a new one. ``H`` is always a fresh array.
+    whose magnitude is at or above the floor. Every user is drawn on every
+    distinct label of ``blocks``, afresh on each call; ``H`` is a fresh C-contiguous array.
     """
     slots = np.asarray(slots, dtype=np.int64)
     blocks = slot_map(cfg, slots)[1]
-    flat = blocks.reshape(cfg.K, slots.size)
-    labels, rank = np.unique(flat, return_inverse=True)
-    keys = np.arange(cfg.K)[:, None] * len(labels) + rank.reshape(flat.shape)
-    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    table = _tables(seed, first // slots.size, flat.ravel()[first], trials)
-    H = table[inv.reshape(cfg.K, 1, slots.size), np.arange(trials)[:, None]]
+    labels, inv = np.unique(blocks, return_inverse=True)
+    grid = _draw(seed, cfg.K, labels, trials)
+    H = grid[np.arange(cfg.K)[:, None, None], inv.reshape(cfg.K, 1, slots.size),
+             np.arange(trials)[:, None]]
     return H.reshape(cfg.K, trials, *slots.shape, 2), blocks
 
 
-def _tables(seed: int, users: np.ndarray, blocks: np.ndarray, trials: int) -> np.ndarray:
-    """Coefficients (len(users), trials, 2) of the (user, block) pairs, through the store."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    pairs = list(zip(users.tolist(), blocks.tolist()))
+def _verify_grid(seed: int, K: int, L: int, trials: int) -> np.ndarray:
+    """A ``_draw`` grid of at least users 0..K-1 on labels 0..L-1, through ``_grid``."""
     key = (seed, trials, MAGNITUDE_FLOOR, _CANDIDATES)
-    stored, store = _store
-    tables = {p: store[p] for p in pairs if p in store} if stored == key else {}
-    new = [p for p in pairs if p not in tables]
-    if new:
-        drawn = _draw(seed, new, trials)
-        tables.update(zip(new, drawn))
-        with _store_lock:  # check, then write; calls read only their own tables
-            stored, store = _store
-            if stored != key or (len(store) + len(new)) * trials > _VERIFY_CELLS:
-                store = {}
-            if len(new) * trials <= _VERIFY_CELLS:
-                store.update(zip(new, drawn))
-            _store[:] = key, store
-    return np.array([tables[p] for p in pairs], dtype=complex).reshape(len(pairs), trials, 2)
+    stored, grid = _grid
+    if stored == key:  # a larger K or L redraws a grid that covers both
+        K, L = max(K, grid.shape[0]), max(L, grid.shape[1])
+        if grid.shape[:2] == (K, L):
+            return grid
+    grid = _draw(seed, K, np.arange(L), trials)
+    if K * L * trials <= _VERIFY_CELLS:
+        _grid[:] = key, grid
+    return grid
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,6 +290,15 @@ def _singulars(P: np.ndarray, c: np.ndarray) -> np.ndarray:
     return singulars
 
 
+def _scaled(P: np.ndarray, axis) -> np.ndarray:
+    """``P`` times the power of two per slice over ``axis`` that brings its largest
+    real or imaginary part into [0.5, 1): exact, and the squares stay in range."""
+    e = -np.frexp(np.maximum(abs(P.real), abs(P.imag)).max(axis=axis, keepdims=True))[1]
+    out = np.empty_like(P)
+    out.real, out.imag = np.ldexp(P.real, e), np.ldexp(P.imag, e)
+    return out
+
+
 def receiver_checks(H: np.ndarray, M) -> tuple[np.ndarray, np.ndarray]:
     """Alignment residuals and decodability margins of every receiver.
 
@@ -321,16 +316,18 @@ def receiver_checks(H: np.ndarray, M) -> tuple[np.ndarray, np.ndarray]:
     aligned column per interferer; the smallest singular value of the
     column-normalized matrix above tolerance means interference-free
     detection. ``H`` need not meet the chain lemma, so every receiver matrix
-    goes through the SVD. The residuals square the coefficients, so they
-    overflow to nan past |h| of about 1e154.
+    goes through the SVD.
     """
     M = np.asarray(M)
     if not is_feasible_pattern(M):
         raise ValueError("pattern matrices must be permutation matrices")
     c = np.broadcast_to(np.argmax(M, axis=-1), (H.shape[2], len(H)))
     P = H[:, :, np.arange(len(c))[:, None, None], c[..., None] + np.arange(2)]
-    residuals = np.where(np.eye(len(H), dtype=bool), 0.0, _residuals(P).max(axis=(1, 2)))
-    singulars = _smallest_singular(P, c, np.ones(P.shape[:3], dtype=bool))
+    # a residual is invariant to a scale of its slot pair, a receiver matrix to
+    # a scale of each column: one antenna of a slot pair
+    residuals = _residuals(_scaled(P, (-2, -1))).max(axis=(1, 2))
+    residuals = np.where(np.eye(len(H), dtype=bool), 0.0, residuals)
+    singulars = _smallest_singular(_scaled(P, -2), c, np.ones(P.shape[:3], dtype=bool))
     return residuals, singulars.reshape(len(H), -1).min(axis=1)
 
 
@@ -403,15 +400,14 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
     blocks = slot_map(cfg, slots)[1]
     # the pattern is the diff of the labels; validation made it a permutation
     c = np.argmax(np.diff(blocks), axis=-1).T
-    # (K, T, K, 2) entries on the slot pairs; validated labels are small, >= 0
+    # (K, T, K, 2) labels on the slot pairs; validated labels lie in 0..K+3
     labels = blocks[:, np.arange(len(keep))[:, None, None], c[..., None] + np.arange(2)]
-    codes, inv = np.unique(labels * K + np.arange(K)[:, None, None, None], return_inverse=True)
-    inv = inv.reshape(labels.shape)
-    if ((inv[..., 0] != inv[..., 1]) & ~np.eye(K, dtype=bool)[:, None]).any():
+    if ((labels[..., 0] != labels[..., 1]) & ~np.eye(K, dtype=bool)[:, None]).any():
         raise ValueError("an interferer's two slots lie in two blocks of a receiver")
-    table = _tables(seed, codes % K, codes // K, trials)
-    index = inv[:, None] * trials + np.arange(trials)[:, None, None, None]
-    sig = _singulars(np.take(table.reshape(-1, 2), index, axis=0), c).transpose(2, 1, 0)
+    grid = _verify_grid(seed, K, int(labels.max()) + 1, trials)
+    entry = np.arange(K)[:, None, None, None] * grid.shape[1] + labels  # user * L + label
+    index = entry[:, None] * trials + np.arange(trials)[:, None, None, None]
+    sig = _singulars(np.take(grid.reshape(-1, 2), index, axis=0), c).transpose(2, 1, 0)
 
     def witness(d, trial, receiver, interferer=None):
         return Witness(int(keep[d]), int(sched.start_groups[keep[d]]), tuple(slots[d].tolist()),
@@ -420,7 +416,8 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
 
     # the diagonal is no interferer; worst entries are found in (thread, trial,
     # receiver, interferer) order, so ties go to the earliest thread
-    res = _residuals(np.repeat(table[:, :, None], 2, axis=2))[inv[..., 0]].transpose(1, 3, 0, 2)
+    res = _residuals(np.repeat(grid[..., None, :], 2, axis=-2)).reshape(-1, trials)
+    res = res[entry[..., 0]].transpose(1, 3, 0, 2)
     res[..., range(K), range(K)] = -1.0
     at_res = np.unravel_index(res.argmax(), res.shape)
     at_sig = np.unravel_index(sig.argmin(), sig.shape)

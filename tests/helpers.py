@@ -305,6 +305,8 @@ def receiver_checks_oracle(H, v):
                 cols = [h1 * v[t, i], h2 * v[t, i]]
                 cols += [h1 * v[t, j] for j in range(K) if j != i]
                 B = np.stack(cols, axis=1)
+                # a power of two per column first: exact, and no square overflows
+                B = B * np.ldexp(1.0, -np.frexp(np.abs(B).max(axis=0))[1])
                 norms = np.linalg.norm(B, axis=0)
                 B = B / np.where(norms > 0, norms, 1.0)
                 singulars[i] = min(singulars[i], np.linalg.svd(B, compute_uv=False)[-1])

@@ -153,8 +153,7 @@ class TestChannelDraws:
 
     def test_candidates_past_the_second(self, monkeypatch):
         # at a floor of 1.0 about 39% of candidates fail: many coefficients
-        # take their third candidate or a later one. The floor is part of the
-        # store's key, so nothing drawn at the default floor is reused
+        # take their third candidate or a later one
         monkeypatch.setattr(signaling, "MAGNITUDE_FLOOR", 1.0)
         cfg = ChannelConfig(23, (4, 9, 13, 18, 0))
         slots = schedule_of(cfg).slots[:6]
@@ -166,26 +165,29 @@ class TestChannelDraws:
         assert (np.abs(first_two) < 1.0).all(axis=-1).sum() > 100
 
     def test_draw_memory(self):
-        # one (trials, 2, 16, 2) candidate buffer at a time: 8 pairs of 20,000
-        # trials peak near 36 MiB, where every pair's candidates at once take
-        # 78 MiB alone
-        pairs = [(user, b) for user in range(2) for b in range(4)]
+        # one (trials, 2, 16, 2) candidate buffer at a time: 2 users on 4
+        # labels at 20,000 trials peak near 36 MiB, where every pair's
+        # candidates at once take 78 MiB alone
         tracemalloc.start()
         try:
-            table = signaling._draw(3, pairs, 20_000)
+            grid = signaling._draw(3, 2, np.arange(4), 20_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.shape == (8, 20_000, 2) and not table.flags.writeable
+        assert grid.shape == (2, 4, 20_000, 2) and not grid.flags.writeable
         assert peak < 50 * 2**20
 
     def test_rejection_budget_exhausted(self, monkeypatch):
-        # the store is primed with these very pairs: the floor is part of its
-        # key, so the call must draw again and run out of candidates
-        channel_coeffs(FIG_CFG, self.SLOTS, seed=5, trials=3)
+        # the verifier's grid is primed with these very blocks: the floor is
+        # part of its key, so the verifier must draw again and run out of
+        # candidates, as channel_coeffs does
+        sched = build_schedule(FIG_CFG, FIG_LAMBDA)
+        verify_schedule_end_to_end(FIG_CFG, sched, seed=5, trials=3)
         monkeypatch.setattr(signaling, "MAGNITUDE_FLOOR", 100.0)
         with pytest.raises(RuntimeError, match="rejection budget"):
             channel_coeffs(FIG_CFG, self.SLOTS, seed=5, trials=3)
+        with pytest.raises(RuntimeError, match="rejection budget"):
+            verify_schedule_end_to_end(FIG_CFG, sched, seed=5, trials=3)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_must_be_positive(self, trials):
@@ -197,26 +199,34 @@ def assert_bits_equal(got, want):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def assert_same_report(got, want):
+    assert got == want
+    assert float.hex(got.max_residual) == float.hex(want.max_residual)
+    assert float.hex(got.min_singular) == float.hex(want.min_singular)
+
+
 class TestCoefficientStore:
-    """``channel_coeffs`` keeps drawn (user, block) tables across calls; every
-    result must equal the oracle, which draws each call afresh."""
+    """The verifier keeps one grid of drawn coefficients, every user on block
+    labels 0..L-1, for one key at a time; ``channel_coeffs`` draws afresh on
+    every call. Each result must equal the oracle's, or a verification's from
+    an empty grid."""
 
     CASES = [(cfg, schedule_of(cfg).slots) for cfg in (
         FIG_CFG, ChannelConfig(23, (4, 9, 13, 18, 0)), evenly_spread(30, 3),
         evenly_spread(20, 4), evenly_spread(60, 5))]
 
     @pytest.fixture(autouse=True)
-    def empty_store(self, monkeypatch):
-        monkeypatch.setattr(signaling, "_store", [None, {}])
+    def empty_grid(self, monkeypatch):
+        monkeypatch.setattr(signaling, "_grid", [None, None])
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """Every (user, block) pair drawn, in order."""
+        """Every grid drawn, as (seed, trials, K, labels), in order."""
         drawn, draw = [], signaling._draw
 
-        def spy(seed, pairs, trials):
-            drawn.extend((seed, trials, *p) for p in pairs)
-            return draw(seed, pairs, trials)
+        def spy(seed, K, labels, trials):
+            drawn.append((seed, trials, K, tuple(np.asarray(labels).tolist())))
+            return draw(seed, K, labels, trials)
 
         monkeypatch.setattr(signaling, "_draw", spy)
         return drawn
@@ -229,30 +239,68 @@ class TestCoefficientStore:
         np.testing.assert_array_equal(blocks, want_blocks)
         return H
 
+    @staticmethod
+    def cold(cfg, seed, trials):
+        """A verification from an empty grid, which it leaves empty."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signaling, "_grid", [None, None])
+            return verify_schedule_end_to_end(cfg, schedule_of(cfg), seed, trials)
+
     @pytest.mark.parametrize("order", [1, -1])
     def test_sequence_of_configs_in_either_order(self, order, draws):
-        # thread subsets repeat pairs of earlier calls; both orders give the
-        # oracle's bits and draw each (user, block) pair once
-        calls = [(cfg, rows, 3) for cfg, slots in self.CASES
-                 for rows in (slots[:2], slots, slots[1::2])]
-        for cfg, rows, seed in calls[::order]:
-            self.check(cfg, rows, seed, 4)
-        assert len(draws) == len(set(draws))
+        # verifications of growing and shrinking K and L under one key,
+        # between channel_coeffs calls, give the reports of an empty grid in
+        # either order; the verifier draws only a grid larger than the last
+        cases = self.CASES[::order]
+        want = [self.cold(cfg, 3, 4) for cfg, _ in cases]
+        draws.clear()
+        grids = []
+        for (cfg, slots), report in zip(cases, want):
+            self.check(cfg, slots[:2], 3, 4)
+            n = len(draws)
+            assert_same_report(verify_schedule_end_to_end(cfg, schedule_of(cfg), 3, 4), report)
+            grids += [(K, len(labels)) for _, _, K, labels in draws[n:]]
+        assert len(draws) - len(grids) == len(cases)  # one per channel_coeffs call
+        assert 1 <= len(grids) < len(cases)
+        for (K0, L0), (K1, L1) in zip(grids, grids[1:]):
+            assert K1 >= K0 and L1 >= L0 and (K1, L1) != (K0, L0)
+        assert signaling._grid[1].shape == (5, 8, 4, 2)
 
-    def test_draws_each_pair_once_per_key(self, draws):
-        cfg, slots = self.CASES[1]
-        _, blocks = channel_coeffs(cfg, slots, 2, 3)
-        # from an empty store a call draws what the oracle draws
-        users = np.broadcast_to(np.arange(cfg.K)[:, None, None], blocks.shape)
-        assert draws == sorted({(2, 3, int(u), int(b)) for u, b in zip(users.flat, blocks.flat)})
-        first = len(draws)
-        channel_coeffs(cfg, slots[::-1], 2, 3)
+    def test_draws_each_pair_once_per_key(self, monkeypatch, draws):
+        others = ((FIG_CFG, (3, 6)), (evenly_spread(20, 4), (4, 6)))
+        cold = [self.cold(other, 2, 3) for other, _ in others]
+        draws.clear()
+        # the first verification draws every user on labels 0..L-1
+        cfg = evenly_spread(30, 3)
+        first = verify_schedule_end_to_end(cfg, schedule_of(cfg), seed=2, trials=3)
+        assert draws == [(2, 3, 3, (0, 1, 2, 3, 4))]
+        # a repeat under the same key draws nothing, on an equal schedule or
+        # on a config with fewer users
         for sched in (schedule_of(cfg), schedule_of(cfg)):
-            verify_schedule_end_to_end(cfg, sched, seed=2, trials=3)
-        assert len(draws) == first
-        # a new key draws again
-        channel_coeffs(cfg, slots, 2, 2)
-        assert len(draws) == 2 * first
+            assert_same_report(verify_schedule_end_to_end(cfg, sched, seed=2, trials=3), first)
+        pair = ChannelConfig(3, (0, 1))
+        verify_schedule_end_to_end(pair, schedule_of(pair), seed=2, trials=3)
+        assert len(draws) == 1
+        # channel_coeffs draws on every call and leaves the grid as it was
+        grid = signaling._grid[1]
+        channel_coeffs(cfg, schedule_of(cfg).slots, 2, 3)
+        channel_coeffs(cfg, schedule_of(cfg).slots, 2, 3)
+        assert len(draws) == 3 and signaling._grid[1] is grid
+        # a larger L, then a larger K, under the same key redraws a grid
+        # that covers the old one too
+        for (other, shape), want in zip(others, cold):
+            assert_same_report(verify_schedule_end_to_end(other, schedule_of(other), 2, 3), want)
+            assert draws[-1][2:] == (shape[0], tuple(range(shape[1])))
+            assert signaling._grid[1].shape == (*shape, 3, 2)
+        assert_same_report(verify_schedule_end_to_end(cfg, schedule_of(cfg), 2, 3), first)
+        assert len(draws) == 5
+        # a new key draws again: another seed, other trials, another floor
+        for seed, trials in ((3, 3), (2, 2)):
+            verify_schedule_end_to_end(cfg, schedule_of(cfg), seed, trials)
+            assert draws[-1][:2] == (seed, trials) and signaling._grid[0][:2] == (seed, trials)
+        monkeypatch.setattr(signaling, "MAGNITUDE_FLOOR", 0.5)
+        verify_schedule_end_to_end(cfg, schedule_of(cfg), 2, 2)
+        assert len(draws) == 8 and signaling._grid[0] == (2, 2, 0.5, signaling._CANDIDATES)
 
     @pytest.mark.parametrize("before, after", [(5, 2), (2, 5)])
     def test_fewer_trials_give_a_prefix(self, before, after):
@@ -264,13 +312,15 @@ class TestCoefficientStore:
 
     def test_result_is_a_private_array(self):
         cfg, slots = self.CASES[2]
+        report = verify_schedule_end_to_end(cfg, schedule_of(cfg), seed=1, trials=3)
         H = self.check(cfg, slots, 1, 3)
         assert H.flags.writeable and H.flags.c_contiguous
-        stored = signaling._store[1].values()
-        assert stored and not any(t.flags.writeable or np.shares_memory(H, t) for t in stored)
+        grid = signaling._grid[1]
+        assert not grid.flags.writeable and not np.shares_memory(H, grid)
         H[...] = 0
         self.check(cfg, slots, 1, 3)
         self.check(cfg, slots[:1], 1, 3)
+        assert_same_report(verify_schedule_end_to_end(cfg, schedule_of(cfg), 1, 3), report)
 
     def test_concurrent_calls(self):
         # two threads, a short switch interval, and calls that share and swap
@@ -288,6 +338,23 @@ class TestCoefficientStore:
         for g, w in zip(got, want * 4):
             assert_bits_equal(g, w)
 
+    def test_concurrent_verifications(self):
+        # four threads, a short switch interval, and verifications that swap
+        # keys and grow the grid: each report must hold the serial bits
+        calls = [(cfg, schedule_of(cfg), seed, trials) for cfg, _ in self.CASES
+                 for seed, trials in ((1, 3), (2, 3), (1, 2))]
+        want = [verify_schedule_end_to_end(*c) for c in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(lambda c: verify_schedule_end_to_end(*c), calls * 4,
+                                    timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want * 4):
+            assert_same_report(g, w)
+
     def test_empty_slots(self):
         for shape in ((0, 4), (0,)):
             H = self.check(FIG_CFG, np.empty(shape, dtype=np.int64), 1, 2)
@@ -296,8 +363,8 @@ class TestCoefficientStore:
     @pytest.mark.parametrize("offsets, slots", [
         ((0, 1), [[-5, 1, 2], [-9, -8, -7]]),  # labels below 0
         ((0, 1), [[0, 1, 2], [2**63 - 3, 2**63 - 2, 2**63 - 1]]),
-        # labels 0..2^62: user * (2^62 + 1) + label wraps modulo 2^64, and
-        # user 4's label 0 would meet user 0's label 4
+        # labels 0..2^62: user * (2^62 + 1) + label would wrap modulo 2^64,
+        # and user 4's label 0 would meet user 0's label 4
         ((0, 1, 0, 1, 0), [[0, 8, 9], [2**63 - 3, 2**63 - 2, 2**63 - 1]]),
     ])
     def test_extreme_labels(self, offsets, slots):
@@ -306,18 +373,24 @@ class TestCoefficientStore:
         self.check(cfg, slots[::-1], 4, 3)
 
     def test_store_starts_over_at_its_bound(self, monkeypatch, draws):
-        monkeypatch.setattr(signaling, "_VERIFY_CELLS", 16)
-        for _ in range(2):
-            for cfg, slots in self.CASES:
-                for rows in (slots[:1], slots[:3]):
-                    self.check(cfg, rows, 6, 2)
-                    assert len(signaling._store[1]) * 2 <= 16
-        # the store kept too little to spare the second round its draws
-        assert len(draws) > len(set(draws))
-        # a call larger than the bound alone stores nothing
-        self.check(*self.CASES[-1], 6, 2)
-        assert signaling._store[1] == {}
-
+        # a grid of at most _VERIFY_CELLS (user, label, trial) cells is kept
+        monkeypatch.setattr(signaling, "_VERIFY_CELLS", 60)
+        kept = signaling._verify_grid(6, 3, 5, 4)
+        assert signaling._grid == [(6, 4, MAGNITUDE_FLOOR, signaling._CANDIDATES), kept]
+        assert signaling._verify_grid(6, 2, 4, 4) is kept and len(draws) == 1
+        # a larger one under the same key, or one under a new key, is drawn
+        # on every call and not kept; the kept pair stays
+        for args in ((6, 3, 6, 4), (6, 4, 5, 4), (7, 4, 5, 4)):
+            for _ in range(2):
+                grid = signaling._verify_grid(*args)
+                assert grid.shape[:3] == (*args[1:3], 4) and grid is not kept
+                assert signaling._grid[1] is kept
+        assert len(draws) == 7
+        # the grid the verifier reads holds the oracle's coefficients
+        cfg = evenly_spread(30, 3)
+        H, blocks = channel_coeffs_oracle(cfg, schedule_of(cfg).slots, 6, 4)
+        users = np.broadcast_to(np.arange(3)[:, None, None], blocks.shape)
+        assert_bits_equal(kept[users, blocks], np.moveaxis(H, 1, -2))
 
 class TestTupleVerifiers:
     """Negative and positive cases on ``receiver_checks``: the verifier's
@@ -406,8 +479,7 @@ class TestTupleVerifiers:
     def test_matches_oracle_off_lemma(self, cfg, seed, trials, scale):
         # one receiver's coefficient on one slot scaled out of the safe range
         # or off a flat h1, on each thread's true pattern and on random fake
-        # permutations: the margins match the SVD oracle, and so do the
-        # residuals, except past |h| ~ 1e154, where their squares overflow
+        # permutations: the margins and residuals match the SVD oracle
         slots = schedule_of(cfg).slots[:8]
         H = channel_coeffs(cfg, slots, seed, trials)[0]
         rng = np.random.default_rng(seed)
@@ -415,12 +487,23 @@ class TestTupleVerifiers:
         H[i, :, t, n, a] *= scale
         fake = np.eye(cfg.K, dtype=int)[np.argsort(rng.random((len(slots), cfg.K)), axis=-1)]
         for M in (pattern_matrix(cfg, slots), fake):
-            with np.errstate(over="ignore", invalid="ignore"):  # squares past 1e154
-                residuals, singulars = receiver_checks(H, M)
-                want_residuals, want_singulars = receiver_checks_oracle(H, beamforming_vectors(M))
+            residuals, singulars = receiver_checks(H, M)
+            want_residuals, want_singulars = receiver_checks_oracle(H, beamforming_vectors(M))
             np.testing.assert_allclose(singulars, want_singulars, rtol=0, atol=1e-12)
-            if scale != 1e200:
-                np.testing.assert_allclose(residuals, want_residuals, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(residuals, want_residuals, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("power", [600, -600])
+    def test_scale_out_of_range(self, power):
+        # each slot pair, and each column of a receiver matrix, is scaled by
+        # a power of two before any square: coefficients 2^600 times larger
+        # or smaller give the same bits, where the squares would overflow or
+        # underflow
+        cfg = ChannelConfig(23, (4, 9, 13, 18, 0))
+        slots = schedule_of(cfg).slots
+        H = channel_coeffs(cfg, slots, 3, 4)[0]
+        M = pattern_matrix(cfg, slots)
+        for got, want in zip(receiver_checks(H * 2.0**power, M), receiver_checks(H, M)):
+            assert_bits_equal(got, want)
 
 
 def lemma_thread(K, c, D, rng):
@@ -671,7 +754,7 @@ class TestEndToEnd:
 
     def test_verification_memory(self):
         # a verify_sweep config at seed 2 with 25 distinct threads and 10
-        # trials, the store warm: the slot pairs and one residual per (user,
+        # trials, the grid warm: the slot pairs and one residual per (user,
         # block) entry peak near 800 KiB, where the coefficient array and
         # residuals on every slot pair took 1,446 KiB
         cfg = ChannelConfig(59, (48, 12, 2, 23, 36))
