@@ -245,6 +245,8 @@ def monte_carlo_p(N: int, K: int, k_target: int, trials: int, seed: int = 0,
     _check_positive(N=N, trials=trials, threads=threads)
     if not 2 <= k_target <= K:
         raise ValueError(f"k_target must be in 2..{K}")
+    if N > 2**63:  # offsets are drawn as int64
+        raise ValueError(f"Monte Carlo takes N up to 2^63, got {N}; use --method exact or bound")
 
     def run_chunk(c: int) -> int:
         lo = c * _MC_CHUNK

@@ -23,7 +23,6 @@ proves most other matrices above it, and only the rest need an SVD.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,12 +59,12 @@ _VERIFY_CELLS = 2**21
 _grid: list = [None, None]
 
 # The decodability screen (see _schur). Schur certificates are used only at
-# lambda <= (1 - gap) * mu_min: there each 1/(mu - lambda) keeps its
-# relative error within 1/gap times eps.
+# lambda <= (1 - gap) * mu_min: there w's error is within 13 eps times 2 - w
+# (against 40-digit arithmetic, on chains of up to 30 columns).
 _POLE_GAP = 0.1
 # A sign of tr S or det S counts when it exceeds this times (K+1) times the
-# summed magnitudes of the terms forming it: their rounding error stays
-# below about 20 eps/gap, 100 times less.
+# summed magnitudes of the terms forming it, with 2 - w bounding |w|: their
+# rounding error stays below about 40 eps, over 100 times less.
 _SIGN_TOL = 1e-12
 # Allowance, times (K+1)^2, between the singular value of the exact matrix
 # and the SVD's result: LAPACK's error is a small multiple of (K+1) eps
@@ -154,31 +153,6 @@ def _verify_grid(seed: int, K: int, L: int, trials: int) -> np.ndarray:
     return grid
 
 
-@functools.lru_cache(maxsize=None)
-def _chains(K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of a receiver's interferer chains, by its transition column c
-    (the first axis of each table).
-
-    A chain of n interferer columns has the Gram matrix tridiag(1/2, 1, 1/2),
-    with eigenvalues 1 + cos(k pi/(n+1)), k = 1..n. Receiver c has a left
-    chain of n = c columns and a right one of n = K-1-c.
-
-    - ``mu`` (K, K-1): both chains' eigenvalues, the left chain's first.
-    - ``q`` (K, 2, K-1): sin^2(k pi/(n+1))/(n+1), half the squared end entry
-      of each eigenvector, of the left chain in ``q[c, 0]`` and of the right
-      one in ``q[c, 1]``, zero on the other chain's eigenvalues.
-    """
-    mu = np.empty((K, K - 1))
-    q = np.zeros((K, 2, K - 1))
-    for c in range(K):
-        for side, (start, n) in enumerate(((0, c), (c, K - 1 - c))):
-            angle = np.arange(1, n + 1) * np.pi / (2 * (n + 1))
-            mu[c, start:start + n] = 2 * np.cos(angle) ** 2
-            q[c, side, start:start + n] = np.sin(2 * angle) ** 2 / (n + 1)
-    mu.flags.writeable = q.flags.writeable = False  # shared through the cache
-    return mu, q
-
-
 def _sum2(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=-1)`` over a last axis of length 2, with the same bits and
     several times faster."""
@@ -194,38 +168,43 @@ def _schur(K: int, c, D):
     column ``c`` (broadcast against ``D.shape[:-2]``, as is ``lam``); the
     caller guarantees (see :func:`_singulars`) that D squares without
     overflow or underflow and that every interferer column is a nonzero
-    multiple of e_t + e_{t+1}, t != c. After normalization such a B has, for
-    lambda < mu_min (the chains' smallest eigenvalue), the 2x2 Schur
-    complement S(lambda) = D^H diag(w_L, w_R) D - lambda I of
-    B^H B - lambda I, where w(lambda) = 1 - sum_k q_k / (mu_k - lambda) over
-    one chain. By Haynsworth's inertia additivity, S(lam) positive definite
-    proves that B's smallest singular value s has s^2 > lam. The
+    multiple of e_t + e_{t+1}, t != c: two chains of n = c and n = K-1-c
+    columns with Gram matrix tridiag(1/2, 1, 1/2), whose smallest eigenvalue
+    is mu_min = 2 sin^2(pi/(2(M+1))), M the longer chain. Below mu_min such a
+    normalized B has the 2x2 Schur complement of B^H B - lambda I
+    S(lambda) = D^H diag(w_L, w_R) D - lambda I, where w_n(lambda) =
+    1 - sin(n theta)/sin((n+1) theta), cos theta = 1 - lambda (w_0 = 1,
+    w_n(0) = 1/(n+1)). By Haynsworth's inertia additivity, S(lam) positive
+    definite proves that B's smallest singular value s has s^2 > lam. The
     certificate is refused past the pole gap, and wherever rounding could
     flip the sign of tr S or det S. The eigenvalue is not certified.
     """
-    mu, q = (table[c] for table in _chains(K))
+    m = np.multiply.outer(c, [[1], [-1]]) + [[0, 1], [K - 1, K]]  # (n, n+1), n = c and K-1-c
+    mu_min = 2 * np.sin(np.pi / (2 * np.maximum(m[..., 0, 1], m[..., 1, 1]))) ** 2
     power = (D.conj() * D).real  # np.linalg.norm's terms, added as it adds them
     D = D / np.maximum(np.sqrt(power[..., :1, :] + power[..., 1:, :]), 1e-300)
     p = _sum2(D.real ** 2 + D.imag ** 2)  # row powers on slots c, c+1
     delta = np.abs(D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]) ** 2
 
-    @np.errstate(all="ignore")  # lam at or past a pole gives inf or nan, which certifies nothing
+    @np.errstate(all="ignore")  # inf at a pole, nan past lam = 2: neither certifies
     def at(lam, certify=False):
         lam = np.asarray(lam, dtype=float)
-        w = 1 - (q @ (1 / (mu - lam[..., None]))[..., None])[..., 0]  # (w_L, w_R)
+        # cos theta = 1 - lam; a tiny lam in place of 0 gives w's limit 1/(n+1)
+        s = np.sin(m * (2 * np.arcsin(np.sqrt(np.maximum(lam, 1e-200) / 2)))[..., None, None])
+        w = 1 - s[..., 0] / s[..., 1]  # (w_L, w_R)
         pw = _sum2(w * p)
         tr = pw - 2 * lam
         det = w[..., 0] * w[..., 1] * delta - lam * pw + lam * lam
         if not certify:
             return (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))) / 2
-        # below the poles w = 1 - (positive terms), so |w| <= 2 - w; rounding
-        # stays under a small multiple of eps times these sums of magnitudes
+        # below mu_min both sines are >= 0, so |w| <= 2 - w; rounding stays
+        # under a small multiple of eps times these sums of magnitudes
         wabs = 2 - w
         apw = _sum2(wabs * p)
         tol = _SIGN_TOL * (K + 1)
         cross = np.abs(D[..., 0, 0] * D[..., 1, 1]) + np.abs(D[..., 0, 1] * D[..., 1, 0])
         det_tol = tol * (wabs[..., 0] * wabs[..., 1] * cross ** 2 + np.abs(lam) * apw + lam * lam)
-        return ((lam <= (1 - _POLE_GAP) * mu.min(axis=-1))
+        return ((lam <= (1 - _POLE_GAP) * mu_min)
                 & (tr > tol * (apw + 2 * np.abs(lam))) & (det > det_tol))
     return at
 

@@ -418,7 +418,7 @@ def receiver_margins_generic(H, v):
     lemma, c, D = lemma_blocks(H, mask)
     schur = signaling._schur(K, c, D)
     guess = np.where(lemma, schur(0.0), np.inf).reshape(K, -1)
-    first = ~lemma
+    first = np.logical_not(lemma, order="C")  # C order, so the reshape below is a view
     first.reshape(K, -1)[range(K), guess.argmin(axis=1)] = True
     singulars = np.full(lemma.shape, np.inf)
     singulars[first] = smallest_singular_generic(H, mask, first)

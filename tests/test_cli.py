@@ -465,6 +465,17 @@ class TestProb:
         assert rows[0]["p"] == rows[1]["p"] == probability_exact(100, 8, 2).p
         assert rows[0]["p"] == pytest.approx(0.996206147, abs=1e-9)
 
+    def test_mc_past_int64_offsets_exit_2(self, capsys):
+        # N = 2^63 still answers; one more is refused by monte_carlo_p's own
+        # message, not numpy's int64 error
+        code, out, _ = run(capsys, "prob", "--N", str(2**63), "--K", "5", "--k-target", "3",
+                           "--method", "mc", "--trials", "1000")
+        assert code == 0 and out.startswith(f"N,K,k_target,method,p,half_width\n{2**63},5,3,mc,")
+        code, out, err = run(capsys, "prob", "--N", str(2**63 + 1), "--K", "5", "--k-target", "3",
+                             "--method", "mc")
+        assert code == 2 and out == ""
+        assert "2^63" in err and "--method exact" in err and "int64" not in err
+
     def test_exact_guard_exit_2(self, capsys, monkeypatch):
         # a smaller front bound keeps this quick; TestExactCount checks that the
         # real bound stops the DP within seconds

@@ -568,10 +568,15 @@ class TestProbabilities:
         for threads in (1, 2):
             assert monte_carlo_p(*case, seed=1, threads=threads).p.hex() == expected
 
-    @pytest.mark.parametrize("N", [2**50, 2**62, 2**63 - 1])
+    @pytest.mark.parametrize("N", [2**50, 2**62, 2**63 - 1, 2**63])
     def test_monte_carlo_large_n(self, N):
         # the two-lap ring arithmetic must stay inside int64 for every N
         assert monte_carlo_p(N, 8, 3, 4096, seed=1).p == 0.779052734375
+
+    def test_monte_carlo_past_int64_offsets(self):
+        # offsets are drawn as int64, so N above 2^63 is refused by name
+        with pytest.raises(ValueError, match=r"up to 2\^63.*--method exact"):
+            monte_carlo_p(2**63 + 1, 8, 3, 4096, seed=1)
 
     @pytest.mark.parametrize("N, p", [(2**30, 0.778076171875), (2**31 - 1, 0.778076171875),
                                       (2**31, 0.778076171875), (2**31 + 11, 0.763916015625)])

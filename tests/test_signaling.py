@@ -533,42 +533,56 @@ class TestScreen:
             B[t:t + 2, col + 2] = 1 / np.sqrt(2)
         return B
 
-    @pytest.mark.parametrize("K", range(2, 8))
+    @classmethod
+    def schur_oracle(cls, K, c, D):
+        """S(lam) as the Schur complement of B^H B - lam I on the lemma
+        matrix's two desired columns, solved on its interferer block, and
+        mu_min, the smallest eigenvalue of the interferer Gram matrix."""
+        B = cls.lemma_matrix(K, c, D)
+        G = B.conj().T @ B
+        X, Y = G[2:, :2], G[2:, 2:]
+
+        def S(lam):
+            return (G[:2, :2] - lam * np.eye(2)
+                    - X.conj().T @ np.linalg.solve(Y - lam * np.eye(K - 1), X))
+        return S, np.linalg.eigvalsh(Y)[0]
+
+    @pytest.mark.parametrize("K", range(2, 13))
     def test_characteristic_polynomial(self, K):
-        # S(sigma^2), built from the chain tables, is singular at the smallest
-        # singular value sigma and positive definite just below it
+        # S(sigma^2), built from the lemma matrix, is singular at the smallest
+        # singular value sigma and positive definite just below it, and
+        # _schur's closed form gives its smallest eigenvalue below mu_min
         rng = np.random.default_rng(K)
-        mu, q = signaling._chains(K)
         for c in range(K):
             D = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            B = self.lemma_matrix(K, c, D)
-            Dn = B[c:c + 2, :2]
-            sigma = np.linalg.svd(B, compute_uv=False)[-1]
-
-            def S(lam):
-                w = 1 - (q[c] / (mu[c] - lam)).sum(axis=-1)
-                return Dn.conj().T @ np.diag(w) @ Dn - lam * np.eye(2)
-
+            sigma = np.linalg.svd(self.lemma_matrix(K, c, D), compute_uv=False)[-1]
+            S, mu_min = self.schur_oracle(K, c, D)
             assert abs(np.linalg.det(S(sigma ** 2))) < 1e-9
             below = np.linalg.eigvalsh(S(0.999 * sigma ** 2))[0]
             assert below > 0
-            np.testing.assert_allclose(signaling._schur(K, c, D)(0.999 * sigma ** 2),
-                                       below, rtol=1e-9)
-            # w(0) = 1/(n+1) on both chains
-            np.testing.assert_allclose(1 - (q[c] / mu[c]).sum(axis=-1), [1 / (c + 1), 1 / (K - c)])
+            schur = signaling._schur(K, c, D)
+            np.testing.assert_allclose(schur(0.999 * sigma ** 2), below, rtol=1e-9)
+            levels = np.linspace(0, 0.9 * mu_min, 16)
+            np.testing.assert_allclose(schur(levels),
+                                       [np.linalg.eigvalsh(S(lam))[0] for lam in levels],
+                                       rtol=1e-9)
+            # w(0) = 1/(n+1) on both chains, read on an identity block
+            w0 = [1 / (c + 1), 1 / (K - c)]
+            np.testing.assert_allclose(self.schur_oracle(K, c, np.eye(2))[0](0.0), np.diag(w0),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(signaling._schur(K, c, np.eye(2))(0.0), min(w0),
+                                       rtol=1e-12)
 
-    @pytest.mark.parametrize("K", range(2, 8))
+    @pytest.mark.parametrize("K", range(2, 13))
     def test_certificates_are_sound(self, K):
         # levels around the SVD oracle's sigma, on random blocks, near-singular
         # ones and ones with lambda_min(S(0)) >= mu_min: no level at or above
         # sigma is certified, and every level up to 0.999 sigma is, except on
         # near-singular blocks, where det S lies below its rounding bound
         rng = np.random.default_rng(100 + K)
-        mu, _ = signaling._chains(K)
         levels = np.array([0.5, 0.9, 0.999, 1, 1.001, 1.1, 2, 3])
         certified = {"random": 0, "near-singular": 0, "past mu_min": 0}
         for c in range(K):
-            w0 = np.array([1 / (c + 1), 1 / (K - c)])
             cases = []
             for _ in range(12):
                 D = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -578,8 +592,8 @@ class TestScreen:
                 near[:, 1] += 1e-12 * (rng.normal(size=2) + 1j * rng.normal(size=2))
                 cases.append(("near-singular", near))
                 wide = np.eye(2) + 0.05 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-                Dn = wide / np.linalg.norm(wide, axis=0)
-                if np.linalg.eigvalsh(Dn.conj().T @ np.diag(w0) @ Dn)[0] >= mu[c].min():
+                S, mu_min = self.schur_oracle(K, c, wide)
+                if np.linalg.eigvalsh(S(0.0))[0] >= mu_min:
                     cases.append(("past mu_min", wide))
             for kind, D in cases:
                 H, M = lemma_thread(K, c, D, rng)
@@ -677,6 +691,22 @@ class TestPairKernel:
         assert float.hex(report.min_singular) == float.hex(sig[at_sig])
         assert report.residual_witness == witness(*at_res)
         assert report.singular_witness == witness(*at_sig)
+
+    def test_generic_path_ignores_layout(self):
+        # the oracle on a swapped-axes copy of H, the same values in another
+        # memory layout, must screen the same matrices and give the same bits
+        cfg = ChannelConfig(23, (4, 9, 13, 18, 0))
+        sched = schedule_of(cfg)
+        keep = np.sort(np.unique(sched.start_groups, return_index=True)[1])
+        slots = sched.slots[keep[:8]]
+        H = channel_coeffs(cfg, slots, 3, 4)[0]
+        v = beamforming_vectors(pattern_matrix(cfg, slots))
+        swapped = np.swapaxes(np.swapaxes(H, 1, 2).copy(), 1, 2)
+        assert not swapped.flags.c_contiguous
+        want = receiver_margins_generic(H, v)
+        for got, w in zip(receiver_margins_generic(swapped, v), want):
+            assert_bits_equal(got, w)
+        assert np.isfinite(want[1]).sum() < want[1].size
 
     def test_guard_on_interferer_slots(self, monkeypatch):
         # a receiver block boundary between an interferer's two slots would
