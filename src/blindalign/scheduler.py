@@ -20,9 +20,8 @@ from .pattern import (
     ChannelConfig,
     _group_starts,
     group_profile,
-    group_slots,  # unused here; the benchmark traces it under this name
-    slot_group,
-    pattern_matrix,
+    group_slots, slot_group, pattern_matrix,  # unused here; the benchmark traces them
+    slot_map,
     is_feasible_pattern,
 )
 
@@ -64,6 +63,14 @@ class Schedule:
         return (self.cfg.K + 1) * self.cfg.N
 
     _report = functools.cached_property(lambda self: _validate(self))  # see validate_schedule
+
+    @functools.cached_property
+    def _map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The slots (Python integers where int64 could overflow), groups, labels."""
+        S, lo, hi = self.slots, int(self.slots.min(initial=0)), int(self.slots.max(initial=0))
+        if (self.cfg.K + 1) * (max(-lo, hi) + self.cfg.N) >= 2**62:
+            S = S.astype(object)
+        return (S, *slot_map(self.cfg, S))
 
 
 def build_schedule(cfg: ChannelConfig, lam) -> Schedule:
@@ -130,10 +137,7 @@ def validate_schedule(sched: Schedule) -> ValidationReport:
 
 def _validate(sched: Schedule) -> ValidationReport:
     cfg, K, period = sched.cfg, sched.cfg.K, sched.period
-    firsts, S = sched.start_groups, sched.slots
-    ends = [int(x) for a in (S, firsts) if a.size for x in (a.min(), a.max())]
-    if (K + 1) * (max(map(abs, ends), default=0) + cfg.N) >= 2**62:
-        S = S.astype(object)
+    firsts, (S, groups, labels) = sched.start_groups, sched._map
     failures: list[str] = []
 
     coverage_ok = S.size == period and np.bincount(
@@ -144,13 +148,11 @@ def _validate(sched: Schedule) -> ValidationReport:
     if not coverage_ok and not failures:
         failures.append("coverage: residues modulo the period are not a partition")
 
-    # a thread reaching below the benchmark maps to a single group
-    inside = (S >= cfg.offsets[0]).all(axis=1, keepdims=True)
-    groups = slot_group(cfg, np.where(inside, S, cfg.offsets[0]))
-    consecutive = (groups[:, 0] == firsts) & (np.diff(groups, axis=1) == 1).all(axis=1)
+    # slots below the benchmark offset lie in groups below 0; slots in consecutive groups increase
+    consecutive = (groups[:, 0] == firsts) & (firsts >= 0) & (np.diff(groups) == 1).all(axis=1)
 
     patterned = np.ones(len(S), dtype=bool)
-    M = pattern_matrix(cfg, S[consecutive])
+    M = np.moveaxis(np.diff(labels[:, consecutive], axis=-1) != 0, 0, -2)
     if not is_feasible_pattern(M):  # name the threads one by one
         patterned[consecutive] = [is_feasible_pattern(x) for x in M]
     for i in np.flatnonzero(~consecutive | ~patterned):

@@ -53,10 +53,9 @@ _CANDIDATES = 16  # rejection budget per coefficient; P(exhaust) ~ 1e-46
 # coefficient cells K * trials * T * (K+1) one verification may hold; it
 # peaks at about 110 bytes per cell, so about 0.23 GB at this limit
 _VERIFY_CELLS = 2**21
-# the verifier's key and its grid of _draw on labels 0..L-1, at most
-# _VERIFY_CELLS (user, label, trial) entries of 32 bytes: 64 MB. Calls read
-# both in one unpack and publish a new pair in one assignment
-_grid: list = [None, None]
+# the verifier's (key, grid, residual table), at most _VERIFY_CELLS cells of
+# 32 + 8 bytes (80 MB); read in one unpack and published in one assignment
+_grid: list = [None, None, None]
 
 # The decodability screen (see _schur). Schur certificates are used only at
 # lambda <= (1 - gap) * mu_min: there w's error is within 13 eps times 2 - w
@@ -139,18 +138,20 @@ def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
     return H.reshape(cfg.K, trials, *slots.shape, 2), blocks
 
 
-def _verify_grid(seed: int, K: int, L: int, trials: int) -> np.ndarray:
-    """A ``_draw`` grid of at least users 0..K-1 on labels 0..L-1, through ``_grid``."""
+def _verify_grid(seed: int, K: int, L: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """A ``_draw`` grid of at least users 0..K-1 on labels 0..L-1, and its residual table."""
     key = (seed, trials, MAGNITUDE_FLOOR, _CANDIDATES)
-    stored, grid = _grid
+    stored, grid, res = _grid
     if stored == key:  # a larger K or L redraws a grid that covers both
         K, L = max(K, grid.shape[0]), max(L, grid.shape[1])
         if grid.shape[:2] == (K, L):
-            return grid
+            return grid, res
     grid = _draw(seed, K, np.arange(L), trials)
+    res = _residuals(np.repeat(grid[..., None, :], 2, axis=-2)).reshape(-1, trials)
+    res.flags.writeable = False
     if K * L * trials <= _VERIFY_CELLS:
-        _grid[:] = key, grid
-    return grid
+        _grid[:] = key, grid, res
+    return grid, res
 
 
 def _sum2(a: np.ndarray) -> np.ndarray:
@@ -375,15 +376,14 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
     if cells > _VERIFY_CELLS:
         raise SearchBudgetExceeded(f"{trials} trials of {len(keep)} distinct threads need "
                                    f"{cells} coefficient cells, over the limit {_VERIFY_CELLS}")
-    K, slots = cfg.K, np.asarray(sched.slots[keep], dtype=np.int64)
-    blocks = slot_map(cfg, slots)[1]
+    K, slots, blocks = cfg.K, sched.slots[keep], sched._map[2][:, keep].astype(np.int64)
     # the pattern is the diff of the labels; validation made it a permutation
     c = np.argmax(np.diff(blocks), axis=-1).T
     # (K, T, K, 2) labels on the slot pairs; validated labels lie in 0..K+3
     labels = blocks[:, np.arange(len(keep))[:, None, None], c[..., None] + np.arange(2)]
     if ((labels[..., 0] != labels[..., 1]) & ~np.eye(K, dtype=bool)[:, None]).any():
         raise ValueError("an interferer's two slots lie in two blocks of a receiver")
-    grid = _verify_grid(seed, K, int(labels.max()) + 1, trials)
+    grid, res = _verify_grid(seed, K, int(labels.max()) + 1, trials)
     entry = np.arange(K)[:, None, None, None] * grid.shape[1] + labels  # user * L + label
     index = entry[:, None] * trials + np.arange(trials)[:, None, None, None]
     sig = _singulars(np.take(grid.reshape(-1, 2), index, axis=0), c).transpose(2, 1, 0)
@@ -395,7 +395,6 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
 
     # the diagonal is no interferer; worst entries are found in (thread, trial,
     # receiver, interferer) order, so ties go to the earliest thread
-    res = _residuals(np.repeat(grid[..., None, :], 2, axis=-2)).reshape(-1, trials)
     res = res[entry[..., 0]].transpose(1, 3, 0, 2)
     res[..., range(K), range(K)] = -1.0
     at_res = np.unravel_index(res.argmax(), res.shape)

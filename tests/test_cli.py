@@ -24,7 +24,7 @@ from blindalign import (
     probability_exact,
     schedule_to_dict,
 )
-from blindalign import counting, scheduler
+from blindalign import counting, scheduler, signaling
 from blindalign.cli import main
 from helpers import (
     TAMPERINGS,
@@ -136,13 +136,19 @@ class TestDecomposeVerify:
         assert "symbols per slot: 3/2" in out
 
     def test_verify_validates_once(self, tmp_path, capsys, monkeypatch):
-        # the CLI's check and the verifier's share one validation report
+        # the CLI's check and the verifier's share one validation report and
+        # one slot map
         path = tmp_path / "sched.json"
         run(capsys, "decompose", "--N", "60", "--offsets", "0,15,30,45", "--out", str(path))
-        calls, slot_group = [], scheduler.slot_group
-        monkeypatch.setattr(scheduler, "slot_group", lambda *a: calls.append(1) or slot_group(*a))
+        calls = []
+        for module, name in ((scheduler, "_validate"), (scheduler, "slot_map"),
+                             (signaling, "slot_map")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))
         code, out, _ = run(capsys, "verify", "--schedule", str(path), "--trials", "2")
-        assert code == 0 and "verification: PASS" in out and len(calls) == 1
+        assert code == 0 and "verification: PASS" in out
+        assert calls == ["_validate", "slot_map"]
 
     def test_verify_deterministic(self, tmp_path, capsys):
         path = tmp_path / "sched.json"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindalign import scheduler
+from blindalign import scheduler, signaling
 from blindalign import (
     ChannelConfig,
     Schedule,
@@ -17,7 +17,6 @@ from blindalign import (
     closed_form_solution,
     group_profile,
     group_slots,
-    pattern_matrix,
     schedule_from_dict,
     schedule_json,
     schedule_to_dict,
@@ -196,6 +195,20 @@ class TestValidateSchedule:
                       "certificate: lambda does not solve the window equations "
                       "or does not match the threads' start groups"))
 
+    def test_slots_near_int64_min(self):
+        # in int64, slot - 9 wraps for slots below -2^63 + 9, and these
+        # three would lie in the consecutive long groups 1537228672809129299..301;
+        # as Python integers they lie below the benchmark offset
+        cfg = ChannelConfig(12, (9, 1))
+        sched = build(cfg)
+        start, row = 1537228672809129299, [-2**63, -2**63 + 1, -2**63 + 5]
+        tampered = schedule_of_threads(cfg, sched.lam, [start] + sched.start_groups.tolist()[1:],
+                                       [row] + sched.slots.tolist()[1:])
+        assert tampered.slots.dtype == np.int64
+        report = validate_schedule(tampered)
+        assert report == validate_schedule_oracle(tampered) and not report.consecutive_ok
+        assert f"consecutiveness: thread at group {start}, slots {tuple(row)}" in report.failures
+
     @pytest.mark.parametrize("n_starts, n_cols", [(3, 4), (4, 3)],
                              ids=["one-start-group-cut", "one-slot-column-cut"])
     def test_mismatched_shapes_refused(self, n_starts, n_cols):
@@ -256,19 +269,43 @@ class TestValidateAgainstOracle:
         report = validate_schedule(tampered)
         assert report == validate_schedule_oracle(tampered) and not report.consecutive_ok
 
-    def test_failing_patterns_are_named(self, monkeypatch):
-        # consecutive threads always have permutation patterns, so break the
-        # matrix of the thread at index 1 to reach the per-thread walk
-        def broken(cfg, slots):
-            M = pattern_matrix(cfg, slots)
-            M[1] = 0
-            return M
-        monkeypatch.setattr(scheduler, "pattern_matrix", broken)
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("cfg", [ChannelConfig(12, (0, 4, 9)), ChannelConfig(12, (5, 9, 1))],
+                             ids=["offset-0", "offset-5"])
+    def test_threads_below_benchmark_offset_equal(self, cfg, dtype):
+        # slots below the benchmark offset lie in long groups below 0: a
+        # thread in groups -1..K-1 is consecutive there from start group -1,
+        # and one shifted down a period is consecutive from its start group
+        # less K(K+1), but neither is consecutive in the schedule
+        sched = build(cfg)
+        K, m = cfg.K, cfg.K * (cfg.K + 1)
+        starts, rows = sched.start_groups.tolist(), sched.slots.tolist()
+        partly = [cfg.offsets[0] - 1] + [group_slots(cfg, g)[0] for g in range(K)]
+        wholly = [n - sched.period for n in rows[0]]
+        for start, row in ((-1, partly), (0, partly), (starts[0], wholly),
+                           (starts[0] - m, wholly), (starts[0], [wholly[0]] + rows[0][1:])):
+            tampered = Schedule(cfg, sched.lam, np.array([start] + starts[1:], dtype=dtype),
+                                np.array([row] + rows[1:], dtype=dtype))
+            report = validate_schedule(tampered)
+            assert report == validate_schedule_oracle(tampered) and not report.consecutive_ok
+            assert f"consecutiveness: thread at group {start}, slots {tuple(row)}" in report.failures
+
+    def test_failing_patterns_are_named(self):
+        # consecutive threads always have permutation patterns, so tamper the
+        # schedule's map before validation to reach the per-thread walk: user
+        # 1's label stays put on the thread at index 1 and changes twice on
+        # the thread at index 3, and both threads are named in order
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
+        S, groups, labels = sched._map
+        labels = labels.copy()
+        labels[0, 1] = labels[0, 1, 0]
+        labels[0, 3] += np.arange(FIG_CFG.K + 1)
+        sched.__dict__["_map"] = S, groups, labels
         report = validate_schedule(sched)
         assert report.coverage_ok and report.consecutive_ok and report.certificate_ok
         assert not report.patterns_ok
-        assert report.failures == ("pattern: thread at group 5 is not a permutation",)
+        assert report.failures == ("pattern: thread at group 5 is not a permutation",
+                                   "pattern: thread at group 11 is not a permutation")
 
     def test_duplicate_offsets_equal(self):
         # zero-size groups hold no slot, so no thread can be consecutive
@@ -279,7 +316,8 @@ class TestValidateAgainstOracle:
         assert report == validate_schedule_oracle(sched) and not report.consecutive_ok
 
     def test_one_map_call_per_validation(self, monkeypatch):
-        # the passing path maps all threads at once, not one thread at a time
+        # the passing path maps all threads at once, not one thread at a time,
+        # and takes groups and patterns from that one map
         calls = []
 
         def counted(name, fn):
@@ -287,10 +325,10 @@ class TestValidateAgainstOracle:
                 calls.append(name)
                 return fn(*args)
             return call
-        for name in ("slot_group", "pattern_matrix", "is_feasible_pattern"):
+        for name in ("slot_map", "slot_group", "pattern_matrix", "is_feasible_pattern"):
             monkeypatch.setattr(scheduler, name, counted(name, getattr(scheduler, name)))
         assert validate_schedule(build(ChannelConfig(600, (0, 150, 300, 450)))).passed
-        assert sorted(calls) == ["is_feasible_pattern", "pattern_matrix", "slot_group"]
+        assert calls == ["slot_map", "is_feasible_pattern"]
 
 
 class TestOwnedSchedule:
@@ -323,15 +361,22 @@ class TestOwnedSchedule:
             sched.slots[0, 0] = 0
 
     def test_validated_once_per_schedule(self, monkeypatch):
+        # one validation and one slot map per schedule: the verifier reads
+        # the schedule's report and map
         calls = []
-        monkeypatch.setattr(scheduler, "slot_group", lambda *a: calls.append(1) or slot_group(*a))
+        for module, name in ((scheduler, "_validate"), (scheduler, "slot_map"),
+                             (signaling, "slot_map")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))
         cfg = ChannelConfig(60, (0, 15, 30, 45))
         sched = build(cfg)
         report = validate_schedule(sched)
         assert validate_schedule(sched) is report and report.passed
         assert verify_schedule_end_to_end(cfg, sched, seed=0, trials=1).passed
-        assert len(calls) == 1
-        assert validate_schedule(build(cfg)) == report and len(calls) == 2
+        assert calls == ["_validate", "slot_map"]
+        assert validate_schedule(build(cfg)) == report
+        assert calls == ["_validate", "slot_map"] * 2
 
     @pytest.mark.parametrize("kind", TAMPERINGS)
     @pytest.mark.parametrize("validated_first", [False, True])

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -217,7 +218,7 @@ class TestCoefficientStore:
 
     @pytest.fixture(autouse=True)
     def empty_grid(self, monkeypatch):
-        monkeypatch.setattr(signaling, "_grid", [None, None])
+        monkeypatch.setattr(signaling, "_grid", [None] * len(signaling._grid))
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -243,7 +244,7 @@ class TestCoefficientStore:
     def cold(cfg, seed, trials):
         """A verification from an empty grid, which it leaves empty."""
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(signaling, "_grid", [None, None])
+            mp.setattr(signaling, "_grid", [None] * len(signaling._grid))
             return verify_schedule_end_to_end(cfg, schedule_of(cfg), seed, trials)
 
     @pytest.mark.parametrize("order", [1, -1])
@@ -373,24 +374,59 @@ class TestCoefficientStore:
         self.check(cfg, slots[::-1], 4, 3)
 
     def test_store_starts_over_at_its_bound(self, monkeypatch, draws):
-        # a grid of at most _VERIFY_CELLS (user, label, trial) cells is kept
+        # a grid of at most _VERIFY_CELLS (user, label, trial) cells is kept,
+        # with its residual table
         monkeypatch.setattr(signaling, "_VERIFY_CELLS", 60)
-        kept = signaling._verify_grid(6, 3, 5, 4)
-        assert signaling._grid == [(6, 4, MAGNITUDE_FLOOR, signaling._CANDIDATES), kept]
-        assert signaling._verify_grid(6, 2, 4, 4) is kept and len(draws) == 1
+        kept, table = signaling._verify_grid(6, 3, 5, 4)
+        assert signaling._grid == [(6, 4, MAGNITUDE_FLOOR, signaling._CANDIDATES), kept, table]
+        again = signaling._verify_grid(6, 2, 4, 4)
+        assert again[0] is kept and again[1] is table and len(draws) == 1
         # a larger one under the same key, or one under a new key, is drawn
-        # on every call and not kept; the kept pair stays
+        # on every call and not kept; the kept entries stay
         for args in ((6, 3, 6, 4), (6, 4, 5, 4), (7, 4, 5, 4)):
             for _ in range(2):
-                grid = signaling._verify_grid(*args)
+                grid, res = signaling._verify_grid(*args)
                 assert grid.shape[:3] == (*args[1:3], 4) and grid is not kept
-                assert signaling._grid[1] is kept
+                assert res.shape == (args[1] * args[2], 4) and not res.flags.writeable
+                assert signaling._grid[1] is kept and signaling._grid[2] is table
         assert len(draws) == 7
         # the grid the verifier reads holds the oracle's coefficients
         cfg = evenly_spread(30, 3)
         H, blocks = channel_coeffs_oracle(cfg, schedule_of(cfg).slots, 6, 4)
         users = np.broadcast_to(np.arange(3)[:, None, None], blocks.shape)
         assert_bits_equal(kept[users, blocks], np.moveaxis(H, 1, -2))
+        # the table holds each cell's residual, rows user * L + label, read-only
+        assert table.shape == (15, 4) and not table.flags.writeable
+        pairs = np.repeat(kept[..., None, :], 2, axis=-2).reshape(15, 4, 2, 2)
+        assert_bits_equal(table, signaling._residuals(pairs))
+
+    def test_residuals_once_per_draw(self, monkeypatch, draws):
+        # the verifier computes residuals only on a newly drawn grid, over
+        # the whole grid at once, and reads the kept table otherwise
+        computed, residuals = [], signaling._residuals
+        monkeypatch.setattr(signaling, "_residuals",
+                            lambda P: computed.append(P.shape) or residuals(P))
+        for cfg, _ in self.CASES * 2:
+            verify_schedule_end_to_end(cfg, schedule_of(cfg), seed=4, trials=3)
+            assert len(computed) == len(draws)
+        assert [shape[:3] for shape in computed] == [(K, len(labels), trials)
+                                                    for _, trials, K, labels in draws]
+        assert 1 <= len(draws) < len(self.CASES)
+
+    @pytest.mark.parametrize("seed, trials", [(0, 1), (3, 4), (11, 10)])
+    def test_emptied_and_warm_grids_agree(self, seed, trials):
+        # a verification reads its residuals from a table kept for a larger
+        # grid, whose rows user * L + label have another L, with the bits of
+        # a verification from an emptied grid
+        cold = [self.cold(cfg, seed, trials) for cfg, _ in self.CASES]
+        big = evenly_spread(60, 6)
+        verify_schedule_end_to_end(big, schedule_of(big), seed, trials)
+        table = signaling._grid[2]
+        for (cfg, _), want in zip(self.CASES, cold):
+            assert_same_report(verify_schedule_end_to_end(cfg, schedule_of(cfg), seed, trials),
+                               want)
+            assert signaling._grid[2] is table
+
 
 class TestTupleVerifiers:
     """Negative and positive cases on ``receiver_checks``: the verifier's
@@ -713,24 +749,40 @@ class TestPairKernel:
         # give that interferer two entries and break the per-entry residual;
         # validation rules it out, so only a tampered label map reaches the
         # guard. Receiver 1's labels drop by 1 past user 2's transition on
-        # the first thread, which leaves every transition column as it was
+        # the first thread, which the verifier keeps; that leaves every
+        # transition column as it was. The schedule's map is tampered after
+        # validation, whose passing report the schedule keeps
         cfg = ChannelConfig(23, (4, 9, 13, 18, 0))
         sched = schedule_of(cfg)
-        real = signaling.slot_map
-
-        def tampered(cfg, slots):
-            groups, blocks = real(cfg, slots)
-            blocks = blocks.copy()
-            blocks[0, 0, np.argmax(np.diff(blocks[1, 0])) + 1:] -= 1
-            return groups, blocks
-
         assert verify_schedule_end_to_end(cfg, sched, seed=5, trials=2).passed
-        monkeypatch.setattr(signaling, "slot_map", tampered)
+        slots, groups, blocks = sched._map
+        blocks = blocks.copy()
+        blocks[0, 0, np.argmax(np.diff(blocks[1, 0])) + 1:] -= 1
+        monkeypatch.setitem(sched.__dict__, "_map", (slots, groups, blocks))
         with pytest.raises(ValueError, match="two blocks of a receiver"):
             verify_schedule_end_to_end(cfg, sched, seed=5, trials=2)
 
 
 class TestEndToEnd:
+    def test_c05_digest(self, monkeypatch):
+        # one sha256 over float.hex of both worst values, both witnesses,
+        # n_distinct and passed of the 201 gate-5 configs at seed 7 with 10
+        # trials, in one run whose grid grows across the calls from empty.
+        # The digest predates the kept residual table and the shared slot map
+        monkeypatch.setattr(signaling, "_grid", [None] * len(signaling._grid))
+        rng = np.random.default_rng(509)
+        configs = [ChannelConfig(4, (0, 1, 2))]
+        while len(configs) < 201:
+            configs.append(random_feasible_config(rng, int(rng.integers(2, 6)), 60))
+        digest = hashlib.sha256()
+        for cfg in configs:
+            s = verify_schedule_end_to_end(cfg, schedule_of(cfg), seed=7, trials=10)
+            digest.update(f"{float.hex(s.max_residual)} {float.hex(s.min_singular)} "
+                          f"{s.residual_witness!r} {s.singular_witness!r} "
+                          f"{s.n_distinct} {s.passed}\n".encode())
+        assert digest.hexdigest() == (
+            "b5d4b411ffa9ec12048f2d43f9f8740cbecb5ac3fdc70e14af8e16c902ae127b")
+
     def test_reference_instance(self):
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
         summary = verify_schedule_end_to_end(FIG_CFG, sched, seed=0, trials=100)
