@@ -13,11 +13,12 @@ desired user's two columns differ across its transition and stay generically
 independent from the K-1 interference directions.
 
 The verifier works on (user, block) entries: an interferer's two slots are
-one entry of every receiver (checked once per schedule), whose residual is
-computed once, so each receiver matrix's smallest singular value solves a 2x2
-secular equation in its own slot pair. Each receiver's likeliest minimum goes
-through the SVD first; a Schur certificate on that equation (``_schur``) then
-proves most other matrices above it, and only the rest need an SVD.
+one entry of every receiver (checked once per schedule), so each receiver
+matrix's smallest singular value solves a 2x2 secular equation in its own
+slot pair. Entry residuals and the equation's terms are computed once per
+drawn grid. Each receiver's likeliest minimum goes through the SVD first; a
+Schur certificate on that equation (``_schur``) then proves most other
+matrices above it, and only the rest gather their slot pairs for an SVD.
 ``receiver_checks``, on any coefficients, runs the SVD on every matrix.
 """
 
@@ -50,12 +51,13 @@ DECODABILITY_TOL = 1e-9
 
 _KEY_SALT = 0x9E3779B97F4A7C15  # distinguishes channel streams from other RNG users
 _CANDIDATES = 16  # rejection budget per coefficient; P(exhaust) ~ 1e-46
-# coefficient cells K * trials * T * (K+1) one verification may hold; it
-# peaks at about 110 bytes per cell, so about 0.23 GB at this limit
+# coefficient cells K * trials * T * (K+1) one verification may hold; it peaks
+# at about 21 bytes per cell (45 MB here), near 300 if the screen certifies none
 _VERIFY_CELLS = 2**21
-# the verifier's (key, grid, residual table), at most _VERIFY_CELLS cells of
-# 32 + 8 bytes (80 MB); read in one unpack and published in one assignment
-_grid: list = [None, None, None]
+# the verifier's (key, grid, residual table, terms table), at most
+# _VERIFY_CELLS cells of 32 + 8 + 32 bytes (grid 64 MB, residuals 16 MB, terms
+# 64 MB); read in one unpack and published in one assignment
+_grid: list = [None, None, None, None]
 
 # The decodability screen (see _schur). Schur certificates are used only at
 # lambda <= (1 - gap) * mu_min: there w's error is within 13 eps times 2 - w
@@ -138,20 +140,22 @@ def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
     return H.reshape(cfg.K, trials, *slots.shape, 2), blocks
 
 
-def _verify_grid(seed: int, K: int, L: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """A ``_draw`` grid of at least users 0..K-1 on labels 0..L-1, and its residual table."""
+def _verify_grid(seed: int, K: int, L: int, trials: int) -> tuple[np.ndarray, ...]:
+    """A ``_draw`` grid of at least users 0..K-1 on labels 0..L-1, its residuals
+    at rows user * L + label and the terms of labels a, a+1 at user * (L-1) + a."""
     key = (seed, trials, MAGNITUDE_FLOOR, _CANDIDATES)
-    stored, grid, res = _grid
+    stored, grid, res, terms = _grid
     if stored == key:  # a larger K or L redraws a grid that covers both
         K, L = max(K, grid.shape[0]), max(L, grid.shape[1])
         if grid.shape[:2] == (K, L):
-            return grid, res
+            return grid, res, terms
     grid = _draw(seed, K, np.arange(L), trials)
     res = _residuals(np.repeat(grid[..., None, :], 2, axis=-2)).reshape(-1, trials)
-    res.flags.writeable = False
+    terms = _terms(np.stack((grid[:, :-1], grid[:, 1:]), axis=-2)).reshape(-1, trials, 4)
+    res.flags.writeable = terms.flags.writeable = False
     if K * L * trials <= _VERIFY_CELLS:
-        _grid[:] = key, grid, res
-    return grid, res
+        _grid[:] = key, grid, res, terms
+    return grid, res, terms
 
 
 def _sum2(a: np.ndarray) -> np.ndarray:
@@ -160,32 +164,40 @@ def _sum2(a: np.ndarray) -> np.ndarray:
     return a[..., 0] + a[..., 1]
 
 
-def _schur(K: int, c, D):
-    """S(lam) of the receiver matrices with blocks ``D`` (..., 2, 2): a
-    function of ``lam`` that returns the smallest eigenvalue of S(lam), or with
-    ``certify`` whether S(lam) is certified positive definite.
+def _terms(D: np.ndarray) -> np.ndarray:
+    """Screen terms (..., 4) of blocks ``D`` (..., 2, 2), slots by (h1, h2),
+    once its columns are normalized: the row powers p_0 and p_1,
+    delta = |det D|^2 and the cross term |D_00 D_11| + |D_01 D_10|."""
+    power = (D.conj() * D).real  # np.linalg.norm's terms, added as it adds them
+    D = D / np.maximum(np.sqrt(power[..., :1, :] + power[..., 1:, :]), 1e-300)
+    p = _sum2(D.real ** 2 + D.imag ** 2)
+    a, b = D[..., 0, 0] * D[..., 1, 1], D[..., 0, 1] * D[..., 1, 0]
+    return np.stack((p[..., 0], p[..., 1], np.abs(a - b) ** 2, np.abs(a) + np.abs(b)), axis=-1)
 
-    ``D`` holds the receiver's (h1, h2) on slots c and c+1 of its transition
-    column ``c`` (broadcast against ``D.shape[:-2]``, as is ``lam``); the
-    caller guarantees (see :func:`_singulars`) that D squares without
-    overflow or underflow and that every interferer column is a nonzero
-    multiple of e_t + e_{t+1}, t != c: two chains of n = c and n = K-1-c
-    columns with Gram matrix tridiag(1/2, 1, 1/2), whose smallest eigenvalue
-    is mu_min = 2 sin^2(pi/(2(M+1))), M the longer chain. Below mu_min such a
-    normalized B has the 2x2 Schur complement of B^H B - lambda I
-    S(lambda) = D^H diag(w_L, w_R) D - lambda I, where w_n(lambda) =
-    1 - sin(n theta)/sin((n+1) theta), cos theta = 1 - lambda (w_0 = 1,
-    w_n(0) = 1/(n+1)). By Haynsworth's inertia additivity, S(lam) positive
-    definite proves that B's smallest singular value s has s^2 > lam. The
-    certificate is refused past the pole gap, and wherever rounding could
+
+def _schur(K: int, c, terms):
+    """S(lam) of the receiver matrices with blocks D: a function of ``lam``
+    that returns the smallest eigenvalue of S(lam), or with ``certify``
+    whether S(lam) is certified positive definite.
+
+    ``terms`` holds :func:`_terms` of D, the receiver's (h1, h2) on slots c
+    and c+1 of its transition column ``c`` (broadcast against ``terms`` but
+    its last axis, as is ``lam``); the caller guarantees (:func:`_singulars`)
+    that D squares without overflow or underflow and that every interferer
+    column is a nonzero multiple of e_t + e_{t+1}, t != c: two chains of
+    n = c and n = K-1-c columns with Gram matrix tridiag(1/2, 1, 1/2), whose
+    smallest eigenvalue is mu_min = 2 sin^2(pi/(2(M+1))), M the longer chain.
+    Below mu_min such a normalized B has the 2x2 Schur complement of
+    B^H B - lambda I, S(lambda) = D^H diag(w_L, w_R) D - lambda I, where
+    w_n(lambda) = 1 - sin(n theta)/sin((n+1) theta), cos theta = 1 - lambda
+    (w_0 = 1, w_n(0) = 1/(n+1)). By Haynsworth's inertia additivity, S(lam)
+    positive definite proves that B's smallest singular value s has s^2 > lam.
+    The certificate is refused past the pole gap, and wherever rounding could
     flip the sign of tr S or det S. The eigenvalue is not certified.
     """
     m = np.multiply.outer(c, [[1], [-1]]) + [[0, 1], [K - 1, K]]  # (n, n+1), n = c and K-1-c
     mu_min = 2 * np.sin(np.pi / (2 * np.maximum(m[..., 0, 1], m[..., 1, 1]))) ** 2
-    power = (D.conj() * D).real  # np.linalg.norm's terms, added as it adds them
-    D = D / np.maximum(np.sqrt(power[..., :1, :] + power[..., 1:, :]), 1e-300)
-    p = _sum2(D.real ** 2 + D.imag ** 2)  # row powers on slots c, c+1
-    delta = np.abs(D[..., 0, 0] * D[..., 1, 1] - D[..., 0, 1] * D[..., 1, 0]) ** 2
+    p, delta, cross = terms[..., :2], terms[..., 2], terms[..., 3]  # p on slots c, c+1
 
     @np.errstate(all="ignore")  # inf at a pole, nan past lam = 2: neither certifies
     def at(lam, certify=False):
@@ -203,25 +215,24 @@ def _schur(K: int, c, D):
         wabs = 2 - w
         apw = _sum2(wabs * p)
         tol = _SIGN_TOL * (K + 1)
-        cross = np.abs(D[..., 0, 0] * D[..., 1, 1]) + np.abs(D[..., 0, 1] * D[..., 1, 0])
         det_tol = tol * (wabs[..., 0] * wabs[..., 1] * cross ** 2 + np.abs(lam) * apw + lam * lam)
         return ((lam <= (1 - _POLE_GAP) * mu_min)
                 & (tr > tol * (apw + 2 * np.abs(lam))) & (det > det_tol))
     return at
 
 
-def _smallest_singular(P: np.ndarray, c: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """SVD margins of the receiver matrices selected by ``where`` (K, trials, T),
-    in its C order, through one ``np.linalg.svd`` call; ``P`` and ``c`` are
-    slot pairs and transition columns as :func:`_singulars` takes them."""
-    K = P.shape[0]
-    i, r, t = (a[:, None] for a in np.nonzero(where))
+def _smallest_singular(P: np.ndarray, i: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """SVD margins of receiver matrices, one per row of ``P`` (n, K, 2, 2),
+    through one ``np.linalg.svd`` call: row m holds receiver ``i[m]``'s
+    (h1, h2) on slot ``c[m, j] + s`` of each user j, ``c`` (n, K) a permutation."""
+    K = P.shape[1]
+    m = np.arange(len(P))[:, None]
     # column order: the receiver's two desired columns, then one per interferer
-    users = np.array([[j, j] + [u for u in range(K) if u != j] for j in range(K)])[i[:, 0]]
+    users = np.array([[j, j] + [u for u in range(K) if u != j] for j in range(K)])[i]
     antenna = np.array([0, 1] + [0] * (K - 1))
-    B = np.zeros((len(i), K + 1, K + 1), dtype=complex)
-    B[np.arange(len(i))[:, None, None], c[t, users][..., None] + np.arange(2),
-      np.arange(K + 1)[:, None]] = P[i, r, t, users, :, antenna]
+    B = np.zeros((len(P), K + 1, K + 1), dtype=complex)
+    B[m[..., None], c[m, users][..., None] + np.arange(2),
+      np.arange(K + 1)[:, None]] = P[m, users, :, antenna]
     B = B / np.maximum(np.linalg.norm(B, axis=-2, keepdims=True), 1e-300)
     return np.linalg.svd(B, compute_uv=False)[..., -1]
 
@@ -241,10 +252,12 @@ def _residuals(P: np.ndarray) -> np.ndarray:
     return np.sqrt(det) / np.maximum(lmax, 1e-300)
 
 
-def _singulars(P: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Normalized smallest singular values (K, trials, T) from the slot pairs
-    ``P[i, r, t, j, s]``, receiver i's (h1, h2) on slot ``c[t, j] + s``; ``c``
-    (T, K), a permutation in every thread, holds each user's transition column.
+def _singulars(terms: np.ndarray, cells: np.ndarray, entry: np.ndarray,
+               c: np.ndarray) -> np.ndarray:
+    """Normalized smallest singular values (K, trials, T): receiver i's
+    (h1, h2) in trial r on slot ``c[t, j] + s`` is ``cells[entry[i, t, j, s],
+    r]``, ``terms[i, r, t]`` holds :func:`_terms` of its own slot pair, and
+    ``c`` (T, K), a permutation in every thread, holds transition columns.
 
     Every matrix must meet the chain lemma of :func:`_schur`: the verifier's
     entry guard makes the receiver's h1 equal on each interferer's two slots,
@@ -254,19 +267,25 @@ def _singulars(P: np.ndarray, c: np.ndarray) -> np.ndarray:
     w(lambda) <= w(0). Each other matrix whose S((sigma* + slack)^2) is
     certified positive definite, sigma* being its receiver's SVD value, has
     an SVD value strictly above sigma*; it holds +inf. The rest go through a
-    second batch, so the minimum and its position are exact.
+    second batch, so the minimum and its position are exact. A batch gathers
+    the slot pairs of its own matrices only.
     """
-    K = len(P)
-    schur = _schur(K, c.T[:, None, :], P[range(K), :, :, range(K)])
+    K = len(terms)
+    schur = _schur(K, c.T[:, None, :], terms)
+
+    def svd(where):
+        i, r, t = np.nonzero(where)
+        return _smallest_singular(cells[entry[i, t], r[:, None, None]], i, c[t])
+
     guess = schur(0.0)
     first = np.zeros(guess.shape, dtype=bool)
     first.reshape(K, -1)[range(K), guess.reshape(K, -1).argmin(axis=1)] = True
     singulars = np.full(guess.shape, np.inf)
-    singulars[first] = _smallest_singular(P, c, first)
+    singulars[first] = svd(first)
     floor = singulars.min(axis=(1, 2)) + _SVD_SLACK * (K + 1) ** 2
     rest = ~first & ~schur((floor ** 2)[:, None, None], certify=True)
     if rest.any():
-        singulars[rest] = _smallest_singular(P, c, rest)
+        singulars[rest] = svd(rest)
     return singulars
 
 
@@ -307,7 +326,8 @@ def receiver_checks(H: np.ndarray, M) -> tuple[np.ndarray, np.ndarray]:
     # a scale of each column: one antenna of a slot pair
     residuals = _residuals(_scaled(P, (-2, -1))).max(axis=(1, 2))
     residuals = np.where(np.eye(len(H), dtype=bool), 0.0, residuals)
-    singulars = _smallest_singular(_scaled(P, -2), c, np.ones(P.shape[:3], dtype=bool))
+    i, _, t = np.indices(P.shape[:3]).reshape(3, -1)
+    singulars = _smallest_singular(_scaled(P, -2).reshape(-1, *P.shape[3:]), i, c[t])
     return residuals, singulars.reshape(len(H), -1).min(axis=1)
 
 
@@ -383,10 +403,12 @@ def verify_schedule_end_to_end(cfg: ChannelConfig, sched: Schedule, seed: int,
     labels = blocks[:, np.arange(len(keep))[:, None, None], c[..., None] + np.arange(2)]
     if ((labels[..., 0] != labels[..., 1]) & ~np.eye(K, dtype=bool)[:, None]).any():
         raise ValueError("an interferer's two slots lie in two blocks of a receiver")
-    grid, res = _verify_grid(seed, K, int(labels.max()) + 1, trials)
+    grid, res, terms = _verify_grid(seed, K, int(labels.max()) + 1, trials)
     entry = np.arange(K)[:, None, None, None] * grid.shape[1] + labels  # user * L + label
-    index = entry[:, None] * trials + np.arange(trials)[:, None, None, None]
-    sig = _singulars(np.take(grid.reshape(-1, 2), index, axis=0), c).transpose(2, 1, 0)
+    # each receiver's own labels a, a+1 are its terms row user * (L-1) + a
+    own = entry[range(K), :, range(K), 0] - np.arange(K)[:, None]
+    sig = _singulars(terms[own[:, None], np.arange(trials)[:, None]],
+                     grid.reshape(-1, trials, 2), entry, c).transpose(2, 1, 0)
 
     def witness(d, trial, receiver, interferer=None):
         return Witness(int(keep[d]), int(sched.start_groups[keep[d]]), tuple(slots[d].tolist()),

@@ -353,6 +353,19 @@ def slot_pairs(H, c):
     return H[:, :, np.arange(T)[:, None, None], np.asarray(c)[..., None] + np.arange(2)]
 
 
+def screen_inputs(H, c):
+    """``signaling._singulars``'s inputs on H (K, trials, T, K+1, 2) and
+    transition columns ``c`` (T, K): the screen terms (K, trials, T, 4) of
+    each receiver's own slot pair, H's cells as rows (receiver, thread, slot)
+    by (trial, antenna), and the row of every receiver's slot pairs (K, T, K, 2)."""
+    K, trials, T = H.shape[:3]
+    P = slot_pairs(H, c)
+    cells = np.moveaxis(H, 1, -2).reshape(-1, trials, 2)
+    entry = (np.arange(K)[:, None, None, None] * T + np.arange(T)[:, None, None]) * (K + 1)
+    return (signaling._terms(P[range(K), :, :, range(K)]), cells,
+            entry + np.asarray(c)[..., None] + np.arange(2))
+
+
 def lemma_blocks(H, mask):
     """Which receiver matrices (K, trials, T) meet the chain lemma on any 0/1
     vectors ``mask`` (T, K, K+1), with their transition columns c (K, 1, T)
@@ -416,7 +429,7 @@ def receiver_margins_generic(H, v):
         residuals[i, i] = 0.0
 
     lemma, c, D = lemma_blocks(H, mask)
-    schur = signaling._schur(K, c, D)
+    schur = signaling._schur(K, c, signaling._terms(D))
     guess = np.where(lemma, schur(0.0), np.inf).reshape(K, -1)
     first = np.logical_not(lemma, order="C")  # C order, so the reshape below is a view
     first.reshape(K, -1)[range(K), guess.argmin(axis=1)] = True

@@ -26,11 +26,13 @@ from blindalign import (
 )
 from helpers import (
     TAMPERINGS,
+    block_index_oracle,
     brute_force_solve,
     build_schedule_oracle,
     huge_n_small_slots_doc,
     random_feasible_config,
     schedule_of_threads,
+    slot_group_oracle,
     small_certificates,
     tamper_schedule,
     validate_schedule_oracle,
@@ -208,6 +210,21 @@ class TestValidateSchedule:
         report = validate_schedule(tampered)
         assert report == validate_schedule_oracle(tampered) and not report.consecutive_ok
         assert f"consecutiveness: thread at group {start}, slots {tuple(row)}" in report.failures
+
+    @pytest.mark.parametrize("top", [2**62, 2**63 - 1])
+    def test_slots_near_int64_max(self, top):
+        # with K > N (duplicate offsets) a slot's group (slot // N) * K passes
+        # 2^63 from slots near 2^62 on, though the slots fit int64: the map is
+        # taken in Python integers and equals the scalar oracles'
+        cfg = ChannelConfig(2, (0, 1, 0, 1, 0))
+        rows = [list(range(6)), list(range(top - 5, top + 1))]
+        sched = schedule_of_threads(cfg, (1,) * 10, [0, 1], rows)
+        assert sched.slots.dtype == np.int64
+        S, groups, labels = sched._map
+        assert S.tolist() == rows
+        assert groups.tolist() == [[slot_group_oracle(cfg, n) for n in row] for row in rows]
+        assert labels.tolist() == [[[block_index_oracle(cfg, user, n) for n in row]
+                                    for row in rows] for user in range(1, cfg.K + 1)]
 
     @pytest.mark.parametrize("n_starts, n_cols", [(3, 4), (4, 3)],
                              ids=["one-start-group-cut", "one-slot-column-cut"])

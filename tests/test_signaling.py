@@ -36,6 +36,7 @@ from helpers import (
     random_feasible_config,
     receiver_checks_oracle,
     receiver_margins_generic,
+    screen_inputs,
     slot_pairs,
     tamper_schedule,
 )
@@ -375,20 +376,25 @@ class TestCoefficientStore:
 
     def test_store_starts_over_at_its_bound(self, monkeypatch, draws):
         # a grid of at most _VERIFY_CELLS (user, label, trial) cells is kept,
-        # with its residual table
+        # with its residual and terms tables
         monkeypatch.setattr(signaling, "_VERIFY_CELLS", 60)
-        kept, table = signaling._verify_grid(6, 3, 5, 4)
-        assert signaling._grid == [(6, 4, MAGNITUDE_FLOOR, signaling._CANDIDATES), kept, table]
+        kept, table, terms = signaling._verify_grid(6, 3, 5, 4)
+        assert signaling._grid == [(6, 4, MAGNITUDE_FLOOR, signaling._CANDIDATES), kept, table,
+                                   terms]
         again = signaling._verify_grid(6, 2, 4, 4)
-        assert again[0] is kept and again[1] is table and len(draws) == 1
+        assert again[0] is kept and again[1] is table and again[2] is terms
+        assert len(draws) == 1
         # a larger one under the same key, or one under a new key, is drawn
         # on every call and not kept; the kept entries stay
         for args in ((6, 3, 6, 4), (6, 4, 5, 4), (7, 4, 5, 4)):
             for _ in range(2):
-                grid, res = signaling._verify_grid(*args)
+                grid, res, screen = signaling._verify_grid(*args)
                 assert grid.shape[:3] == (*args[1:3], 4) and grid is not kept
                 assert res.shape == (args[1] * args[2], 4) and not res.flags.writeable
+                assert screen.shape == (args[1] * (args[2] - 1), 4, 4)
+                assert not screen.flags.writeable
                 assert signaling._grid[1] is kept and signaling._grid[2] is table
+                assert signaling._grid[3] is terms
         assert len(draws) == 7
         # the grid the verifier reads holds the oracle's coefficients
         cfg = evenly_spread(30, 3)
@@ -399,6 +405,54 @@ class TestCoefficientStore:
         assert table.shape == (15, 4) and not table.flags.writeable
         pairs = np.repeat(kept[..., None, :], 2, axis=-2).reshape(15, 4, 2, 2)
         assert_bits_equal(table, signaling._residuals(pairs))
+        # the terms of each label pair a, a+1, rows user * (L-1) + a, read-only
+        assert terms.shape == (12, 4, 4) and not terms.flags.writeable
+        blocks = np.stack((kept[:, :-1], kept[:, 1:]), axis=-2).reshape(12, 4, 2, 2)
+        assert_bits_equal(terms, signaling._terms(blocks))
+
+    @pytest.mark.parametrize("seed, trials", [(0, 1), (3, 4), (11, 10)])
+    def test_terms_match_slot_pair_gather(self, seed, trials):
+        # the kept terms of every receiver's own slot pair, on every trial and
+        # distinct thread, hold the bits of _terms on the slot pairs gathered
+        # from channel_coeffs, on the grid the cases grow from empty and on a
+        # larger one drawn before them
+        big = evenly_spread(60, 6)
+        for warm in (False, True):
+            if warm:
+                verify_schedule_end_to_end(big, schedule_of(big), seed, trials)
+            for cfg, _ in self.CASES:
+                sched = schedule_of(cfg)
+                verify_schedule_end_to_end(cfg, sched, seed, trials)
+                _, grid, _, terms = signaling._grid
+                K, L = cfg.K, grid.shape[1]
+                assert terms.shape == (grid.shape[0] * (L - 1), trials, 4)
+                slots = sched.slots[np.sort(np.unique(sched.start_groups, return_index=True)[1])]
+                H, blocks = channel_coeffs(cfg, slots, seed, trials)
+                c = np.argmax(pattern_matrix(cfg, slots), axis=-1)
+                want = signaling._terms(slot_pairs(H, c)[range(K), :, :, range(K)])
+                a = blocks[np.arange(K)[:, None], np.arange(len(slots)), c.T]  # (K, T)
+                rows = np.arange(K)[:, None] * (L - 1) + a
+                assert_bits_equal(terms[rows[:, None], np.arange(trials)[:, None]], want)
+
+    def test_terms_once_per_draw(self, monkeypatch, draws):
+        # the verifier computes screen terms only on a newly drawn grid, which
+        # a larger K or L redraws, over the whole grid at once; a warm pass
+        # computes none
+        computed, terms = [], signaling._terms
+        monkeypatch.setattr(signaling, "_terms",
+                            lambda D: computed.append(D.shape) or terms(D))
+        for cfg, _ in self.CASES:
+            verify_schedule_end_to_end(cfg, schedule_of(cfg), seed=4, trials=3)
+            assert len(computed) == len(draws)
+            _, grid, _, table = signaling._grid
+            assert table.shape == (grid.shape[0] * (grid.shape[1] - 1), 3, 4)
+        assert computed == [(K, len(labels) - 1, trials, 2, 2)
+                            for _, trials, K, labels in draws]
+        assert 1 <= len(draws) < len(self.CASES)
+        computed.clear()
+        for cfg, _ in self.CASES:
+            verify_schedule_end_to_end(cfg, schedule_of(cfg), seed=4, trials=3)
+        assert computed == []
 
     def test_residuals_once_per_draw(self, monkeypatch, draws):
         # the verifier computes residuals only on a newly drawn grid, over
@@ -596,7 +650,7 @@ class TestScreen:
             assert abs(np.linalg.det(S(sigma ** 2))) < 1e-9
             below = np.linalg.eigvalsh(S(0.999 * sigma ** 2))[0]
             assert below > 0
-            schur = signaling._schur(K, c, D)
+            schur = signaling._schur(K, c, signaling._terms(D))
             np.testing.assert_allclose(schur(0.999 * sigma ** 2), below, rtol=1e-9)
             levels = np.linspace(0, 0.9 * mu_min, 16)
             np.testing.assert_allclose(schur(levels),
@@ -606,8 +660,8 @@ class TestScreen:
             w0 = [1 / (c + 1), 1 / (K - c)]
             np.testing.assert_allclose(self.schur_oracle(K, c, np.eye(2))[0](0.0), np.diag(w0),
                                        rtol=0, atol=1e-12)
-            np.testing.assert_allclose(signaling._schur(K, c, np.eye(2))(0.0), min(w0),
-                                       rtol=1e-12)
+            np.testing.assert_allclose(signaling._schur(K, c, signaling._terms(np.eye(2)))(0.0),
+                                       min(w0), rtol=1e-12)
 
     @pytest.mark.parametrize("K", range(2, 13))
     def test_certificates_are_sound(self, K):
@@ -638,7 +692,8 @@ class TestScreen:
                 lemma, cs, Ds = lemma_blocks(H, v.astype(bool))
                 assert lemma[0, 0, 0] and cs[0, 0, 0] == c
                 np.testing.assert_array_equal(Ds[0, 0, 0], D)
-                ok = signaling._schur(K, c, D)((levels * sigma) ** 2, certify=True)
+                ok = signaling._schur(K, c, signaling._terms(D))((levels * sigma) ** 2,
+                                                                 certify=True)
                 assert not ok[levels >= 1].any(), (kind, c, sigma, ok)
                 if kind != "near-singular":
                     assert ok[levels < 1].all(), (kind, c, sigma, ok)
@@ -706,7 +761,7 @@ class TestPairKernel:
         residuals = np.moveaxis(signaling._residuals(P), -1, 1)
         residuals[range(K), range(K)] = 0.0
         want = receiver_margins_generic(H, beamforming_vectors(M))
-        for g, w in zip((residuals, signaling._singulars(P, c)), want):
+        for g, w in zip((residuals, signaling._singulars(*screen_inputs(H, c), c)), want):
             assert g.shape == w.shape
             np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
         # the whole report, witnesses included: the verifier's residuals come
@@ -836,9 +891,10 @@ class TestEndToEnd:
 
     def test_verification_memory(self):
         # a verify_sweep config at seed 2 with 25 distinct threads and 10
-        # trials, the grid warm: the slot pairs and one residual per (user,
-        # block) entry peak near 800 KiB, where the coefficient array and
-        # residuals on every slot pair took 1,446 KiB
+        # trials, the grid warm: the screen terms read from the kept table and
+        # the slot pairs of the SVD's matrices alone peak near 197 KiB, where a
+        # gather of every slot pair took 856 KiB, and the coefficient array
+        # with residuals on every slot pair 1,446 KiB
         cfg = ChannelConfig(59, (48, 12, 2, 23, 36))
         sched = schedule_of(cfg)
         warm = verify_schedule_end_to_end(cfg, sched, seed=2, trials=10)
@@ -849,7 +905,7 @@ class TestEndToEnd:
         finally:
             tracemalloc.stop()
         assert summary == warm and summary.n_distinct == 25
-        assert peak < 2**20
+        assert peak < 2**19
 
     @pytest.mark.parametrize("cfg, seed, trials", [
         (FIG_CFG, 0, 100),
