@@ -48,8 +48,6 @@ from .signaling import (
     ALIGNMENT_TOL,
     DECODABILITY_TOL,
     beamforming_vectors,
-    channel_coeffs,
-    receiver_checks,
     SummaryReport,
     Witness,
     verify_schedule_end_to_end,

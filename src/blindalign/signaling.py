@@ -19,7 +19,6 @@ slot pair. Entry residuals and the equation's terms are computed once per
 drawn grid. Each receiver's likeliest minimum goes through the SVD first; a
 Schur certificate on that equation (``_schur``) then proves most other
 matrices above it, and only the rest gather their slot pairs for an SVD.
-``receiver_checks``, on any coefficients, runs the SVD on every matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SearchBudgetExceeded
-from .pattern import ChannelConfig, is_feasible_pattern, slot_map
+from .pattern import ChannelConfig, is_feasible_pattern
 from .scheduler import Schedule, validate_schedule
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "ALIGNMENT_TOL",
     "DECODABILITY_TOL",
     "beamforming_vectors",
-    "channel_coeffs",
-    "receiver_checks",
     "SummaryReport",
     "Witness",
     "verify_schedule_end_to_end",
@@ -112,32 +109,6 @@ def _draw(seed: int, K: int, labels, trials: int) -> np.ndarray:
         row[...] = np.take_along_axis(h, ok.argmax(axis=-1)[..., None], axis=-1)[..., 0]
     grid.flags.writeable = False
     return grid
-
-
-def channel_coeffs(cfg: ChannelConfig, slots, seed: int,
-                   trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of every user on every slot of every thread.
-
-    ``slots`` has shape (T, K+1). Returns ``H`` of shape (K, trials, T, K+1, 2),
-    where ``H[i-1, r, t, n]`` is user i's (h1, h2) in trial r on thread t's
-    n-th slot, and the block labels (K, T, K+1) the slots fall in. Slots in
-    one fading block get identical coefficients.
-
-    Counter-based: the draw of a (user, block) pair is a pure function of
-    (seed, user, block), read from the Philox stream at counter
-    (0, 0, user, block), and trial r reads a fixed slice of it, so values
-    never depend on evaluation order. Real/imaginary parts are standard
-    normal; each coefficient is the first of its ``_CANDIDATES`` candidates
-    whose magnitude is at or above the floor. Every user is drawn on every
-    distinct label of ``blocks``, afresh on each call; ``H`` is a fresh C-contiguous array.
-    """
-    slots = np.asarray(slots, dtype=np.int64)
-    blocks = slot_map(cfg, slots)[1]
-    labels, inv = np.unique(blocks, return_inverse=True)
-    grid = _draw(seed, cfg.K, labels, trials)
-    H = grid[np.arange(cfg.K)[:, None, None], inv.reshape(cfg.K, 1, slots.size),
-             np.arange(trials)[:, None]]
-    return H.reshape(cfg.K, trials, *slots.shape, 2), blocks
 
 
 def _verify_grid(seed: int, K: int, L: int, trials: int) -> tuple[np.ndarray, ...]:
@@ -287,48 +258,6 @@ def _singulars(terms: np.ndarray, cells: np.ndarray, entry: np.ndarray,
     if rest.any():
         singulars[rest] = svd(rest)
     return singulars
-
-
-def _scaled(P: np.ndarray, axis) -> np.ndarray:
-    """``P`` times the power of two per slice over ``axis`` that brings its largest
-    real or imaginary part into [0.5, 1): exact, and the squares stay in range."""
-    e = -np.frexp(np.maximum(abs(P.real), abs(P.imag)).max(axis=axis, keepdims=True))[1]
-    out = np.empty_like(P)
-    out.real, out.imag = np.ldexp(P.real, e), np.ldexp(P.imag, e)
-    return out
-
-
-def receiver_checks(H: np.ndarray, M) -> tuple[np.ndarray, np.ndarray]:
-    """Alignment residuals and decodability margins of every receiver.
-
-    ``H`` comes from :func:`channel_coeffs`. ``M`` holds each thread's
-    pattern matrix, shape (T, K, K), or one (K, K) for every thread; a
-    matrix that is not a permutation raises ``ValueError``. Returns the
-    worst residual over trials and threads per (receiver, interferer), shape
-    (K, K) with a zero diagonal, and the worst normalized smallest singular
-    value per receiver, shape (K,).
-
-    Receiver i sees interferer j through the columns H_i1 * v_j and
-    H_i2 * v_j, v_j being user j's :func:`beamforming_vectors` vector; their
-    residual is the singular-value ratio of the 2-column stack (scale
-    invariant). Receiver i's matrix holds its two desired columns plus one
-    aligned column per interferer; the smallest singular value of the
-    column-normalized matrix above tolerance means interference-free
-    detection. ``H`` need not meet the chain lemma, so every receiver matrix
-    goes through the SVD.
-    """
-    M = np.asarray(M)
-    if not is_feasible_pattern(M):
-        raise ValueError("pattern matrices must be permutation matrices")
-    c = np.broadcast_to(np.argmax(M, axis=-1), (H.shape[2], len(H)))
-    P = H[:, :, np.arange(len(c))[:, None, None], c[..., None] + np.arange(2)]
-    # a residual is invariant to a scale of its slot pair, a receiver matrix to
-    # a scale of each column: one antenna of a slot pair
-    residuals = _residuals(_scaled(P, (-2, -1))).max(axis=(1, 2))
-    residuals = np.where(np.eye(len(H), dtype=bool), 0.0, residuals)
-    i, _, t = np.indices(P.shape[:3]).reshape(3, -1)
-    singulars = _smallest_singular(_scaled(P, -2).reshape(-1, *P.shape[3:]), i, c[t])
-    return residuals, singulars.reshape(len(H), -1).min(axis=1)
 
 
 @dataclass(frozen=True)

@@ -281,7 +281,9 @@ def small_certificates():
 
 
 def receiver_checks_oracle(H, v):
-    """Per-thread, per-trial SVD reference for ``signaling.receiver_checks``.
+    """Per-thread, per-trial SVD reference for the verifier's residuals and
+    margins, on coefficients ``H`` (K, trials, T, K+1, 2) and indicator
+    vectors ``v`` (T, K, K+1).
 
     Residual of receiver i against interferer j: sigma_min / sigma_max of the
     2-column stack [h1 * v_j, h2 * v_j] (0 when the stack is all zero).
@@ -316,7 +318,7 @@ def receiver_checks_oracle(H, v):
 def coefficient_candidates(cfg, slots, seed, trials):
     """Every candidate of every coefficient, (K, trials, T, K+1, 2, 16), and
     the block labels: each (user, block) pair's Philox stream read as
-    ``signaling.channel_coeffs`` reads it, one user at a time."""
+    ``signaling._draw`` reads it for the verifier's grid, one user at a time."""
     slots = np.asarray(slots, dtype=np.int64)
     blocks = slot_map(cfg, slots)[1]
     h = np.empty((cfg.K, trials, *slots.shape, 2, signaling._CANDIDATES), dtype=complex)
@@ -336,8 +338,10 @@ def coefficient_candidates(cfg, slots, seed, trials):
 
 
 def channel_coeffs_oracle(cfg, slots, seed, trials):
-    """``signaling.channel_coeffs`` with every candidate tested: each
-    coefficient is its first candidate at or above the floor."""
+    """The coefficients of the verifier's ``_draw`` grid on every thread slot,
+    H (K, trials, T, K+1, 2), with every candidate tested: each coefficient
+    is its first candidate at or above the floor. H[i-1, r, t, n] is user
+    i's (h1, h2) in trial r on thread t's n-th slot."""
     h, blocks = coefficient_candidates(cfg, slots, seed, trials)
     ok = np.abs(h) >= signaling.MAGNITUDE_FLOOR
     if not ok.any(axis=-1).all():
@@ -345,10 +349,24 @@ def channel_coeffs_oracle(cfg, slots, seed, trials):
     return np.take_along_axis(h, np.argmax(ok, axis=-1)[..., None], axis=-1)[..., 0], blocks
 
 
+def frozen_user_draw(user):
+    """A stand-in for ``signaling._draw`` that gives user ``user`` (from 0)
+    its label-0 coefficients on every label: its channel never changes
+    across its transition, so its own receiver cannot decode."""
+    draw = signaling._draw
+
+    def frozen(seed, K, labels, trials):
+        grid = draw(seed, K, labels, trials).copy()
+        grid[user] = grid[user, :1]
+        grid.flags.writeable = False
+        return grid
+    return frozen
+
+
 def slot_pairs(H, c):
     """Every receiver's (h1, h2) on the two slots of each user's transition
-    column ``c`` (T, K): P (K, trials, T, K, 2, 2), the slot pairs that
-    ``signaling.receiver_checks`` and the verifier gather."""
+    column ``c`` (T, K): P (K, trials, T, K, 2, 2), the slot pairs that the
+    verifier reads from its grid."""
     T = H.shape[2]
     return H[:, :, np.arange(T)[:, None, None], np.asarray(c)[..., None] + np.arange(2)]
 

@@ -30,6 +30,7 @@ from helpers import (
     TAMPERINGS,
     compositions,
     enumeration_count,
+    frozen_user_draw,
     huge_n_small_slots_doc,
     random_feasible_config,
     tamper_schedule,
@@ -141,8 +142,7 @@ class TestDecomposeVerify:
         path = tmp_path / "sched.json"
         run(capsys, "decompose", "--N", "60", "--offsets", "0,15,30,45", "--out", str(path))
         calls = []
-        for module, name in ((scheduler, "_validate"), (scheduler, "slot_map"),
-                             (signaling, "slot_map")):
+        for module, name in ((scheduler, "_validate"), (scheduler, "slot_map")):
             fn = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))
@@ -254,6 +254,20 @@ class TestDecomposeVerify:
         code, out, err = run(capsys, "verify", "--schedule", str(path))
         assert code == 1
         assert "FAIL" in out
+
+    def test_undecodable_draw_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a valid schedule on a draw that freezes user 1's channel passes the
+        # structural check and fails the numerical one
+        path = tmp_path / "sched.json"
+        run(capsys, "decompose", "--N", "4", "--offsets", "0,1,2", "--out", str(path))
+        monkeypatch.setattr(signaling, "_grid", [None] * len(signaling._grid))
+        monkeypatch.setattr(signaling, "_draw", frozen_user_draw(0))
+        code, out, err = run(capsys, "verify", "--schedule", str(path))
+        lines = out.splitlines()
+        assert code == 1 and err == ""
+        assert lines[0] == "verification: FAIL"
+        assert lines[-1].startswith("worst singular value at ") and lines[-1].endswith(
+            ", receiver 1")
 
     def _verify_edited(self, tmp_path, capsys, edit):
         path = tmp_path / "sched.json"

@@ -19,7 +19,7 @@ DEMOS = {
     "03_decomposition_certificates.py":
         "1b2cdc36d0f6f2260bcbb75cb89740e004a3b45c9322d74e3760da526399a19b",
     "04_schedule_verification.py":
-        "5715bdbb5127f6f9a02912cd2c2ffafaa194b402a02d1230995473fe336d3e84",
+        "e49f1715ea28a7bbad067ce0dcefd7732095d8a2734292a663bcd479905fefd0",
     "05_subset_probability.py":
         "2d3da18a8fe28853fb16b436a27a946418f141ebe683822a8512410a7ff2296d",
 }

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blindalign import scheduler, signaling
+from blindalign import scheduler
 from blindalign import (
     ChannelConfig,
     Schedule,
@@ -381,8 +381,7 @@ class TestOwnedSchedule:
         # one validation and one slot map per schedule: the verifier reads
         # the schedule's report and map
         calls = []
-        for module, name in ((scheduler, "_validate"), (scheduler, "slot_map"),
-                             (signaling, "slot_map")):
+        for module, name in ((scheduler, "_validate"), (scheduler, "slot_map")):
             fn = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))

@@ -17,13 +17,11 @@ from blindalign import (
     beamforming_vectors,
     block_index,
     build_schedule,
-    channel_coeffs,
     check_config,
     closed_form_solution,
     enumerate_feasible_patterns,
     group_profile,
     pattern_matrix,
-    receiver_checks,
     signaling,
     slot_map,
     verify_schedule_end_to_end,
@@ -32,6 +30,7 @@ from helpers import (
     brute_force_solve,
     channel_coeffs_oracle,
     coefficient_candidates,
+    frozen_user_draw,
     lemma_blocks,
     random_feasible_config,
     receiver_checks_oracle,
@@ -69,10 +68,37 @@ def label_rows(cfg, sched):
     return np.moveaxis(labels, 0, 1).reshape(len(sched.slots), -1)
 
 
-def thread_inputs(cfg, slots, seed, trials=1):
-    """Kernel inputs for one thread: H (K, trials, 1, K+1, 2) and M (1, K, K)."""
-    H, _ = channel_coeffs(cfg, [slots], seed, trials)
-    return H, pattern_matrix(cfg, slots)[None]
+def grid_coeffs(cfg, slots, grid_of):
+    """The coefficients of the grid (K', L', trials, 2) that ``grid_of(L)``
+    gives for labels 0..L-1, L one past the slots' largest block label, on
+    every thread slot: H (K, trials, T, K+1, 2), as ``channel_coeffs_oracle``
+    lays them out, and the labels (K, T, K+1)."""
+    blocks = slot_map(cfg, np.asarray(slots, dtype=np.int64))[1]
+    H = grid_of(int(blocks.max()) + 1)[np.arange(cfg.K)[:, None, None], blocks]
+    return np.moveaxis(H, -2, 1), blocks
+
+
+def kernel_margins(H, c):
+    """The verifier's kernels on coefficients H (K, trials, T, K+1, 2) and
+    transition columns ``c`` (T, K): residuals (K, K, trials, T) with a zero
+    diagonal and singular values (K, trials, T), in the layout of
+    ``receiver_margins_generic``."""
+    K = len(H)
+    residuals = np.moveaxis(signaling._residuals(slot_pairs(H, c)), -1, 1)
+    residuals[range(K), range(K)] = 0.0
+    return residuals, signaling._singulars(*screen_inputs(H, c), c)
+
+
+def thread_margins(cfg, slots, seed, trials=1):
+    """``kernel_margins`` of threads ``slots`` (T, K+1) on the oracle's
+    coefficients."""
+    H, _ = channel_coeffs_oracle(cfg, slots, seed, trials)
+    return kernel_margins(H, np.argmax(pattern_matrix(cfg, slots), axis=-1))
+
+
+def drawn(cfg, slots, seed, trials):
+    """``grid_coeffs`` on a ``_draw`` grid of every user on labels 0..L-1."""
+    return grid_coeffs(cfg, slots, lambda L: signaling._draw(seed, cfg.K, np.arange(L), trials))
 
 
 class TestBeamforming:
@@ -104,19 +130,20 @@ class TestBeamforming:
 
 
 class TestChannelDraws:
+    """The verifier's ``_draw`` grid, read on thread slots by their block labels."""
+
     SLOTS = [[3, 4, 5, 6], [1, 3, 5, 7]]
 
     def test_deterministic(self):
-        H, blocks = channel_coeffs(FIG_CFG, self.SLOTS, seed=5, trials=3)
-        H2, blocks2 = channel_coeffs(FIG_CFG, self.SLOTS, seed=5, trials=3)
+        H, blocks = drawn(FIG_CFG, self.SLOTS, seed=5, trials=3)
+        H2, blocks2 = drawn(FIG_CFG, self.SLOTS, seed=5, trials=3)
         assert np.array_equal(H, H2) and np.array_equal(blocks, blocks2)
         assert H.shape == (3, 3, 2, 4, 2) and blocks.shape == (3, 2, 4)
         # trial r reads a fixed slice: fewer trials give a prefix
-        assert np.array_equal(channel_coeffs(FIG_CFG, self.SLOTS, seed=5, trials=1)[0],
-                              H[:, :1])
+        assert np.array_equal(drawn(FIG_CFG, self.SLOTS, seed=5, trials=1)[0], H[:, :1])
 
     def test_block_fading_semantics(self):
-        H, blocks = channel_coeffs(FIG_CFG, self.SLOTS, seed=9, trials=2)
+        H, blocks = drawn(FIG_CFG, self.SLOTS, seed=9, trials=2)
         for user in (1, 2, 3):
             for t, slots in enumerate(self.SLOTS):
                 assert blocks[user - 1, t].tolist() == [
@@ -128,13 +155,13 @@ class TestChannelDraws:
         assert np.array_equal(H[1, :, 0, 2], H[1, :, 1, 2])
 
     def test_seeds_differ(self):
-        a, _ = channel_coeffs(FIG_CFG, [[0, 1, 2, 3]], seed=1, trials=1)
-        b, _ = channel_coeffs(FIG_CFG, [[0, 1, 2, 3]], seed=2, trials=1)
+        a, _ = drawn(FIG_CFG, [[0, 1, 2, 3]], seed=1, trials=1)
+        b, _ = drawn(FIG_CFG, [[0, 1, 2, 3]], seed=2, trials=1)
         assert not np.array_equal(a[0, 0, 0, 0], b[0, 0, 0, 0])
 
     def test_magnitude_floor(self):
         slots = np.arange(2001).reshape(-1, 3)
-        H, _ = channel_coeffs(ChannelConfig(2, (0, 1)), slots, seed=3, trials=1)
+        H, _ = drawn(ChannelConfig(2, (0, 1)), slots, seed=3, trials=1)
         assert np.abs(H).min() >= MAGNITUDE_FLOOR
 
     def test_rejection_path_matches_all_candidates(self):
@@ -145,7 +172,7 @@ class TestChannelDraws:
         slots = schedule_of(cfg).slots[:6]
         rejected = 0
         for seed in range(3):
-            H, blocks = channel_coeffs(cfg, slots, seed, 20)
+            H, blocks = drawn(cfg, slots, seed, 20)
             want, want_blocks = channel_coeffs_oracle(cfg, slots, seed, 20)
             np.testing.assert_array_equal(H.view(np.int64), want.view(np.int64))
             np.testing.assert_array_equal(blocks, want_blocks)
@@ -159,7 +186,7 @@ class TestChannelDraws:
         monkeypatch.setattr(signaling, "MAGNITUDE_FLOOR", 1.0)
         cfg = ChannelConfig(23, (4, 9, 13, 18, 0))
         slots = schedule_of(cfg).slots[:6]
-        H, blocks = channel_coeffs(cfg, slots, 4, 20)
+        H, blocks = drawn(cfg, slots, 4, 20)
         want, want_blocks = channel_coeffs_oracle(cfg, slots, 4, 20)
         assert_bits_equal(H, want)
         np.testing.assert_array_equal(blocks, want_blocks)
@@ -182,19 +209,19 @@ class TestChannelDraws:
     def test_rejection_budget_exhausted(self, monkeypatch):
         # the verifier's grid is primed with these very blocks: the floor is
         # part of its key, so the verifier must draw again and run out of
-        # candidates, as channel_coeffs does
+        # candidates, as a draw does
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
         verify_schedule_end_to_end(FIG_CFG, sched, seed=5, trials=3)
         monkeypatch.setattr(signaling, "MAGNITUDE_FLOOR", 100.0)
         with pytest.raises(RuntimeError, match="rejection budget"):
-            channel_coeffs(FIG_CFG, self.SLOTS, seed=5, trials=3)
+            drawn(FIG_CFG, self.SLOTS, seed=5, trials=3)
         with pytest.raises(RuntimeError, match="rejection budget"):
             verify_schedule_end_to_end(FIG_CFG, sched, seed=5, trials=3)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_trials_must_be_positive(self, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            channel_coeffs(FIG_CFG, self.SLOTS, seed=5, trials=trials)
+            drawn(FIG_CFG, self.SLOTS, seed=5, trials=trials)
 
 
 def assert_bits_equal(got, want):
@@ -209,9 +236,8 @@ def assert_same_report(got, want):
 
 class TestCoefficientStore:
     """The verifier keeps one grid of drawn coefficients, every user on block
-    labels 0..L-1, for one key at a time; ``channel_coeffs`` draws afresh on
-    every call. Each result must equal the oracle's, or a verification's from
-    an empty grid."""
+    labels 0..L-1, for one key at a time. Each result must equal the
+    oracle's, or a verification's from an empty grid."""
 
     CASES = [(cfg, schedule_of(cfg).slots) for cfg in (
         FIG_CFG, ChannelConfig(23, (4, 9, 13, 18, 0)), evenly_spread(30, 3),
@@ -234,8 +260,14 @@ class TestCoefficientStore:
         return drawn
 
     @staticmethod
-    def check(cfg, slots, seed, trials):
-        H, blocks = channel_coeffs(cfg, slots, seed, trials)
+    def read(cfg, slots, seed, trials):
+        """``grid_coeffs`` on the verifier's grid for these slots."""
+        return grid_coeffs(cfg, slots,
+                           lambda L: signaling._verify_grid(seed, cfg.K, L, trials)[0])
+
+    @classmethod
+    def check(cls, cfg, slots, seed, trials):
+        H, blocks = cls.read(cfg, slots, seed, trials)
         want, want_blocks = channel_coeffs_oracle(cfg, slots, seed, trials)
         assert_bits_equal(H, want)
         np.testing.assert_array_equal(blocks, want_blocks)
@@ -250,19 +282,15 @@ class TestCoefficientStore:
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_sequence_of_configs_in_either_order(self, order, draws):
-        # verifications of growing and shrinking K and L under one key,
-        # between channel_coeffs calls, give the reports of an empty grid in
-        # either order; the verifier draws only a grid larger than the last
+        # verifications of growing and shrinking K and L under one key give
+        # the reports of an empty grid in either order; the verifier draws
+        # only a grid larger than the last
         cases = self.CASES[::order]
         want = [self.cold(cfg, 3, 4) for cfg, _ in cases]
         draws.clear()
-        grids = []
-        for (cfg, slots), report in zip(cases, want):
-            self.check(cfg, slots[:2], 3, 4)
-            n = len(draws)
+        for cfg, report in zip((cfg for cfg, _ in cases), want):
             assert_same_report(verify_schedule_end_to_end(cfg, schedule_of(cfg), 3, 4), report)
-            grids += [(K, len(labels)) for _, _, K, labels in draws[n:]]
-        assert len(draws) - len(grids) == len(cases)  # one per channel_coeffs call
+        grids = [(K, len(labels)) for _, _, K, labels in draws]
         assert 1 <= len(grids) < len(cases)
         for (K0, L0), (K1, L1) in zip(grids, grids[1:]):
             assert K1 >= K0 and L1 >= L0 and (K1, L1) != (K0, L0)
@@ -283,11 +311,6 @@ class TestCoefficientStore:
         pair = ChannelConfig(3, (0, 1))
         verify_schedule_end_to_end(pair, schedule_of(pair), seed=2, trials=3)
         assert len(draws) == 1
-        # channel_coeffs draws on every call and leaves the grid as it was
-        grid = signaling._grid[1]
-        channel_coeffs(cfg, schedule_of(cfg).slots, 2, 3)
-        channel_coeffs(cfg, schedule_of(cfg).slots, 2, 3)
-        assert len(draws) == 3 and signaling._grid[1] is grid
         # a larger L, then a larger K, under the same key redraws a grid
         # that covers the old one too
         for (other, shape), want in zip(others, cold):
@@ -295,14 +318,14 @@ class TestCoefficientStore:
             assert draws[-1][2:] == (shape[0], tuple(range(shape[1])))
             assert signaling._grid[1].shape == (*shape, 3, 2)
         assert_same_report(verify_schedule_end_to_end(cfg, schedule_of(cfg), 2, 3), first)
-        assert len(draws) == 5
+        assert len(draws) == 3
         # a new key draws again: another seed, other trials, another floor
         for seed, trials in ((3, 3), (2, 2)):
             verify_schedule_end_to_end(cfg, schedule_of(cfg), seed, trials)
             assert draws[-1][:2] == (seed, trials) and signaling._grid[0][:2] == (seed, trials)
         monkeypatch.setattr(signaling, "MAGNITUDE_FLOOR", 0.5)
         verify_schedule_end_to_end(cfg, schedule_of(cfg), 2, 2)
-        assert len(draws) == 8 and signaling._grid[0] == (2, 2, 0.5, signaling._CANDIDATES)
+        assert len(draws) == 6 and signaling._grid[0] == (2, 2, 0.5, signaling._CANDIDATES)
 
     @pytest.mark.parametrize("before, after", [(5, 2), (2, 5)])
     def test_fewer_trials_give_a_prefix(self, before, after):
@@ -312,21 +335,9 @@ class TestCoefficientStore:
         n = min(before, after)
         assert_bits_equal(a[:, :n], b[:, :n])
 
-    def test_result_is_a_private_array(self):
-        cfg, slots = self.CASES[2]
-        report = verify_schedule_end_to_end(cfg, schedule_of(cfg), seed=1, trials=3)
-        H = self.check(cfg, slots, 1, 3)
-        assert H.flags.writeable and H.flags.c_contiguous
-        grid = signaling._grid[1]
-        assert not grid.flags.writeable and not np.shares_memory(H, grid)
-        H[...] = 0
-        self.check(cfg, slots, 1, 3)
-        self.check(cfg, slots[:1], 1, 3)
-        assert_same_report(verify_schedule_end_to_end(cfg, schedule_of(cfg), 1, 3), report)
-
     def test_concurrent_calls(self):
-        # two threads, a short switch interval, and calls that share and swap
-        # keys: each call must still get the oracle's arrays
+        # two threads, a short switch interval, and grid reads that share and
+        # swap keys and grow the grid: each read must get the oracle's arrays
         calls = [(cfg, slots[i::3], seed, trials) for cfg, slots in self.CASES
                  for i in range(3) for seed, trials in ((1, 3), (2, 3), (1, 2))]
         want = [channel_coeffs_oracle(*c)[0] for c in calls]
@@ -334,7 +345,7 @@ class TestCoefficientStore:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(2) as pool:
-                got = list(pool.map(lambda c: channel_coeffs(*c)[0], calls * 4, timeout=60))
+                got = list(pool.map(lambda c: self.read(*c)[0], calls * 4, timeout=60))
         finally:
             sys.setswitchinterval(interval)
         for g, w in zip(got, want * 4):
@@ -357,11 +368,6 @@ class TestCoefficientStore:
         for g, w in zip(got, want * 4):
             assert_same_report(g, w)
 
-    def test_empty_slots(self):
-        for shape in ((0, 4), (0,)):
-            H = self.check(FIG_CFG, np.empty(shape, dtype=np.int64), 1, 2)
-            assert H.shape == (3, 2, *shape, 2)
-
     @pytest.mark.parametrize("offsets, slots", [
         ((0, 1), [[-5, 1, 2], [-9, -8, -7]]),  # labels below 0
         ((0, 1), [[0, 1, 2], [2**63 - 3, 2**63 - 2, 2**63 - 1]]),
@@ -370,9 +376,15 @@ class TestCoefficientStore:
         ((0, 1, 0, 1, 0), [[0, 8, 9], [2**63 - 3, 2**63 - 2, 2**63 - 1]]),
     ])
     def test_extreme_labels(self, offsets, slots):
+        # _draw on the distinct labels of these slots, which its uint64
+        # counters wrap as the oracle's do, in either order
         cfg = ChannelConfig(2, offsets)
-        self.check(cfg, slots, 4, 3)
-        self.check(cfg, slots[::-1], 4, 3)
+        for rows in (slots, slots[::-1]):
+            H, blocks = channel_coeffs_oracle(cfg, rows, 4, 3)
+            labels, inv = np.unique(blocks, return_inverse=True)
+            grid = signaling._draw(4, cfg.K, labels, 3)
+            got = grid[np.arange(cfg.K)[:, None], inv.reshape(cfg.K, -1)]
+            assert_bits_equal(np.moveaxis(got, -2, 1).reshape(H.shape), H)
 
     def test_store_starts_over_at_its_bound(self, monkeypatch, draws):
         # a grid of at most _VERIFY_CELLS (user, label, trial) cells is kept,
@@ -414,8 +426,8 @@ class TestCoefficientStore:
     def test_terms_match_slot_pair_gather(self, seed, trials):
         # the kept terms of every receiver's own slot pair, on every trial and
         # distinct thread, hold the bits of _terms on the slot pairs gathered
-        # from channel_coeffs, on the grid the cases grow from empty and on a
-        # larger one drawn before them
+        # from the oracle's coefficients, on the grid the cases grow from
+        # empty and on a larger one drawn before them
         big = evenly_spread(60, 6)
         for warm in (False, True):
             if warm:
@@ -427,7 +439,7 @@ class TestCoefficientStore:
                 K, L = cfg.K, grid.shape[1]
                 assert terms.shape == (grid.shape[0] * (L - 1), trials, 4)
                 slots = sched.slots[np.sort(np.unique(sched.start_groups, return_index=True)[1])]
-                H, blocks = channel_coeffs(cfg, slots, seed, trials)
+                H, blocks = channel_coeffs_oracle(cfg, slots, seed, trials)
                 c = np.argmax(pattern_matrix(cfg, slots), axis=-1)
                 want = signaling._terms(slot_pairs(H, c)[range(K), :, :, range(K)])
                 a = blocks[np.arange(K)[:, None], np.arange(len(slots)), c.T]  # (K, T)
@@ -483,117 +495,84 @@ class TestCoefficientStore:
 
 
 class TestTupleVerifiers:
-    """Negative and positive cases on ``receiver_checks``: the verifier's
-    residual kernel on any coefficients, and the SVD on every matrix."""
+    """Negative and positive cases on single threads: the verifier's residual
+    and margin kernels on the oracle's coefficients, and the generic path kept
+    as their oracle on vectors that leave the chain lemma."""
+
+    THREAD = [(3, 4, 5, 6)]
 
     def test_alignment_structural(self):
         for seed in range(20):
-            residuals, _ = receiver_checks(*thread_inputs(FIG_CFG, (3, 4, 5, 6), seed))
+            residuals, _ = thread_margins(FIG_CFG, self.THREAD, seed)
             assert residuals.max() < 1e-12
 
     def test_misaligned_tuple_detected(self):
         # slots (3,5,6,7) cross two users in one transition; vectors built as
         # if the pattern were the identity straddle a real channel change
-        H, _ = channel_coeffs(FIG_CFG, [(3, 5, 6, 7)], seed=4, trials=1)
-        residuals, _ = receiver_checks(H, np.eye(3, dtype=int))
-        assert residuals.max() > 1e-3
+        H, _ = channel_coeffs_oracle(FIG_CFG, [(3, 5, 6, 7)], seed=4, trials=1)
+        residuals = signaling._residuals(slot_pairs(H, [range(3)]))[:, 0, 0]
+        assert residuals[~np.eye(3, dtype=bool)].max() > 1e-3
+        v = beamforming_vectors(np.eye(3, dtype=int))[None]
+        assert receiver_margins_generic(H, v)[0].max() > 1e-3
 
     def test_zero_vector_convention(self):
-        # a zeroed vector is no pattern: the kernel refuses it, and the generic
-        # path kept as its oracle gives the zero vector's residuals 0
-        H, M = thread_inputs(FIG_CFG, (3, 4, 5, 6), seed=4)
+        # a zeroed vector is no pattern: beamforming_vectors refuses it, and
+        # the generic path kept as the kernels' oracle gives the zero
+        # vector's residuals 0
+        H, _ = channel_coeffs_oracle(FIG_CFG, self.THREAD, seed=4, trials=1)
+        M = pattern_matrix(FIG_CFG, self.THREAD)
         v = beamforming_vectors(M)
         v[0, 2] = 0
         residuals = receiver_margins_generic(H, v)[0].max(axis=(2, 3))
         assert residuals[0, 2] == 0.0 and residuals[1, 2] == 0.0
-        zeroed = M.copy()
-        zeroed[0, 2] = 0
-        for bad in (zeroed, np.ones((3, 3), dtype=int), np.eye(4, dtype=int)):
-            with pytest.raises(ValueError):
-                receiver_checks(H, bad)
+        M[0, 2] = 0
+        with pytest.raises(ValueError):
+            beamforming_vectors(M)
 
     def test_decodability_many_seeds(self):
         for seed in range(100):
-            residuals, singulars = receiver_checks(*thread_inputs(FIG_CFG, (3, 4, 5, 6), seed))
+            residuals, singulars = thread_margins(FIG_CFG, self.THREAD, seed)
             assert residuals.max() < 1e-9 and singulars.min() > 1e-9
 
     def test_frozen_block_breaks_decodability(self):
         # force user 1's channel to repeat across its transition: its two
         # desired columns become proportional at receiver 1
-        H, v = thread_inputs(FIG_CFG, (3, 4, 5, 6), seed=8)
+        H, _ = channel_coeffs_oracle(FIG_CFG, self.THREAD, seed=8, trials=1)
         assert block_index(FIG_CFG, 1, 3) != block_index(FIG_CFG, 1, 4)
         H[0, :, :, 1:] = H[0, :, :, :1]
-        _, singulars = receiver_checks(H, v)
-        assert singulars[0] < 1e-12
+        c = np.argmax(pattern_matrix(FIG_CFG, self.THREAD), axis=-1)
+        _, singulars = kernel_margins(H, c)
+        assert singulars[0].min() < 1e-12
 
     def test_2user_tuple(self):
         cfg = ChannelConfig(3, (0, 1))
-        sched = build_schedule(cfg, closed_form_solution(group_profile(cfg)))
+        slots = schedule_of(cfg).slots[:1]
         for seed in range(50):
-            residuals, singulars = receiver_checks(*thread_inputs(cfg, sched.slots[0], seed))
+            residuals, singulars = thread_margins(cfg, slots, seed)
             assert residuals.max() < 1e-9 and singulars.min() > 1e-9
 
     def test_matches_svd_oracle(self):
-        # true and fake (random permutation) patterns through the kernel, and
-        # partly zeroed indicator vectors, which it refuses, through the
-        # generic path kept as its oracle
+        # true patterns through the kernels, and fake (random permutation)
+        # patterns and partly zeroed indicator vectors, which leave the lemma,
+        # through the generic path kept as their oracle
         rng = np.random.default_rng(61)
         for _ in range(12):
             cfg = random_feasible_config(rng, int(rng.integers(2, 6)), 30)
             K = cfg.K
-            sched = build_schedule(cfg, closed_form_solution(group_profile(cfg)))
-            threads = sched.slots[:3]
-            H, _ = channel_coeffs(cfg, threads, int(rng.integers(100)), 3)
+            threads = schedule_of(cfg).slots[:3]
+            H, _ = channel_coeffs_oracle(cfg, threads, int(rng.integers(100)), 3)
             M = pattern_matrix(cfg, threads)
             fake = np.eye(K, dtype=int)[rng.permutation(K)]
-            for pattern in (M, fake):
-                got = receiver_checks(H, pattern)
-                want = receiver_checks_oracle(H, np.broadcast_to(beamforming_vectors(pattern),
-                                                                 (len(threads), K, K + 1)))
-                for g, w in zip(got, want):
-                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
-            user = int(rng.integers(K))
             zeroed = beamforming_vectors(M)
-            zeroed[0, user] = 0
-            residuals, singulars = receiver_margins_generic(H, zeroed)
-            want = receiver_checks_oracle(H, zeroed)
-            for g, w in zip((residuals.max(axis=(2, 3)), singulars.min(axis=(1, 2))), want):
-                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
-            M[0, user] = 0
-            with pytest.raises(ValueError):
-                receiver_checks(H, M)
-
-    @settings(max_examples=40, deadline=None)
-    @given(cfg=feasible_configs(k_max=7), seed=st.integers(0, 1000), trials=st.integers(1, 4),
-           scale=st.sampled_from([1e200, 1e-200, 1 + 1e-15]))
-    def test_matches_oracle_off_lemma(self, cfg, seed, trials, scale):
-        # one receiver's coefficient on one slot scaled out of the safe range
-        # or off a flat h1, on each thread's true pattern and on random fake
-        # permutations: the margins and residuals match the SVD oracle
-        slots = schedule_of(cfg).slots[:8]
-        H = channel_coeffs(cfg, slots, seed, trials)[0]
-        rng = np.random.default_rng(seed)
-        i, t, n, a = (int(rng.integers(d)) for d in (cfg.K, len(slots), cfg.K + 1, 2))
-        H[i, :, t, n, a] *= scale
-        fake = np.eye(cfg.K, dtype=int)[np.argsort(rng.random((len(slots), cfg.K)), axis=-1)]
-        for M in (pattern_matrix(cfg, slots), fake):
-            residuals, singulars = receiver_checks(H, M)
-            want_residuals, want_singulars = receiver_checks_oracle(H, beamforming_vectors(M))
-            np.testing.assert_allclose(singulars, want_singulars, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(residuals, want_residuals, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("power", [600, -600])
-    def test_scale_out_of_range(self, power):
-        # each slot pair, and each column of a receiver matrix, is scaled by
-        # a power of two before any square: coefficients 2^600 times larger
-        # or smaller give the same bits, where the squares would overflow or
-        # underflow
-        cfg = ChannelConfig(23, (4, 9, 13, 18, 0))
-        slots = schedule_of(cfg).slots
-        H = channel_coeffs(cfg, slots, 3, 4)[0]
-        M = pattern_matrix(cfg, slots)
-        for got, want in zip(receiver_checks(H * 2.0**power, M), receiver_checks(H, M)):
-            assert_bits_equal(got, want)
+            zeroed[0, int(rng.integers(K))] = 0
+            true = beamforming_vectors(M)
+            cases = [(true, kernel_margins(H, np.argmax(M, axis=-1)))]
+            for v in (np.broadcast_to(beamforming_vectors(fake), true.shape), zeroed):
+                cases.append((v, receiver_margins_generic(H, v)))
+            for v, (residuals, singulars) in cases:
+                want = receiver_checks_oracle(H, v)
+                for g, w in zip((residuals.max(axis=(2, 3)), singulars.min(axis=(1, 2))), want):
+                    np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
 def lemma_thread(K, c, D, rng):
@@ -703,8 +682,7 @@ class TestScreen:
 
     def test_lemma_checks_refuse(self):
         # zeroed and user-swapped vectors, a broken h1 and huge coefficients
-        # leave the lemma, and the generic oracle says so; receiver_checks
-        # refuses a zeroed pattern outright
+        # leave the lemma, and the generic oracle says so
         rng = np.random.default_rng(3)
         H, M = lemma_thread(4, 1, rng.normal(size=(2, 2)) + 0j, rng)
         v = beamforming_vectors(M)
@@ -717,10 +695,6 @@ class TestScreen:
         huge = H * 1e200
         for h, vec in ((H, zeroed), (H, swapped), (broken, v), (huge, v)):
             assert not lemma_blocks(h, vec.astype(bool))[0][0, 0, 0]
-        M_zeroed = M.copy()
-        M_zeroed[0, 2] = 0
-        with pytest.raises(ValueError):
-            receiver_checks(H, M_zeroed)
 
     @settings(max_examples=30, deadline=None)
     @given(cfg=feasible_configs(), seed=st.integers(0, 1000))
@@ -754,14 +728,10 @@ class TestPairKernel:
         sched = schedule_of(cfg)
         keep = np.sort(np.unique(sched.start_groups, return_index=True)[1])
         slots = sched.slots[keep]
-        H, _ = channel_coeffs(cfg, slots, seed, trials)
+        H, _ = channel_coeffs_oracle(cfg, slots, seed, trials)
         M = pattern_matrix(cfg, slots)
-        c = np.argmax(M, axis=-1)
-        P = slot_pairs(H, c)
-        residuals = np.moveaxis(signaling._residuals(P), -1, 1)
-        residuals[range(K), range(K)] = 0.0
         want = receiver_margins_generic(H, beamforming_vectors(M))
-        for g, w in zip((residuals, signaling._singulars(*screen_inputs(H, c), c)), want):
+        for g, w in zip(kernel_margins(H, np.argmax(M, axis=-1)), want):
             assert g.shape == w.shape
             np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
         # the whole report, witnesses included: the verifier's residuals come
@@ -790,7 +760,7 @@ class TestPairKernel:
         sched = schedule_of(cfg)
         keep = np.sort(np.unique(sched.start_groups, return_index=True)[1])
         slots = sched.slots[keep[:8]]
-        H = channel_coeffs(cfg, slots, 3, 4)[0]
+        H = channel_coeffs_oracle(cfg, slots, 3, 4)[0]
         v = beamforming_vectors(pattern_matrix(cfg, slots))
         swapped = np.swapaxes(np.swapaxes(H, 1, 2).copy(), 1, 2)
         assert not swapped.flags.c_contiguous
@@ -856,8 +826,9 @@ class TestEndToEnd:
         assert check_config(cfg).feasible
         sched = schedule_of(cfg)
         summary = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=4)
-        H, _ = channel_coeffs(cfg, sched.slots, seed, 4)
-        residuals, singulars = receiver_checks(H, pattern_matrix(cfg, sched.slots))
+        H, _ = channel_coeffs_oracle(cfg, sched.slots, seed, 4)
+        residuals, singulars = receiver_margins_generic(
+            H, beamforming_vectors(pattern_matrix(cfg, sched.slots)))
         assert summary.max_residual == residuals.max()
         assert summary.min_singular == singulars.min()
         assert summary.n_tuples == len(sched.slots) == cfg.N
@@ -925,15 +896,29 @@ class TestEndToEnd:
             assert all(type(n) is int for n in (w.start_group, *w.slots))
             # the first thread in schedule order with these block labels
             assert not (rows[:w.thread] == rows[w.thread]).all(axis=1).any()
-        # each receiver matrix recomputed alone, on its own trial
-        H, _ = channel_coeffs(cfg, [res_w.slots], seed, trials)
-        residuals, _ = receiver_checks(H[:, res_w.trial:res_w.trial + 1],
-                                       pattern_matrix(cfg, res_w.slots))
-        assert residuals[res_w.receiver - 1, res_w.interferer - 1] == summary.max_residual
-        H, _ = channel_coeffs(cfg, [sig_w.slots], seed, trials)
-        _, singulars = receiver_checks(H[:, sig_w.trial:sig_w.trial + 1],
-                                       pattern_matrix(cfg, sig_w.slots))
-        assert singulars[sig_w.receiver - 1] == summary.min_singular
+        # each witness thread recomputed alone, on its own trial, where every
+        # receiver matrix goes through the SVD: the generic kernel gives the
+        # same bits, the per-matrix SVD loop the same values to 1e-12
+        for w, worst in ((res_w, summary.max_residual), (sig_w, summary.min_singular)):
+            H = channel_coeffs_oracle(cfg, [w.slots], seed, trials)[0][:, w.trial:w.trial + 1]
+            v = beamforming_vectors(pattern_matrix(cfg, w.slots))[None]
+            which = w.interferer is None  # residuals at 0, singular values at 1
+            at = w.receiver - 1 if which else (w.receiver - 1, w.interferer - 1)
+            assert receiver_margins_generic(H, v)[which][at].item() == worst
+            np.testing.assert_allclose(receiver_checks_oracle(H, v)[which][at], worst,
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cfg, user", [(FIG_CFG, 0), (evenly_spread(60, 4), 2)])
+    def test_frozen_channel_fails_decodability(self, monkeypatch, cfg, user):
+        # a draw that repeats one user's coefficients on every label makes its
+        # two desired columns proportional at its own receiver: the verdict
+        # is a numerical FAIL, with that receiver as the witness
+        monkeypatch.setattr(signaling, "_grid", [None] * len(signaling._grid))
+        monkeypatch.setattr(signaling, "_draw", frozen_user_draw(user))
+        summary = verify_schedule_end_to_end(cfg, schedule_of(cfg), seed=8, trials=3)
+        assert summary.aligned_ok and not summary.decodable_ok and not summary.passed
+        assert summary.min_singular < 1e-12 and summary.symbols_per_slot is None
+        assert summary.singular_witness.receiver == user + 1
 
     def test_deterministic(self):
         sched = build_schedule(FIG_CFG, FIG_LAMBDA)
