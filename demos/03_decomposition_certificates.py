@@ -27,7 +27,7 @@ print(f"3-user closed form:   {lam_b}")
 print(f"both verify: {verify_solution(s, lam_a)} {verify_solution(s, lam_b)}, "
       f"both sum to N: {sum(lam_a)} {sum(lam_b)}\n")
 
-solutions = enumerate_certificates(s)
+solutions = list(enumerate_certificates(s))
 slack = 4 * min(s) - sum(s)
 print(f"the closed-form solution family has certificate_count(s) = "
       f"{certificate_count(s)} = C({slack} + 3, 3) certificates (slack {slack}):")
@@ -47,7 +47,7 @@ print(f"  windows: {sums}")
 print("\nAn infeasible profile has no certificate at all:")
 bad = (3, 3, 7)
 print(f"  s={bad}: sum {sum(bad)} > 4*min {4 * min(bad)}; "
-      f"the solution family holds {certificate_count(bad)}: {enumerate_certificates(bad)}")
+      f"the solution family holds {certificate_count(bad)}: {list(enumerate_certificates(bad))}")
 
 print("\nLarger K uses the same machinery (K=5 here):")
 s5 = (4, 4, 5, 5, 6)

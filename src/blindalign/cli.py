@@ -109,10 +109,9 @@ def _cmd_decompose(args) -> int:
             raise SearchBudgetExceeded(
                 f"s={report.s} has {count} certificates of N={cfg.N} threads each, "
                 f"{count * cfg.N} threads, more than the limit {args.max_nodes}")
-        solutions = enumerate_certificates(report.s, limit=count)
         # one schedule in memory at a time, in the bytes of json.dumps(list)
         chunks = itertools.chain(((", " if i else "[") + schedule_json(build_schedule(cfg, lam))
-                                  for i, lam in enumerate(solutions)), ["]\n"])
+                                  for i, lam in enumerate(enumerate_certificates(report.s))), ["]\n"])
     else:
         count = 1
         chunks = [schedule_json(build_schedule(cfg, closed_form_solution(report.s))) + "\n"]

@@ -21,10 +21,10 @@ points, empty iff the gap condition of ``check_feasible`` fails.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import accumulate, combinations
 from operator import eq, sub
 
-from .errors import SearchBudgetExceeded
 from .feasibility import check_feasible
 
 __all__ = [
@@ -101,24 +101,20 @@ def closed_form_solution_3user(s) -> tuple[int, ...]:
     return _vertex(s, 2)
 
 
-def enumerate_certificates(s, limit: int = 2_000_000) -> list[tuple[int, ...]]:
-    """Every solution, sorted lexicographically; empty iff unsolvable.
+def enumerate_certificates(s) -> Iterator[tuple[int, ...]]:
+    """Every solution, lazily and in lexicographic order: an iterator over
+    ``certificate_count(s)`` tuples, empty iff unsolvable; ``s`` is checked
+    at the call.
 
     lam[0..K] = base[0..K] + y determines lam, so lexicographic order on y
     (the compositions of the slack, read off stars and bars) is
-    lexicographic order on lam. Raises ``SearchBudgetExceeded`` before
-    enumerating anything when there are more than ``limit`` solutions.
+    lexicographic order on lam.
     """
     s = _as_gaps(s)
-    count = certificate_count(s)
-    if count > limit:
-        raise SearchBudgetExceeded(
-            f"s={s} has {count} certificates, more than the limit {limit}"
-        )
     K = len(s)
     base, slack = _family(s)
-    out = []
-    for bars in combinations(range(slack + K), K):
+
+    def certificate(bars):
         y = [b - a - 1 for a, b in zip((-1, *bars), (*bars, slack + K))]
-        out.append(tuple(v + y[i % (K + 1)] for i, v in enumerate(base)))
-    return out
+        return tuple(v + y[i % (K + 1)] for i, v in enumerate(base))
+    return map(certificate, combinations(range(slack + K), K))

@@ -140,13 +140,11 @@ def _validate(sched: Schedule) -> ValidationReport:
     firsts, (S, groups, labels) = sched.start_groups, sched._map
     failures: list[str] = []
 
-    coverage_ok = S.size == period and np.bincount(
-        (S % period).astype(np.int64).ravel(), minlength=period).max() == 1
-    if len(S) != cfg.N:
-        coverage_ok = False
+    if len(S) != cfg.N:  # K+1 slots a thread: otherwise S.size == period
         failures.append(f"coverage: {len(S)} tuples, expected {cfg.N}")
-    if not coverage_ok and not failures:
+    elif np.bincount((S % period).astype(np.int64).ravel(), minlength=period).max() != 1:
         failures.append("coverage: residues modulo the period are not a partition")
+    coverage_ok = not failures
 
     # slots below the benchmark offset lie in groups below 0; slots in consecutive groups increase
     consecutive = (groups[:, 0] == firsts) & (firsts >= 0) & (np.diff(groups) == 1).all(axis=1)
@@ -172,7 +170,7 @@ def _validate(sched: Schedule) -> ValidationReport:
                         "or does not match the threads' start groups")
 
     return ValidationReport(
-        coverage_ok=bool(coverage_ok),
+        coverage_ok=coverage_ok,
         consecutive_ok=bool(consecutive.all()),
         patterns_ok=bool(patterned.all()),
         certificate_ok=certificate_ok,

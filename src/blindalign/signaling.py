@@ -49,7 +49,7 @@ DECODABILITY_TOL = 1e-9
 _KEY_SALT = 0x9E3779B97F4A7C15  # distinguishes channel streams from other RNG users
 _CANDIDATES = 16  # rejection budget per coefficient; P(exhaust) ~ 1e-46
 # coefficient cells K * trials * T * (K+1) one verification may hold; it peaks
-# at about 21 bytes per cell (45 MB here), near 300 if the screen certifies none
+# at about 21 bytes per cell (45 MB here), 19 if the screen certifies none
 _VERIFY_CELLS = 2**21
 # the verifier's (key, grid, residual table, terms table), at most
 # _VERIFY_CELLS cells of 32 + 8 + 32 bytes (grid 64 MB, residuals 16 MB, terms
@@ -91,17 +91,12 @@ def _draw(seed: int, K: int, labels, trials: int) -> np.ndarray:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, _KEY_SALT], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state  # fresh: empty buffer, counter rewritten per block
     # labels below 0 wrap modulo 2^64, as a cast to uint64 wraps them
     counters = np.stack(np.broadcast_arrays(0, 0, np.arange(1, K + 1)[:, None], labels), axis=-1)
     z = np.empty((trials, 2, _CANDIDATES, 2))
     grid = np.empty((K, len(labels), trials, 2), dtype=complex)
     for row, counter in zip(grid.reshape(-1, trials, 2), counters.reshape(-1, 4).view(np.uint64)):
-        state["state"]["counter"] = counter
-        bitgen.state = state
-        gen.standard_normal(out=z)
+        np.random.Generator(np.random.Philox(key=key, counter=counter)).standard_normal(out=z)
         h = z[..., 0] + 1j * z[..., 1]
         ok = np.abs(h) >= MAGNITUDE_FLOOR
         if not ok.any(axis=-1).all():
@@ -239,14 +234,16 @@ def _singulars(terms: np.ndarray, cells: np.ndarray, entry: np.ndarray,
     certified positive definite, sigma* being its receiver's SVD value, has
     an SVD value strictly above sigma*; it holds +inf. The rest go through a
     second batch, so the minimum and its position are exact. A batch gathers
-    the slot pairs of its own matrices only.
+    the slot pairs of its own matrices only, a bounded slice at a time.
     """
     K = len(terms)
     schur = _schur(K, c.T[:, None, :], terms)
 
     def svd(where):
-        i, r, t = np.nonzero(where)
-        return _smallest_singular(cells[entry[i, t], r[:, None, None]], i, c[t])
+        at, step = np.flatnonzero(where), _VERIFY_CELLS // (K + 1) ** 4
+        return np.concatenate([_smallest_singular(cells[entry[i, t], r[:, None, None]], i, c[t])
+                               for i, r, t in (np.unravel_index(at[a:a + step], where.shape)
+                                               for a in range(0, len(at), step))])
 
     guess = schur(0.0)
     first = np.zeros(guess.shape, dtype=bool)

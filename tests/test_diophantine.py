@@ -186,7 +186,7 @@ class TestSolutionFamily:
             for N in range(0, n_max + 1):
                 for s in compositions(N, K):
                     sols = brute_force_solve(s, enumerate_all=True)
-                    assert enumerate_certificates(s) == sols, s
+                    assert list(enumerate_certificates(s)) == sols, s
                     assert certificate_count(s) == len(sols), s
                     checked += 1
         assert checked == 6_847
@@ -196,7 +196,7 @@ class TestSolutionFamily:
     def test_family_matches_oracle(self, s):
         K = len(s)
         sols = brute_force_solve(s, enumerate_all=True)
-        assert enumerate_certificates(s) == sols
+        assert list(enumerate_certificates(s)) == sols
         assert certificate_count(s) == len(sols)
         if not sols:
             assert not check_feasible(s)
@@ -226,10 +226,14 @@ class TestSolutionFamily:
         assert certificate_count((3, 3, 5)) == 4
         assert certificate_count((3, 3, 7)) == 0
 
-    def test_limit_checked_before_enumerating(self):
-        s = (1000, 1100, 1200, 1150, 1300)
-        with pytest.raises(SearchBudgetExceeded, match="8637487551 certificates"):
-            enumerate_certificates(s)
-        assert len(enumerate_certificates((3, 3, 5), limit=4)) == 4
-        with pytest.raises(SearchBudgetExceeded, match="limit 3"):
-            enumerate_certificates((3, 3, 5), limit=3)
+    def test_stream_is_lazy_and_checked_at_the_call(self):
+        s = (1000, 1100, 1200, 1150, 1300)  # 8,637,487,551 certificates
+        slack = 6 * min(s) - sum(s)
+        base = tuple(s[i % 5] - min(s) for i in range(30))
+        first = next(enumerate_certificates(s))  # y = (0, ..., 0, slack)
+        assert first == tuple(b + slack * (i % 6 == 5) for i, b in enumerate(base))
+        assert verify_solution(s, first)
+        for bad in ((1,), (3, -1, 5), ()):
+            with pytest.raises(ValueError):
+                enumerate_certificates(bad)  # before any next()
+        assert list(enumerate_certificates((3, 3, 7))) == []

@@ -878,6 +878,32 @@ class TestEndToEnd:
         assert summary == warm and summary.n_distinct == 25
         assert peak < 2**19
 
+    def test_uncertified_matrices_memory(self, monkeypatch):
+        # verify_long's random config at 400 trials with the screen certifying
+        # nothing: the second SVD batch takes every matrix but one per
+        # receiver, 49,995 matrices, gathered in slices of _VERIFY_CELLS //
+        # (K+1)^4 = 1,618. The peak is about 7.6 MiB, where one gather of the
+        # whole batch took 82.9 MiB; the result is the screened one
+        cfg = ChannelConfig(3000, (2596, 785, 2006, 196, 1390))
+        sched = schedule_of(cfg)
+        screened = verify_schedule_end_to_end(cfg, sched, seed=1, trials=400)
+        schur = signaling._schur
+
+        def certify_nothing(K, c, terms):
+            at = schur(K, c, terms)
+            return lambda lam, certify=False: (at(lam, True) & False) if certify else at(lam)
+
+        monkeypatch.setattr(signaling, "_schur", certify_nothing)
+        tracemalloc.start()
+        try:
+            summary = verify_schedule_end_to_end(cfg, sched, seed=1, trials=400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary == screened and summary.n_distinct == 25
+        assert summary.min_singular.hex() == screened.min_singular.hex()
+        assert peak < 16 * 2**20
+
     @pytest.mark.parametrize("cfg, seed, trials", [
         (FIG_CFG, 0, 100),
         (evenly_spread(60, 4), 2, 10),
