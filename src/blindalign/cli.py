@@ -194,11 +194,8 @@ def _cmd_prob(args) -> int:
         print(json.dumps(rows))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["N", "K", "k_target", "method", "p", "half_width"])
-        for r in rows:
-            hw = "" if r["half_width"] is None else repr(r["half_width"])
-            writer.writerow([r["N"], r["K"], r["k_target"], r["method"],
-                             repr(r["p"]), hw])
+        writer.writerow(rows[0])  # None is written empty, floats by repr
+        writer.writerows(r.values() for r in rows)
     return 0
 
 

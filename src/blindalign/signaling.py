@@ -142,9 +142,9 @@ def _terms(D: np.ndarray) -> np.ndarray:
 
 
 def _schur(K: int, c, terms):
-    """S(lam) of the receiver matrices with blocks D: a function of ``lam``
-    that returns the smallest eigenvalue of S(lam), or with ``certify``
-    whether S(lam) is certified positive definite.
+    """S(lam) of the receiver matrices with blocks D, as a pair: the smallest
+    eigenvalue of S(0), and a function of ``lam`` that says whether S(lam) is
+    certified positive definite.
 
     ``terms`` holds :func:`_terms` of D, the receiver's (h1, h2) on slots c
     and c+1 of its transition column ``c`` (broadcast against ``terms`` but
@@ -164,18 +164,17 @@ def _schur(K: int, c, terms):
     m = np.multiply.outer(c, [[1], [-1]]) + [[0, 1], [K - 1, K]]  # (n, n+1), n = c and K-1-c
     mu_min = 2 * np.sin(np.pi / (2 * np.maximum(m[..., 0, 1], m[..., 1, 1]))) ** 2
     p, delta, cross = terms[..., :2], terms[..., 2], terms[..., 3]  # p on slots c, c+1
+    w = 1 / m[..., 1]  # (w_L, w_R) at lam = 0
+    pw = _sum2(w * p)
+    guess = (pw - np.sqrt(np.maximum(pw * pw - 4 * w[..., 0] * w[..., 1] * delta, 0.0))) / 2
 
-    @np.errstate(all="ignore")  # inf at a pole, nan past lam = 2: neither certifies
-    def at(lam, certify=False):
-        lam = np.asarray(lam, dtype=float)
-        # cos theta = 1 - lam; a tiny lam in place of 0 gives w's limit 1/(n+1)
-        s = np.sin(m * (2 * np.arcsin(np.sqrt(np.maximum(lam, 1e-200) / 2)))[..., None, None])
+    @np.errstate(all="ignore")  # inf at a pole, nan at lam = 0 or past 2: none certifies
+    def certified(lam):
+        s = np.sin(m * (2 * np.arcsin(np.sqrt(lam / 2)))[..., None, None])  # cos theta = 1 - lam
         w = 1 - s[..., 0] / s[..., 1]  # (w_L, w_R)
         pw = _sum2(w * p)
         tr = pw - 2 * lam
         det = w[..., 0] * w[..., 1] * delta - lam * pw + lam * lam
-        if not certify:
-            return (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))) / 2
         # below mu_min both sines are >= 0, so |w| <= 2 - w; rounding stays
         # under a small multiple of eps times these sums of magnitudes
         wabs = 2 - w
@@ -184,23 +183,7 @@ def _schur(K: int, c, terms):
         det_tol = tol * (wabs[..., 0] * wabs[..., 1] * cross ** 2 + np.abs(lam) * apw + lam * lam)
         return ((lam <= (1 - _POLE_GAP) * mu_min)
                 & (tr > tol * (apw + 2 * np.abs(lam))) & (det > det_tol))
-    return at
-
-
-def _smallest_singular(P: np.ndarray, i: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """SVD margins of receiver matrices, one per row of ``P`` (n, K, 2, 2),
-    through one ``np.linalg.svd`` call: row m holds receiver ``i[m]``'s
-    (h1, h2) on slot ``c[m, j] + s`` of each user j, ``c`` (n, K) a permutation."""
-    K = P.shape[1]
-    m = np.arange(len(P))[:, None]
-    # column order: the receiver's two desired columns, then one per interferer
-    users = np.array([[j, j] + [u for u in range(K) if u != j] for j in range(K)])[i]
-    antenna = np.array([0, 1] + [0] * (K - 1))
-    B = np.zeros((len(P), K + 1, K + 1), dtype=complex)
-    B[m[..., None], c[m, users][..., None] + np.arange(2),
-      np.arange(K + 1)[:, None]] = P[m, users, :, antenna]
-    B = B / np.maximum(np.linalg.norm(B, axis=-2, keepdims=True), 1e-300)
-    return np.linalg.svd(B, compute_uv=False)[..., -1]
+    return guess, certified
 
 
 def _residuals(P: np.ndarray) -> np.ndarray:
@@ -234,24 +217,32 @@ def _singulars(terms: np.ndarray, cells: np.ndarray, entry: np.ndarray,
     certified positive definite, sigma* being its receiver's SVD value, has
     an SVD value strictly above sigma*; it holds +inf. The rest go through a
     second batch, so the minimum and its position are exact. A batch gathers
-    the slot pairs of its own matrices only, a bounded slice at a time.
+    the slot pairs of its own matrices only, one ``np.linalg.svd`` per bounded slice.
     """
     K = len(terms)
-    schur = _schur(K, c.T[:, None, :], terms)
+    guess, certified = _schur(K, c.T[:, None, :], terms)
+    # column order: the receiver's two desired columns, then one per interferer
+    users = np.array([[j, j] + [u for u in range(K) if u != j] for j in range(K)])
+    antenna = np.array([0, 1] + [0] * (K - 1))[:, None]
 
     def svd(where):
-        at, step = np.flatnonzero(where), _VERIFY_CELLS // (K + 1) ** 4
-        return np.concatenate([_smallest_singular(cells[entry[i, t], r[:, None, None]], i, c[t])
-                               for i, r, t in (np.unravel_index(at[a:a + step], where.shape)
-                                               for a in range(0, len(at), step))])
+        at, step, out = np.flatnonzero(where), _VERIFY_CELLS // (K + 1) ** 4, []
+        for a in range(0, len(at), step):
+            i, r, t = np.unravel_index(at[a:a + step], where.shape)
+            u, row = users[i], np.arange(len(i))[:, None, None]
+            B = np.zeros((len(i), K + 1, K + 1), dtype=complex)
+            B[row, c[t[:, None], u][..., None] + np.arange(2), np.arange(K + 1)[:, None]] = \
+                cells[entry[i[:, None], t[:, None], u], r[:, None, None], antenna]
+            B = B / np.maximum(np.linalg.norm(B, axis=-2, keepdims=True), 1e-300)
+            out.append(np.linalg.svd(B, compute_uv=False)[..., -1])
+        return np.concatenate(out)
 
-    guess = schur(0.0)
     first = np.zeros(guess.shape, dtype=bool)
     first.reshape(K, -1)[range(K), guess.reshape(K, -1).argmin(axis=1)] = True
     singulars = np.full(guess.shape, np.inf)
     singulars[first] = svd(first)
     floor = singulars.min(axis=(1, 2)) + _SVD_SLACK * (K + 1) ** 2
-    rest = ~first & ~schur((floor ** 2)[:, None, None], certify=True)
+    rest = ~first & ~certified((floor ** 2)[:, None, None])
     if rest.any():
         singulars[rest] = svd(rest)
     return singulars

@@ -447,14 +447,14 @@ def receiver_margins_generic(H, v):
         residuals[i, i] = 0.0
 
     lemma, c, D = lemma_blocks(H, mask)
-    schur = signaling._schur(K, c, signaling._terms(D))
-    guess = np.where(lemma, schur(0.0), np.inf).reshape(K, -1)
+    guess, certified = signaling._schur(K, c, signaling._terms(D))
+    guess = np.where(lemma, guess, np.inf).reshape(K, -1)
     first = np.logical_not(lemma, order="C")  # C order, so the reshape below is a view
     first.reshape(K, -1)[range(K), guess.argmin(axis=1)] = True
     singulars = np.full(lemma.shape, np.inf)
     singulars[first] = smallest_singular_generic(H, mask, first)
     floor = singulars.min(axis=(1, 2)) + signaling._SVD_SLACK * (K + 1) ** 2
-    rest = lemma & ~first & ~schur((floor ** 2)[:, None, None], certify=True)
+    rest = lemma & ~first & ~certified((floor ** 2)[:, None, None])
     if rest.any():
         singulars[rest] = smallest_singular_generic(H, mask, rest)
     return residuals, singulars

@@ -533,13 +533,32 @@ class TestProb:
 ])
 def test_closed_stdout_exits_2(argv):
     # a reader that stops early (`| head`) ends the command quietly with exit 2
-    proc = subprocess.Popen([sys.executable, "-m", "blindalign.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.read(50)
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 2
+    with subprocess.Popen([sys.executable, "-m", "blindalign.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(50)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("check --N 12 --offsets 5", "need at least 2 offsets"),
+    ("check --N 0 --offsets 0,1", "coherence time must be >= 1, got 0"),
+    ("verify --schedule {schedule}", "K does not match the number of offsets"),
+    ("prob --N 12 --K 2 --k-target 3 --method exact", "k_target must be in 2..2"),
+    ("prob --N 12 --K 2 --k-target 3 --method mc", "k_target must be in 2..2"),
+    ("prob --N 12 --K 2 --k-target 3 --method bound", "defined for K >= 3"),
+])
+def test_outside_input_rejected_exit_2(tmp_path, capsys, argv, message):
+    # one offset, N = 0 (a modulus of 0 below), a schedule whose K is not its
+    # number of offsets (it would verify as PASS) and a k_target above K
+    path = tmp_path / "sched.json"
+    run(capsys, "decompose", "--N", "4", "--offsets", "0,1,2", "--out", str(path))
+    path.write_text(json.dumps({**json.loads(path.read_text()), "K": 2}))
+    code, out, err = run(capsys, *argv.format(schedule=path).split())
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_csv_rows_end_in_newline(capsys):

@@ -620,26 +620,23 @@ class TestScreen:
     def test_characteristic_polynomial(self, K):
         # S(sigma^2), built from the lemma matrix, is singular at the smallest
         # singular value sigma and positive definite just below it, and
-        # _schur's closed form gives its smallest eigenvalue below mu_min
+        # _schur's closed-form guess is its smallest eigenvalue at lambda = 0
         rng = np.random.default_rng(K)
         for c in range(K):
             D = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             sigma = np.linalg.svd(self.lemma_matrix(K, c, D), compute_uv=False)[-1]
             S, mu_min = self.schur_oracle(K, c, D)
             assert abs(np.linalg.det(S(sigma ** 2))) < 1e-9
-            below = np.linalg.eigvalsh(S(0.999 * sigma ** 2))[0]
-            assert below > 0
-            schur = signaling._schur(K, c, signaling._terms(D))
-            np.testing.assert_allclose(schur(0.999 * sigma ** 2), below, rtol=1e-9)
-            levels = np.linspace(0, 0.9 * mu_min, 16)
-            np.testing.assert_allclose(schur(levels),
-                                       [np.linalg.eigvalsh(S(lam))[0] for lam in levels],
-                                       rtol=1e-9)
+            assert np.linalg.eigvalsh(S(0.999 * sigma ** 2))[0] > 0
+            guess, certified = signaling._schur(K, c, signaling._terms(D))
+            np.testing.assert_allclose(guess, np.linalg.eigvalsh(S(0.0))[0], rtol=1e-9)
+            # the certificate's weights are tight: it holds just below sigma^2
+            assert certified((1 - 1e-6) * sigma ** 2)
             # w(0) = 1/(n+1) on both chains, read on an identity block
             w0 = [1 / (c + 1), 1 / (K - c)]
             np.testing.assert_allclose(self.schur_oracle(K, c, np.eye(2))[0](0.0), np.diag(w0),
                                        rtol=0, atol=1e-12)
-            np.testing.assert_allclose(signaling._schur(K, c, signaling._terms(np.eye(2)))(0.0),
+            np.testing.assert_allclose(signaling._schur(K, c, signaling._terms(np.eye(2)))[0],
                                        min(w0), rtol=1e-12)
 
     @pytest.mark.parametrize("K", range(2, 13))
@@ -671,8 +668,7 @@ class TestScreen:
                 lemma, cs, Ds = lemma_blocks(H, v.astype(bool))
                 assert lemma[0, 0, 0] and cs[0, 0, 0] == c
                 np.testing.assert_array_equal(Ds[0, 0, 0], D)
-                ok = signaling._schur(K, c, signaling._terms(D))((levels * sigma) ** 2,
-                                                                 certify=True)
+                ok = signaling._schur(K, c, signaling._terms(D))[1]((levels * sigma) ** 2)
                 assert not ok[levels >= 1].any(), (kind, c, sigma, ok)
                 if kind != "near-singular":
                     assert ok[levels < 1].all(), (kind, c, sigma, ok)
@@ -700,18 +696,18 @@ class TestScreen:
     @given(cfg=feasible_configs(), seed=st.integers(0, 1000))
     def test_screen_keeps_minimum_and_witness(self, cfg, seed):
         # with nothing certified every matrix goes through the SVD, and with
-        # the first batch picked in reverse or at random the second batch
-        # runs: each report must hold the same bits and the same witnesses
+        # the guess negated or random the first batch picks other matrices and
+        # the second batch runs: each report must hold the same bits and the
+        # same witnesses
         sched = schedule_of(cfg)
         screened = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=6)
         schur = signaling._schur
         rng = np.random.default_rng(seed)
-        for variant in (lambda out, certify: np.zeros_like(out) if certify else out,
-                        lambda out, certify: out if certify else -out,
-                        lambda out, certify: out if certify else rng.random(np.shape(out))):
+        for variant in (lambda guess, certified: (guess, lambda lam: certified(lam) & False),
+                        lambda guess, certified: (-guess, certified),
+                        lambda guess, certified: (rng.random(guess.shape), certified)):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(signaling, "_schur", lambda *a, variant=variant: (
-                    lambda lam, certify=False: variant(schur(*a)(lam, certify), certify)))
+                mp.setattr(signaling, "_schur", lambda *a, variant=variant: variant(*schur(*a)))
                 other = verify_schedule_end_to_end(cfg, sched, seed=seed, trials=6)
             assert float.hex(screened.min_singular) == float.hex(other.min_singular)
             assert screened.singular_witness == other.singular_witness
@@ -882,7 +878,7 @@ class TestEndToEnd:
         # verify_long's random config at 400 trials with the screen certifying
         # nothing: the second SVD batch takes every matrix but one per
         # receiver, 49,995 matrices, gathered in slices of _VERIFY_CELLS //
-        # (K+1)^4 = 1,618. The peak is about 7.6 MiB, where one gather of the
+        # (K+1)^4 = 1,618. The peak is about 7.1 MiB, where one gather of the
         # whole batch took 82.9 MiB; the result is the screened one
         cfg = ChannelConfig(3000, (2596, 785, 2006, 196, 1390))
         sched = schedule_of(cfg)
@@ -890,8 +886,8 @@ class TestEndToEnd:
         schur = signaling._schur
 
         def certify_nothing(K, c, terms):
-            at = schur(K, c, terms)
-            return lambda lam, certify=False: (at(lam, True) & False) if certify else at(lam)
+            guess, certified = schur(K, c, terms)
+            return guess, lambda lam: certified(lam) & False
 
         monkeypatch.setattr(signaling, "_schur", certify_nothing)
         tracemalloc.start()
