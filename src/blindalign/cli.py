@@ -183,6 +183,8 @@ def _cmd_prob(args) -> int:
                                          threads=args.threads)
         elif args.method == "bound" and args.k_target == 3:
             est = counting.p_upper_3(args.N, K)
+        elif args.method == "bound" and args.k_target > 3:
+            raise ValueError(f"no closed-form bound for k_target {args.k_target}; use exact or mc")
         else:  # the pair closed form is exact, so it is also the pair bound
             est = counting.probability_exact(args.N, K, args.k_target)
         rows.append({
@@ -244,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--K", type=int)
     p.add_argument("--K-range", dest="K_range", help="inclusive range a:b")
-    p.add_argument("--k-target", type=int, choices=[2, 3], required=True)
+    p.add_argument("--k-target", type=int, required=True, help="subset size, 2..K")
     p.add_argument("--method", choices=["bound", "exact", "mc"], required=True)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)

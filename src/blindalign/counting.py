@@ -9,12 +9,14 @@ with user 1 fixed at box 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -36,13 +38,13 @@ __all__ = [
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _MC_CHUNK = 1 << 15  # fixed: estimates are bit-identical for any thread count
-_DP_FRONTS = 2 * 10**5  # fronts bad_set_counts may process; past it, use monte_carlo_p
+_SCAN_VISITS = 5 * 10**5  # state visits bad_set_counts may make; past it, use monte_carlo_p
 
 
 @dataclass(frozen=True)
 class CountResult:
     value: int
-    kind: str  # formula_lower_bound | formula | exact_table | exact_dp
+    kind: str  # formula_lower_bound | formula | exact_dp | exact_interpolated
 
 
 @dataclass(frozen=True)
@@ -115,66 +117,75 @@ def f_2user(N: int, K: int) -> CountResult:
 
 def bad_set_counts(N: int, k: int, J: int) -> list[int]:
     """[c_1, ..., c_J], c_j the number of j-point sets {0} ∪ S ⊂ Z_N with no
-    feasible k-subset, by a left-to-right DP over the points 1..N-1 (the
-    transfer-matrix method, Stanley, *EC1* §4.7). With L = ceil(N/(k+1)), a
-    set has a feasible k-subset iff the greedy chain from some start a < L,
-    each of its k-1 jumps to the first point at least L further on, ends by
-    a + N - L (Gupta, Lee and Leung, *Networks* 12, 1982; a feasible subset
-    starting at L or later can swap its first point for 0). A state is the
-    Pareto front of the live chains (picks c, distance e from the last pick
-    to the next point, capped at L, start a): dominated chains, and chains
-    that can no longer end by a + N - L, drop. A set whose chain ends is
-    good and leaves; one with no live chain once none can start stays bad.
-    Each front keeps its sets' counts by size in W-bit lanes of one integer,
-    so taking a point is a shift and sets past J points fall off the top.
-    The work, about exponential in L, is counted: past ``_DP_FRONTS``
-    fronts the DP refuses."""
-    L = -(-N // (k + 1))
-    W = max(math.comb(N - 1, j) for j in range(J)).bit_length()  # no lane overflows
+    feasible k-subset, by one scan in lap order (a transfer matrix, Stanley,
+    *EC1* §4.7). Scaled by k+1, x has lap ⌊(k+1)x/N⌋ and fraction
+    f = (k+1)x mod N, and a gap passes ceil(N/(k+1)) iff it passes N scaled:
+    N·d + f' - f for d laps stepped, so iff d ≥ 2, or d = 1 and f' ≥ f. The k
+    steps round a subset sum to k+1 laps, so a feasible one steps 1 but once
+    2, skipping a lap b: a set has one iff for some b it holds a point on
+    each lap b+1, ..., b+k (mod k+1), in that order, with nondecreasing f.
+    Scanning f upward, each b keeps its longest matched prefix m_b (a state
+    is the k+1 of them): the points at one f have distinct laps, and m_b
+    grows while lap b+1+m_b is among those taken, point 0 with them at f = 0
+    (ties match in run order, and a longer prefix never hurts). A set whose
+    run completes is good and leaves; each state counts its sets by size in
+    W-bit lanes of one integer. Past ``_SCAN_VISITS`` visits, one per state
+    and subset of an f's points, the scan refuses.
+
+    Periodic scan: x = (aN + f)/(k+1) is a point iff aN + f ≡ 0 (mod k+1), so
+    the laps at f depend only on f mod k+1 and r = N mod k+1: on
+    N = (k+1)(t+1) + r the scan reads one period of k+1 lap sets t+1 times,
+    then r more. A period where nothing is taken keeps the state and
+    period 0 holds point 0, so a j-point set uses m ≤ j-1 of the t later
+    periods, and its fate depends only on its choices in period 0, in those
+    m in order and in the last r: c_j = Σ_{m<j} a_{j,m}·C(t, m), a_{j,m} free
+    of t, a polynomial of degree ≤ j-1 in t (period 1, from t = 0), which is
+    its Newton form through t = 0..j-1.
+    """
+    return list(_lap_scan(N, k, J))
+
+
+@functools.lru_cache(maxsize=4096)
+def _lap_scan(N: int, k: int, J: int) -> tuple[int, ...]:
+    """:func:`bad_set_counts`, scanned once per (N, k, J) and kept immutable."""
+    P = k + 1
+    W = math.comb(N - 1, min(J - 1, (N - 1) // 2)).bit_length()  # no lane overflows
     mask = (1 << W * (J + 1)) - 1
 
-    def advance(chains, q):
-        """The Pareto front at the next point q of the chains still able to end."""
-        front = []
-        for t in sorted({(c, e, a) for c, e, a in chains
-                         if q + L - e + (k - c - 1) * L <= a + N - L}, reverse=True):
-            if not any(u[0] >= t[0] and u[1] >= t[1] and u[2] >= t[2] for u in front):
-                front.append(t)
-        return tuple(front)
+    def advance(runs: tuple, taken: int):
+        """The match lengths after taking the laps ``taken``; None once a run completes."""
+        out = []
+        for b, i in enumerate(runs):
+            while i < k and taken >> (b + 1 + i) % P & 1:
+                i += 1
+            out.append(i)
+        return None if k in out else tuple(out)
 
-    states, dead, fronts = {((1, 1, 0),): 1 << W}, 0, 0  # {0}: one chain, started at 0
-    for p in range(1, N):
-        dead += (dead << W) & mask  # bad sets take p or not
+    moves, states, visits = {}, {(0,) * P: 1}, 0
+    for f in range(0, N, math.gcd(N, P)):  # the fractions that hold points, gcd(N, P) each
+        laps = [1 << a for a in range(P) if (a * N + f) % P == 0]
+        if (visits := visits + (len(states) << len(laps))) > _SCAN_VISITS:
+            raise SearchBudgetExceeded(f"lap scan past {_SCAN_VISITS} visits; use monte_carlo_p")
         new = {}
-        for front, lanes in states.items():
-            if (fronts := fronts + 1) > _DP_FRONTS:
-                raise SearchBudgetExceeded(f"chain DP past {_DP_FRONTS} fronts; use monte_carlo_p")
-            skip = advance([(c, min(e + 1, L), a) for c, e, a in front], p + 1)
-            took = [(c + 1, 1, a) if e == L else (c, min(e + 1, L), a) for c, e, a in front]
-            outcomes = [(skip, lanes)]
-            if all(c < k for c, _, _ in took):  # else a chain ended: the set is good
-                took += [(1, 1, p)] if p < L else []
-                outcomes.append((advance(took, p + 1), (lanes << W) & mask))
-            for f, v in outcomes:
-                if not f and p + 1 >= L:
-                    dead += v
-                elif v:
-                    new[f] = new.get(f, 0) + v
+        for runs, lanes in states.items():
+            if (key := (runs, f % P, f == 0)) not in moves:  # every set takes point 0
+                moves[key] = [(nxt, W * n) for n in range(len(laps) + 1)
+                              for c in combinations(laps, n)
+                              if (f or 1 in c) and (nxt := advance(runs, sum(c)))]
+            for nxt, shift in moves[key]:
+                if v := lanes << shift & mask:
+                    new[nxt] = new.get(nxt, 0) + v
         states = new
-    total = dead + sum(states.values())
-    return [total >> W * j & (1 << W) - 1 for j in range(1, J + 1)]
+    total = sum(states.values())
+    return tuple(total >> W * j & (1 << W) - 1 for j in range(1, J + 1))
 
 
-def _bad_sets(rows: tuple, period: int, N: int, J: int) -> list[int]:
-    """[c_1, ..., c_J] at N from a node table of :func:`bad_set_counts` at
-    k = period - 1: row N, or past the rows :func:`exact_count`'s interpolation
-    in exact Newton form; a c_j outside 0..C(N-1, j-1) raises."""
-    if N <= len(rows):
-        return list(rows[N - 1][:J])
-    base = period + N % period
-    t, c = (N - base) // period, []
-    for j in range(1, J + 1):
-        diffs, value = [rows[base + period * i - 1][j - 1] for i in range(j)], 0
+def _bad_sets(nodes: list, period: int, N: int) -> list[int]:
+    """[c_1, ..., c_J] at N, Newton's form through the scans ``nodes`` at t = 0..J-1; a c_j
+    outside 0..C(N-1, j-1) raises."""
+    t, c = N // period - 1, []
+    for j in range(1, len(nodes) + 1):
+        diffs, value = [node[j - 1] for node in nodes[:j]], 0
         for i in range(j):
             value += math.comb(t, i) * diffs[0]
             diffs = [b - a for a, b in zip(diffs, diffs[1:])]
@@ -193,26 +204,22 @@ def exact_count(N: int, K: int, k_target: int) -> CountResult:
     size j, where c_j counts the sets with no feasible k_target-subset and the
     multiplier the ways the K-1 labeled balls land on {0} ∪ S covering S.
 
-    c_j(N) comes from :func:`bad_set_counts` with J = min(K, N), kind
-    ``exact_dp``, under its guard; for k_target 3 and 4 with K <= 12, from
-    its node tables ``_triples`` (N <= 51) and ``_quadruples`` (N <= 64),
-    kind ``exact_table``, for any N. Past the last row c_j is taken to be
-    the polynomial through the first j nodes N' >= k_target+1 of N's class
-    mod k_target+1 (Ehrhart quasi-polynomials; Beck and Robins, *Computing
-    the Continuous Discretely*, ch. 3). That is not proved here: the tests
-    and ``tools/bad_sets_table.py --check`` match it with later nodes.
+    c_j(N), J = min(K, N), is :func:`bad_set_counts` scanned directly when
+    N < (k_target+1)(J+1), kind ``exact_dp``, else its Newton form in t through
+    the class's first J points N' = (k_target+1)(t+1) + N mod (k_target+1),
+    t = 0..J-1, kind ``exact_interpolated``. Scans are kept, so each runs once.
     """
     _check_positive(N=N)
     if not 2 <= k_target <= K:
         raise ValueError(f"k_target must be in 2..{K}")
     if k_target == 2:
         return f_2user(N, K)
-    from . import _quadruples, _triples  # compiled by the first count that reads a table
-    table = {3: _triples, 4: _quadruples}.get(k_target)
-    if table and K <= table.J:
-        c, kind = _bad_sets(table.ROWS, k_target + 1, N, min(K, N)), "exact_table"
+    J, period = min(K, N), k_target + 1
+    if N < period * (J + 1):
+        c, kind = _lap_scan(N, k_target, J), "exact_dp"
     else:
-        c, kind = bad_set_counts(N, k_target, min(K, N)), "exact_dp"
+        nodes = [_lap_scan(period * (t + 1) + N % period, k_target, J) for t in range(J)]
+        c, kind = _bad_sets(nodes, period, N), "exact_interpolated"
     return CountResult(sum(c_j * gamma_count(j, K - 1, j - 1) for j, c_j in enumerate(c, 1)), kind)
 
 

@@ -244,6 +244,72 @@ def occupancy_count_oracle(N, K, k_target):
     return value
 
 
+def chain_dp_oracle(N, k, J):
+    """Independent oracle for ``counting.bad_set_counts``: [c_1, ..., c_J] by
+    a left-to-right DP over the points 1..N-1 (the transfer-matrix method,
+    Stanley, *EC1* §4.7). With L = ceil(N/(k+1)), a set has a feasible
+    k-subset iff the greedy chain from some start a < L, each of its k-1
+    jumps to the first point at least L further on, ends by a + N - L (Gupta,
+    Lee and Leung, *Networks* 12, 1982; a feasible subset starting at L or
+    later can swap its first point for 0). A state is the Pareto front of the
+    live chains (picks c, distance e from the last pick to the next point,
+    capped at L, start a): dominated chains, and chains that can no longer
+    end by a + N - L, drop. A set whose chain ends is good and leaves; one
+    with no live chain once none can start stays bad. Each front keeps its
+    sets' counts by size in W-bit lanes of one integer. Its work grows about
+    exponentially in L."""
+    L = -(-N // (k + 1))
+    W = max(math.comb(N - 1, j) for j in range(J)).bit_length()  # no lane overflows
+    mask = (1 << W * (J + 1)) - 1
+
+    def advance(chains, q):
+        """The Pareto front at the next point q of the chains still able to end."""
+        front = []
+        for t in sorted({(c, e, a) for c, e, a in chains
+                         if q + L - e + (k - c - 1) * L <= a + N - L}, reverse=True):
+            if not any(u[0] >= t[0] and u[1] >= t[1] and u[2] >= t[2] for u in front):
+                front.append(t)
+        return tuple(front)
+
+    states, dead = {((1, 1, 0),): 1 << W}, 0  # {0}: one chain, started at 0
+    for p in range(1, N):
+        dead += (dead << W) & mask  # bad sets take p or not
+        new = {}
+        for front, lanes in states.items():
+            skip = advance([(c, min(e + 1, L), a) for c, e, a in front], p + 1)
+            took = [(c + 1, 1, a) if e == L else (c, min(e + 1, L), a) for c, e, a in front]
+            outcomes = [(skip, lanes)]
+            if all(c < k for c, _, _ in took):  # else a chain ended: the set is good
+                took += [(1, 1, p)] if p < L else []
+                outcomes.append((advance(took, p + 1), (lanes << W) & mask))
+            for f, v in outcomes:
+                if not f and p + 1 >= L:
+                    dead += v
+                elif v:
+                    new[f] = new.get(f, 0) + v
+        states = new
+    total = dead + sum(states.values())
+    return [total >> W * j & (1 << W) - 1 for j in range(1, J + 1)]
+
+
+def lap_order_feasible(offsets, N, k):
+    """Oracle for ``feasible_subset_rows`` and ``find_feasible_subset`` that
+    shares no lemma with their greedy chains: do the offsets hold, for some
+    skipped lap b, one point on each lap b+1, ..., b+k (mod k+1) with
+    nondecreasing fractions? Lap a = (k+1)x // N, fraction (k+1)x mod N;
+    points at one fraction extend each run together (``bad_set_counts``)."""
+    at = {}
+    for x in {int(o) % N for o in offsets}:
+        lap, f = divmod((k + 1) * x, N)
+        at.setdefault(f, set()).add(lap)
+    runs = [0] * (k + 1)
+    for f in sorted(at):
+        for b in range(k + 1):
+            while runs[b] < k and (b + 1 + runs[b]) % (k + 1) in at[f]:
+                runs[b] += 1
+    return k in runs
+
+
 def random_feasible_gaps(rng, K, n_max):
     """Gap vector with sum N <= n_max and every entry >= ceil(N/(K+1))."""
     while True:

@@ -8,8 +8,8 @@ Monte Carlo at K=6 under the hard threshold rule. It also keeps the
 published claim "5 users suffice" as a check that its Monte Carlo estimate
 agrees with the exact K=5 value and lies wholly below 0.95, so the printed
 line records the discrepancy. Gate 8a checks the 3-user claim, 11 users at
-N=60, exactly from the triple node table, P(60,10,3) = 0.930152... < 0.95 <=
-P(60,11,3) = 0.958721..., and by Monte Carlo at K=11.
+N=60, exactly from the lap scan's Newton form, P(60,10,3) = 0.930152... <
+0.95 <= P(60,11,3) = 0.958721..., and by Monte Carlo at K=11.
 """
 
 import math
@@ -170,7 +170,7 @@ def _threshold_gate(num, est, label):
 
 
 def test_c08a_threshold_3user():
-    # exactly, from the triple node table: K = 11 is the smallest K that
+    # exactly, from the lap scan's Newton form: K = 11 is the smallest K that
     # reaches 95% at N = 60, as the paper claims
     p10 = 1 - Fraction(exact_count(60, 10, 3).value, 60**9)
     p11 = 1 - Fraction(exact_count(60, 11, 3).value, 60**10)

@@ -19,6 +19,7 @@ from blindalign import (
     check_feasible,
     closed_form_solution,
     feasible_region,
+    gamma_count,
     group_profile,
     p_upper_3,
     probability_exact,
@@ -497,12 +498,42 @@ class TestProb:
         assert "2^63" in err and "--method exact" in err and "int64" not in err
 
     def test_exact_guard_exit_2(self, capsys, monkeypatch):
-        # a smaller front bound keeps this quick; TestExactCount checks that the
-        # real bound stops the DP within seconds
-        monkeypatch.setattr(counting, "_DP_FRONTS", 10**4)
+        # a smaller visit bound keeps this quick: the largest of (100,13,3)'s
+        # node scans makes 2,736 visits; TestExactCount checks that the real
+        # bound stops the scan within seconds
+        counting._lap_scan.cache_clear()
+        monkeypatch.setattr(counting, "_SCAN_VISITS", 10**3)
         code, _, err = run(capsys, "prob", "--N", "100", "--K", "13",
                            "--k-target", "3", "--method", "exact")
         assert code == 2 and "monte_carlo" in err
+
+    def test_any_k_target(self, capsys):
+        # every k_target 2..K answers exactly and by Monte Carlo
+        for k in range(2, 9):
+            code, out, _ = run(capsys, "prob", "--N", "60", "--K", "8", "--k-target", str(k),
+                               "--method", "exact", "--format", "json")
+            assert code == 0 and json.loads(out)[0]["p"] == probability_exact(60, 8, k).p
+        code, out, _ = run(capsys, "prob", "--N", "30", "--K", "12", "--k-target", "6",
+                           "--method", "mc", "--trials", "4096", "--seed", "1")
+        assert code == 0 and out.startswith("N,K,k_target,method,p,half_width\n30,12,6,mc,")
+
+    @pytest.mark.parametrize("k", [4, 5, 9])
+    def test_bound_past_triples_exit_2(self, capsys, k):
+        # only pairs (exactly) and triples have a closed form; the exact value
+        # must not be printed under the bound's name
+        code, out, err = run(capsys, "prob", "--N", "60", "--K", "9", "--k-target", str(k),
+                             "--method", "bound")
+        assert (code, out) == (2, "")
+        assert err == f"error: no closed-form bound for k_target {k}; use exact or mc\n"
+
+    def test_exact_past_the_old_nodes(self, capsys):
+        # CI pins this row; the direct scan at N = 1000 gives the same count
+        code, out, _ = run(capsys, "prob", "--N", "1000", "--K", "20", "--k-target", "3",
+                           "--method", "exact")
+        assert code == 0 and out.splitlines()[1] == "1000,20,3,exact,0.9996496488752616,"
+        c = counting.bad_set_counts(1000, 3, 20)
+        bad = sum(c_j * gamma_count(j, 19, j - 1) for j, c_j in enumerate(c, 1))
+        assert float(1 - Fraction(bad, 1000**19)) == 0.9996496488752616
 
     @pytest.mark.parametrize("argv", [
         ("--N", "-4", "--k-target", "3", "--method", "exact"),
@@ -549,6 +580,9 @@ def test_closed_stdout_exits_2(argv):
     ("prob --N 12 --K 2 --k-target 3 --method exact", "k_target must be in 2..2"),
     ("prob --N 12 --K 2 --k-target 3 --method mc", "k_target must be in 2..2"),
     ("prob --N 12 --K 2 --k-target 3 --method bound", "defined for K >= 3"),
+    ("prob --N 12 --K 4 --k-target 5 --method exact", "k_target must be in 2..4"),
+    ("prob --N 12 --K 4 --k-target 1 --method mc", "k_target must be in 2..4"),
+    ("prob --N 12 --K 4 --k-target 1 --method bound", "k_target must be in 2..4"),
 ])
 def test_outside_input_rejected_exit_2(tmp_path, capsys, argv, message):
     # one offset, N = 0 (a modulus of 0 below), a schedule whose K is not its

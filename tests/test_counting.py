@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import time
@@ -23,10 +24,10 @@ from blindalign import (
     p_upper_3,
     probability_exact,
 )
-from blindalign import _quadruples, _triples, counting
+from blindalign import counting
 from blindalign.feasibility import row_dtype
-from helpers import (enumeration_count, f_2user_oracle, f_low_3_oracle, occupancy_count_oracle,
-                     occupied_sets, stirling2, subset_rows_oracle)
+from helpers import (chain_dp_oracle, enumeration_count, f_2user_oracle, f_low_3_oracle,
+                     occupancy_count_oracle, occupied_sets, stirling2, subset_rows_oracle)
 
 
 def stirling2_recurrence(n, k):
@@ -57,7 +58,7 @@ def forbid_loops_over_n(monkeypatch):
 
 
 def dp_count(N, K, k):
-    """exact_count's sum over occupied-set sizes, c_j straight from the chain DP."""
+    """exact_count's sum over occupied-set sizes, c_j straight from the lap scan."""
     c = counting.bad_set_counts(N, k, min(K, N))
     return sum(c_j * gamma_count(j, K - 1, j - 1) for j, c_j in enumerate(c, 1))
 
@@ -230,7 +231,7 @@ class TestF2User:
 
     def test_any_n_matches_exact_count(self):
         # the arc length runs to ceil(N/3), so N need not be a multiple of 3;
-        # exact_count answers pairs by f_2user, so check against the chain DP
+        # exact_count answers pairs by f_2user, so check against the lap scan
         for N in (1, 2, 4, 5, 7, 8, 10, 11, 20, 22, 23, 37, 40):
             for K in (2, 3, 4, 5):
                 assert f_2user(N, K).value == dp_count(N, K, 2), (N, K)
@@ -270,21 +271,26 @@ class TestExactCount:
         assert exact_count(N, K, 3).value == bad
 
     def test_guard(self, monkeypatch):
-        # the DP counts the fronts it processes: (21,13,3) takes 1,862
-        assert counting._DP_FRONTS == 2 * 10**5
-        monkeypatch.setattr(counting, "_DP_FRONTS", 1862)
-        assert exact_count(21, 13, 3).kind == "exact_dp"
-        monkeypatch.setattr(counting, "_DP_FRONTS", 1861)
-        with pytest.raises(SearchBudgetExceeded, match="past 1861 fronts; use monte_carlo_p"):
+        # the scan counts its state visits as it runs: (21,13,3) makes 536;
+        # a refused scan is not kept, and an answered one is
+        assert counting._SCAN_VISITS == 5 * 10**5
+        counting._lap_scan.cache_clear()
+        monkeypatch.setattr(counting, "_SCAN_VISITS", 535)
+        with pytest.raises(SearchBudgetExceeded, match="past 535 visits; use monte_carlo_p"):
             exact_count(21, 13, 3)
+        monkeypatch.setattr(counting, "_SCAN_VISITS", 536)
+        assert exact_count(21, 13, 3).kind == "exact_dp"
+        monkeypatch.setattr(counting, "_SCAN_VISITS", 0)
+        assert exact_count(21, 13, 3).kind == "exact_dp"
 
     def test_guard_fires_within_seconds(self):
-        # at the real bound: about 8 s on a shared 2-vCPU host, where the DP
-        # would otherwise run for many minutes
+        # at the real bound: a direct scan at k = 7 with all 8 laps at each of
+        # its fractions would make about 2.5e6 visits; it stops in about
+        # 0.5 s on a shared 2-vCPU host
         t = time.perf_counter()
         with pytest.raises(SearchBudgetExceeded, match="monte_carlo_p"):
-            exact_count(200, 8, 5)
-        assert time.perf_counter() - t < 60
+            exact_count(64, 8, 7)
+        assert time.perf_counter() - t < 10
 
     def test_matches_enumeration_grid(self):
         for N in range(1, 13):
@@ -373,32 +379,41 @@ def lagrange(nodes, N):
     return value
 
 
-def class_nodes(table, period, r, j, count):
-    """The first ``count`` nodes N >= period of a node table with
-    N = r mod period, as (N, c_j(N))."""
-    return [(N, table.ROWS[N - 1][j - 1])
-            for N in range(period + r, period * (count + 1) + r, period)]
+def class_nodes(period, r, j, J):
+    """The first j points N >= period of the class N = r mod period, as
+    (N, c_j(N)) from direct scans at J."""
+    return [(N, counting.bad_set_counts(N, period - 1, J)[j - 1])
+            for N in range(period + r, period * (j + 1) + r, period)]
 
 
-def later_nodes_checked(table, period):
-    """On each class mod ``period`` the first j nodes predict every later
-    node of c_j in the table; returns the number of nodes checked."""
-    checked = 0
-    for r in range(period):
-        for j in range(1, table.J + 1):
-            nodes = class_nodes(table, period, r, j, table.J)
-            for N, y in nodes[j:]:
-                assert lagrange(nodes[:j], N) == y, (r, j, N)
-                checked += 1
-    return checked
+def newton(N, k, J):
+    """exact_count's Newton form at N from the class's first J scans."""
+    period = k + 1
+    nodes = [counting.bad_set_counts(period * (i + 1) + N % period, k, J) for i in range(J)]
+    return counting._bad_sets(nodes, period, N)
+
+
+def rows_digest(k, n_max):
+    """sha256 of the old node table's rows N = 1..n_max at J = 12, regenerated by the scan."""
+    rows = [counting.bad_set_counts(N, k, 12) for N in range(1, n_max + 1)]
+    return hashlib.sha256(repr(tuple(tuple(row) for row in rows)).encode()).hexdigest()
 
 
 class TestTripleTable:
+    """The lap scan that replaced the triple and quadruple node tables."""
+
     def test_dp_matches_combination_scan(self):
         for k in (2, 3, 4):
             for N in range(1, 19):
                 J = min(N, 7)
                 assert counting.bad_set_counts(N, k, J) == bad_sets_by_scan(N, k, J), (N, k)
+
+    def test_scan_matches_chain_dp(self):
+        # the greedy-chain DP that the scan replaced, an independent proof
+        for k in (2, 3, 4, 5):
+            for N in range(1, 31):
+                J = min(N, 9)
+                assert counting.bad_set_counts(N, k, J) == chain_dp_oracle(N, k, J), (N, k)
 
     def test_dp_matches_occupancy_oracle_grid(self):
         for N in range(1, 25):
@@ -412,81 +427,108 @@ class TestTripleTable:
         assert dp_count(N, K, k) == occupancy_count_oracle(N, K, k)
 
     def test_table_rows_regenerate(self):
-        assert _triples.J == 12 and len(_triples.ROWS) == 51
-        assert all(len(row) == _triples.J for row in _triples.ROWS)
-        for N in range(1, 29):
-            assert list(_triples.ROWS[N - 1]) == counting.bad_set_counts(N, 3, _triples.J), N
+        # the triple table's 51 rows of 12, as the chain DP wrote them
+        assert rows_digest(3, 51) == \
+            "27f5893b4c063122215981eaa8960d8a5ecda85405c0e6087332e204db59fa8f"
 
     def test_quadruple_rows_regenerate(self):
-        assert _quadruples.J == 12 and len(_quadruples.ROWS) == 64
-        assert all(len(row) == _quadruples.J for row in _quadruples.ROWS)
-        for N in range(1, 29):
-            assert list(_quadruples.ROWS[N - 1]) == counting.bad_set_counts(N, 4, 12), N
+        # the quadruple table's 64 rows of 12, as the chain DP wrote them
+        assert rows_digest(4, 64) == \
+            "0f6eb1daafa77d0744b35ff7804fdf9d2d54881b34d4993e672a9bcf20467ba9"
 
     def test_interpolation_matches_later_nodes(self):
-        # the quasi-polynomial claim on the table itself: on each class mod 4
-        # the first j nodes predict every later node of c_j up to N = 51
-        assert later_nodes_checked(_triples, 4) == 4 * sum(12 - j for j in range(1, 13)) == 264
+        # the periodic scan on direct scans past the nodes: the five N past
+        # the old triple table, the 95% boundaries of P(N,11,3) at N = 61,
+        # 62, 99, 103, 204 and 208, and a k = 5 run past its nodes
+        for N in (52, 53, 54, 55, 56, 61, 62, 99, 103, 204, 208):
+            assert newton(N, 3, 12) == counting.bad_set_counts(N, 3, 12), N
+        for N in (90, 91, 92, 93, 94, 95):
+            assert newton(N, 5, 7) == counting.bad_set_counts(N, 5, 7), N
 
     def test_quadruple_interpolation_matches_later_nodes(self):
-        # the same claim at k = 4, on each class mod 5 up to N = 64
-        assert later_nodes_checked(_quadruples, 5) == 5 * sum(12 - j for j in range(1, 13)) == 330
+        # the same at k = 4: the five N past the old quadruple table, and 150
+        for N in (65, 66, 67, 68, 69, 150):
+            assert newton(N, 4, 12) == counting.bad_set_counts(N, 4, 12), N
 
     def test_interpolation_past_the_table(self):
-        # the Newton form of exact_count against Lagrange in fractions
-        for table, period in ((_triples, 4), (_quadruples, 5)):
-            for N in (*range(len(table.ROWS) + 1, 72), 99, 100, 101, 102, 103, 1000, 10**6 + 3):
-                expected = [lagrange(class_nodes(table, period, N % period, j, j), N)
-                            for j in range(1, table.J + 1)]
+        # the Newton form of exact_count against Lagrange in fractions, on
+        # the same nodes, past the direct scans
+        for k in (3, 4):
+            period = k + 1
+            for N in (*range(period * 13, 72), 99, 100, 101, 102, 103, 1000, 10**6 + 3):
+                expected = [lagrange(class_nodes(period, N % period, j, 12), N)
+                            for j in range(1, 13)]
                 assert all(e.denominator == 1 for e in expected)
-                assert counting._bad_sets(table.ROWS, period, N, table.J) == expected, N
-                assert counting._bad_sets(table.ROWS, period, N, 5) == expected[:5], N
+                assert newton(N, k, 12) == expected, N
+                assert newton(N, k, 5) == expected[:5], N
 
     def test_corrupt_node_raises(self):
         # the only runtime check on the interpolation is a raise, not an
         # assert, so it holds under python -O; the last node of class 3,
         # N = 51, has weight 12 in c_12(55)
-        assert counting._bad_sets(_triples.ROWS, 4, 55, 12)[11] == 892_660_704
+        nodes = [counting.bad_set_counts(4 * (i + 1) + 3, 3, 12) for i in range(12)]
+        assert counting._bad_sets(nodes, 4, 55)[11] == 892_660_704
         for shift in (10**30, -(10**30)):
-            rows = list(_triples.ROWS)
-            rows[50] = (*rows[50][:11], rows[50][11] + shift)
+            corrupt = [*nodes[:11], [*nodes[11][:11], nodes[11][11] + shift]]
             with pytest.raises(ArithmeticError, match=r"c_12\(55\) = .* outside 0..C\(54, 11\)"):
-                counting._bad_sets(tuple(rows), 4, 55, 12)
+                counting._bad_sets(corrupt, 4, 55)
+        assert counting._bad_sets(nodes, 4, 55)[11] == 892_660_704  # the cache is intact
 
     def test_pinned_bad_counts_at_60(self):
         # past every node: the chain DP run directly at N = 60 gave both
-        assert exact_count(60, 11, 3) == CountResult(24_960_089_920_862_548, "exact_table")
-        assert exact_count(60, 10, 3) == CountResult(703_905_045_311_490, "exact_table")
+        assert exact_count(60, 11, 3) == CountResult(24_960_089_920_862_548, "exact_interpolated")
+        assert exact_count(60, 10, 3) == CountResult(703_905_045_311_490, "exact_interpolated")
+        assert counting.bad_set_counts(60, 3, 11) == newton(60, 3, 11)
         assert probability_exact(60, 11, 3).p == 0.9587205747542848
         assert probability_exact(60, 10, 3).p == 0.930152185051872
 
     def test_pinned_dp_values(self):
-        # the oracle confirms the first two in about 1 s each; no second
-        # engine answers (60,8,5), where it would test C(59, 7) = 3.4e8 sets
+        # the oracle confirms the first two in about 1 s each; (60,8,5) is
+        # the value the chain DP gave, where the oracle would test
+        # C(59, 7) = 3.4e8 sets
         assert exact_count(21, 13, 3) == CountResult(248_674_434_060_781, "exact_dp")
         assert occupancy_count_oracle(21, 13, 3) == 248_674_434_060_781
-        assert exact_count(24, 12, 4) == CountResult(384_951_528_892_614, "exact_table")
+        assert exact_count(24, 12, 4) == CountResult(384_951_528_892_614, "exact_dp")
         assert dp_count(24, 12, 4) == occupancy_count_oracle(24, 12, 4) == 384_951_528_892_614
-        assert exact_count(60, 8, 5) == CountResult(2_655_086_162_880, "exact_dp")
+        assert exact_count(60, 8, 5) == CountResult(2_655_086_162_880, "exact_interpolated")
+        assert exact_count(16, 7, 3) == CountResult(3_299_206, "exact_dp")
+        assert exact_count(16, 6, 3) == CountResult(334_126, "exact_dp")
 
     def test_huge_n_without_a_walk(self):
+        counting._lap_scan.cache_clear()  # cold: the nodes are scanned here
         t = time.perf_counter()
         res = exact_count(10**6, 11, 3)
         assert time.perf_counter() - t < 0.1
-        assert res.kind == "exact_table" and 0 < res.value < (10**6) ** 10
+        assert res.kind == "exact_interpolated" and 0 < res.value < (10**6) ** 10
 
-    def test_dispatch_by_kind(self, monkeypatch):
-        # no guard on the pair closed form or the node tables; the DP keeps it
-        monkeypatch.setattr(counting, "_DP_FRONTS", 0)
+    def test_large_k_answers_within_a_second(self):
+        # the chain DP refused each of these after 2.5-5.3 s
+        for N, K, k in ((100, 5, 5), (150, 5, 5), (200, 5, 5), (100, 6, 6)):
+            counting._lap_scan.cache_clear()
+            t = time.perf_counter()
+            res = exact_count(N, K, k)
+            assert time.perf_counter() - t < 1, (N, K, k)
+            assert res.kind == "exact_interpolated" and 0 < res.value < N ** (K - 1)
+            c = counting.bad_set_counts(N, k, K)
+            assert res.value == sum(c_j * gamma_count(j, K - 1, j - 1) for j, c_j in enumerate(c, 1))
+
+    def test_dispatch_by_kind(self):
+        # pairs by the closed form; a direct scan below (k+1)(J+1), else the
+        # Newton form, J = min(K, N)
         assert exact_count(36, 5, 2).kind == "formula"
-        assert exact_count(100, 12, 3).kind == "exact_table"
-        assert exact_count(200, 4, 4).kind == exact_count(64, 12, 4).kind == "exact_table"
-        for N, K, k in ((16, 6, 5), (14, 13, 3), (24, 13, 4)):
-            with pytest.raises(SearchBudgetExceeded):
-                exact_count(N, K, k)
-        monkeypatch.undo()
+        assert exact_count(100, 12, 3).kind == "exact_interpolated"
+        assert exact_count(51, 12, 3).kind == exact_count(64, 12, 4).kind == "exact_dp"
+        assert exact_count(52, 12, 3).kind == exact_count(65, 12, 4).kind == "exact_interpolated"
+        assert exact_count(200, 4, 4).kind == "exact_interpolated"
         for N, K, k in ((16, 6, 5), (14, 13, 3), (24, 13, 4)):
             assert exact_count(N, K, k).kind == "exact_dp"
+
+    def test_scans_are_kept_immutable(self):
+        # one scan per (N, k, J): a caller's copy cannot change the next answer
+        c = counting.bad_set_counts(30, 3, 8)
+        c[2] += 1
+        assert counting.bad_set_counts(30, 3, 8) == chain_dp_oracle(30, 3, 8)
+        assert isinstance(counting._lap_scan(30, 3, 8), tuple)
 
 
 @pytest.mark.parametrize("cpus, threads, workers", [

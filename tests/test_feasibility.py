@@ -18,7 +18,7 @@ from blindalign.errors import SearchBudgetExceeded
 from blindalign.feasibility import (_REGION_CELLS, _ROW_BLOCK, feasible_sorted_block,
                                     feasible_subset_rows, row_dtype)
 from helpers import (brute_force_solve, compositions, find_feasible_subset_single_padding,
-                     first_feasible_subset_oracle, subset_rows_oracle)
+                     first_feasible_subset_oracle, lap_order_feasible, subset_rows_oracle)
 
 
 def whole_config_feasible(offsets, N):
@@ -384,6 +384,29 @@ class TestFeasibleSubsetRows:
         rows = data.draw(st.lists(st.lists(point, min_size=K, max_size=K),
                                   min_size=1, max_size=8), label="rows")
         assert np.array_equal(feasible_subset_rows(rows, N, k), subset_rows_oracle(rows, N, k))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_lap_order_oracle(self, data):
+        # the skipped-lap test shares no lemma with the greedy chains and
+        # tries no subsets, so K reaches 40; points near multiples of
+        # N/(k+1) tie in fraction and put gaps at the threshold
+        k = data.draw(st.integers(2, 8), label="k")
+        K = data.draw(st.integers(k, 40), label="K")
+        N = data.draw(st.one_of(st.integers(1, 10**6),
+                                st.integers(1, 10**5).map(lambda q: q * (k + 1))), label="N")
+        span = data.draw(st.integers(1, N), label="span")
+        point = st.one_of(st.integers(0, span - 1),
+                          st.builds(lambda q, e: (N * q // (k + 1) + e) % N,
+                                    st.integers(0, k), st.integers(-2, 2)))
+        rows = data.draw(st.lists(st.lists(point, min_size=K, max_size=K),
+                                  min_size=1, max_size=4), label="rows")
+        expected = [lap_order_feasible(row, N, k) for row in rows]
+        assert feasible_subset_rows(rows, N, k).tolist() == expected
+        for row, feasible in zip(rows, expected):
+            users = find_feasible_subset(row, N, k)
+            assert (users is not None) == feasible
+            assert users is None or lap_order_feasible([row[u - 1] for u in users], N, k)
 
     @pytest.mark.parametrize("N, k_target, match", [
         (0, 2, "N must be >= 1"),
