@@ -3,7 +3,11 @@
 The governing condition for K users is sum(s) <= (K+1) * min(s) on the
 circular gap vector s, equivalently: every gap >= ceil(N / (K+1)). The
 functions here are two views of that one condition plus region and subset
-search built on it; every gap test on offsets runs through one kernel.
+search built on it; every gap test on offsets runs through
+:func:`feasible_subset_rows`. For N <= 64 it decides a row on one uint64
+occupancy word by the skipped-lap lemma (``counting.bad_set_counts``), with
+no sort; past one word it sorts the row for :func:`feasible_sorted_block`,
+the greedy-chain kernel, which is then the only path.
 """
 
 from __future__ import annotations
@@ -53,21 +57,59 @@ def feasible_subset_rows(offsets, N: int, k_target: int) -> np.ndarray:
     """Per row of ``offsets`` (R, K), entries in [0, N): do some k_target of
     its offsets have every circular gap >= ceil(N/(k_target+1))?
 
-    Each block of ``_ROW_BLOCK`` rows is sorted along its rows and goes to
-    :func:`feasible_sorted_block` as (K, rows) columns. Rows are int32 for
-    N <= 2^30, int64 for N <= 2^62 and Python integers beyond
-    (:func:`row_dtype`); rows of that type are not copied.
+    Rows go through in blocks of ``_ROW_BLOCK``. For N <= 64 a block goes to
+    :func:`_feasible_word_block`, which needs no sort; past one word it is
+    sorted along its rows and goes to :func:`feasible_sorted_block` as
+    (K, rows) columns. Rows are int32 for N <= 2^30, int64 for N <= 2^62
+    and Python integers beyond (:func:`row_dtype`); rows of that type are
+    not copied. An entry outside [0, N) raises ValueError.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if k_target < 2:
         raise ValueError(f"k_target must be >= 2, got {k_target}")
-    offsets = np.asarray(offsets, dtype=row_dtype(N))
+    if not isinstance(offsets, np.ndarray):  # numpy reads a list mixing int64 and larger ints as floats
+        offsets = np.array(offsets, dtype=object)
+    if offsets.ndim != 2:
+        raise ValueError(f"offsets must be (rows, K), got shape {offsets.shape}")
+    if offsets.size and (offsets.min() < 0 or offsets.max() >= N):
+        raise ValueError(f"offsets must lie in [0, {N})")
+    offsets = offsets.astype(row_dtype(N), copy=False)
     ok = np.empty(len(offsets), dtype=bool)
     for lo in range(0, len(offsets), _ROW_BLOCK):
-        cols = np.sort(offsets[lo:lo + _ROW_BLOCK], axis=1).T
-        ok[lo:lo + _ROW_BLOCK] = feasible_sorted_block(cols, N, k_target)
+        block = offsets[lo:lo + _ROW_BLOCK]
+        ok[lo:lo + _ROW_BLOCK] = (_feasible_word_block(block, N, k_target) if N <= 64 else
+                                  feasible_sorted_block(np.sort(block, axis=1).T, N, k_target))
     return ok
+
+
+def _feasible_word_block(rows, N: int, k_target: int) -> np.ndarray:
+    """:func:`feasible_subset_rows` for N <= 64: each row as one uint64 word,
+    bit x set for each offset x, split into the k+1 laps
+    [ceil(aN/(k+1)), ceil((a+1)N/(k+1))). By the skipped-lap lemma
+    (``counting.bad_set_counts``) a row is feasible iff for some b the laps
+    b+1, ..., b+k (mod k+1) hold a point each, every step at least ``need``.
+    The lowest candidate is the best, so each step keeps the next lap's
+    points from the lowest candidate plus ``need`` up: ``c | -c`` shifted
+    left by ``need`` (bits past 63 drop: no point lies there), or right by
+    N - need where lap k wraps to lap 0. O(K + k^2) word operations a row.
+    """
+    need = -(-N // (k_target + 1))
+    edges = [-(-a * N // (k_target + 1)) for a in range(k_target + 2)]
+    occupied = np.zeros(len(rows), dtype=np.uint64)
+    for col in rows.T:
+        occupied |= 1 << col.astype(np.uint64)
+    laps = [occupied & ((1 << hi) - (1 << lo)) for lo, hi in zip(edges, edges[1:])]
+    found = np.zeros(len(rows), dtype=np.uint64)
+    for start in range(k_target + 1):  # the chain that skips lap start - 1
+        lap, c = start, laps[start]
+        for _ in range(k_target - 1):
+            up = c | -c
+            up = up >> (N - need) if lap == k_target else up << need
+            lap = (lap + 1) % (k_target + 1)
+            c = laps[lap] & up
+        found |= c
+    return found != 0
 
 
 def feasible_sorted_block(cols, N: int, k_target: int) -> np.ndarray:

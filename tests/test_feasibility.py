@@ -27,6 +27,15 @@ def whole_config_feasible(offsets, N):
     return find_feasible_subset(offsets, N, len(offsets)) is not None
 
 
+def sorted_kernel(rows, N, k_target):
+    """``feasible_sorted_block`` on every block of the rows, sorted and
+    transposed: the greedy-chain kernel at any N, also where
+    ``feasible_subset_rows`` takes the word path (N <= 64)."""
+    cols = np.sort(np.asarray(rows, dtype=row_dtype(N)), axis=1).T
+    return np.concatenate([feasible_sorted_block(cols[:, lo:lo + _ROW_BLOCK], N, k_target)
+                           for lo in range(0, cols.shape[1], _ROW_BLOCK)])
+
+
 def _first_chain_ends_in_time(row, N, k_target):
     """Stage 1 in plain Python: from the smallest offset, jump k_target-1
     times to the first point at least the threshold on; the chain is a
@@ -160,6 +169,13 @@ class TestFeasibleRegion:
         with pytest.raises(SearchBudgetExceeded, match=f"N\\^2 = {N * N} points"):
             feasible_region(N)
 
+    def test_matches_lap_order_oracle(self):
+        # every cell of the word path's grids and of two sorted-kernel grids
+        for N in (*range(1, 65), 65, 70):
+            expected = {(n2, n3) for n2 in range(N) for n3 in range(N)
+                        if lap_order_feasible((0, n2, n3), N, 3)}
+            assert set(feasible_region(N).points) == expected, N
+
     def test_membership(self):
         region = feasible_region(20)
         assert (5, 10) in region and (10, 5) in region
@@ -291,7 +307,8 @@ class TestFeasibleSubsetRows:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_combinations_oracle(self, data):
-        N = data.draw(st.integers(1, 40), label="N")
+        # N = 1..40 and 60..66, on both sides of the word path's N <= 64
+        N = data.draw(st.one_of(st.integers(1, 40), st.integers(60, 66)), label="N")
         K = data.draw(st.integers(2, 9), label="K")
         k = data.draw(st.integers(2, K), label="k")
         rows = data.draw(st.lists(st.lists(st.integers(0, N - 1), min_size=K, max_size=K),
@@ -301,7 +318,11 @@ class TestFeasibleSubsetRows:
             offs[:, -1] = offs[:, 0]
         if data.draw(st.booleans(), label="presorted"):
             offs.sort(axis=1)
-        assert np.array_equal(feasible_subset_rows(offs, N, k), subset_rows_oracle(offs, N, k))
+        expected = subset_rows_oracle(offs, N, k)
+        form = data.draw(st.sampled_from([np.int32, np.int64, list]), label="form")
+        given = offs.tolist() if form is list else offs.astype(form)
+        assert np.array_equal(feasible_subset_rows(given, N, k), expected)
+        assert np.array_equal(sorted_kernel(offs, N, k), expected)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -328,10 +349,38 @@ class TestFeasibleSubsetRows:
     def test_every_row_across_blocks(self):
         # more rows than one kernel pass takes, so verdicts cross block edges
         rng = np.random.default_rng(41)
-        for N, K, k in ((60, 11, 3), (30, 12, 4), (12, 6, 6), (5, 7, 5)):
+        for N, K, k in ((60, 11, 3), (30, 12, 4), (12, 6, 6), (5, 7, 5), (63, 9, 3), (64, 12, 4)):
             offs = rng.integers(0, N, (3 * _ROW_BLOCK + 7, K))
-            assert np.array_equal(feasible_subset_rows(offs, N, k),
-                                  subset_rows_oracle(offs, N, k)), (N, K, k)
+            expected = subset_rows_oracle(offs, N, k)
+            assert np.array_equal(feasible_subset_rows(offs, N, k), expected), (N, K, k)
+            assert np.array_equal(sorted_kernel(offs, N, k), expected), (N, K, k)
+
+    @pytest.mark.parametrize("K, k", [(9, 3), (12, 4), (7, 6), (6, 6), (5, 2)])
+    def test_same_rows_across_the_word_path_edge(self, K, k):
+        # rows on [0, 64) at N = 63, 64 (the word path, up to bit 63) and 65
+        # (the sorted kernel), many with points at lap edges and at bit 63
+        rng = np.random.default_rng(59 + K)
+        for N in (63, 64, 65):
+            edge = np.array([N * q // (k + 1) for q in range(k + 1)] + [N - 1])
+            q = np.concatenate([rng.integers(0, len(edge), (300, K)),  # and in lap order:
+                                np.arange(K) + rng.integers(0, len(edge), (300, 1))])
+            near = (edge[q % len(edge)] + rng.integers(-1, 2, (600, K))) % N
+            offs = np.concatenate([near, rng.integers(0, min(N, 64), (600, K))])
+            expected = subset_rows_oracle(offs, N, k)
+            assert np.array_equal(feasible_subset_rows(offs, N, k), expected), N
+            assert np.array_equal(sorted_kernel(offs, N, k), expected), N
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 7, 8])
+    def test_laps_without_points(self, N):
+        # k + 1 > N leaves laps empty, and k = K needs every user
+        rng = np.random.default_rng(61)
+        for K in range(2, 9):
+            for k in range(2, K + 1):
+                offs = rng.integers(0, N, (200, K))
+                offs[:20] = np.arange(K) * N // K
+                expected = subset_rows_oracle(offs, N, k)
+                assert np.array_equal(feasible_subset_rows(offs, N, k), expected), (K, k)
+                assert np.array_equal(sorted_kernel(offs, N, k), expected), (K, k)
 
     @staticmethod
     def _rows_of_each_stage():
@@ -352,20 +401,24 @@ class TestFeasibleSubsetRows:
         rows, N, k, expected = self._rows_of_each_stage()
         assert np.array_equal(subset_rows_oracle(rows, N, k), expected)
         assert np.array_equal(feasible_subset_rows(rows, N, k), expected)
+        assert np.array_equal(sorted_kernel(rows, N, k), expected)
 
     def test_every_row_type_gives_the_same_verdicts(self):
         # scaling the rows and N by c keeps every verdict (a gap c*g reaches
         # ceil(cN/(k+1)) iff g reaches N/(k+1)), so the int32, int64 and
         # Python-integer kernels must agree on rows of each stage; each takes
-        # its rows as int32, int64 or object arrays alike
+        # its rows as int32, int64 or object arrays or as lists alike; at
+        # c = 1 the word path and the sorted kernel take the same rows
         rows, N, k, expected = self._rows_of_each_stage()
-        for c, types in ((1, (np.int32, np.int64, object)),
-                         (2**25, (np.int32, np.int64, object)),  # N past 2^30
-                         (2**57, (np.int64, object))):  # N past 2^62
+        for c, types in ((1, (np.int32, np.int64, object, list)),
+                         (2**25, (np.int32, np.int64, object, list)),  # N past 2^30
+                         (2**57, (np.int64, object, list))):  # N past 2^62
             scaled = rows.astype(object) * c
             for dtype in types:
-                verdicts = feasible_subset_rows(scaled.astype(dtype), N * c, k)
+                given = scaled.tolist() if dtype is list else scaled.astype(dtype)
+                verdicts = feasible_subset_rows(given, N * c, k)
                 assert np.array_equal(verdicts, expected), (c, dtype)
+        assert np.array_equal(sorted_kernel(rows.astype(np.int32), N, k), expected)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -403,6 +456,7 @@ class TestFeasibleSubsetRows:
                                   min_size=1, max_size=4), label="rows")
         expected = [lap_order_feasible(row, N, k) for row in rows]
         assert feasible_subset_rows(rows, N, k).tolist() == expected
+        assert sorted_kernel(rows, N, k).tolist() == expected
         for row, feasible in zip(rows, expected):
             users = find_feasible_subset(row, N, k)
             assert (users is not None) == feasible
@@ -416,6 +470,25 @@ class TestFeasibleSubsetRows:
     def test_rejects_bad_n_and_k_target(self, N, k_target, match):
         with pytest.raises(ValueError, match=match):
             feasible_subset_rows([[0, 1, 2]], N, k_target)
+
+    @pytest.mark.parametrize("N, value", [
+        (12, -1), (12, 12), (12, 64), (12, 2**40), (63, 63), (64, -1), (64, 64), (64, 2**40),
+        (65, 65), (65, -1), (2**31, 2**31), (2**31, -1), (2**63, 2**63), (2**63, -2**63),
+    ])
+    def test_rejects_entries_outside_the_ring(self, N, value):
+        # refused on the word path (N <= 64), where a shift by 64 or more
+        # would drop the entry, and on the sorted kernel; in any row form
+        rows = np.zeros((2 * _ROW_BLOCK, 4), dtype=np.int64 if -2**63 <= value < 2**63 else object)
+        rows[:, 1:] = [1, 2, 3]
+        rows[-1, 2] = value
+        for given in (rows, rows.astype(object), rows.tolist()):
+            with pytest.raises(ValueError, match=f"offsets must lie in \\[0, {N}\\)"):
+                feasible_subset_rows(given, N, 2)
+
+    @pytest.mark.parametrize("rows", [[0, 1, 2], 5, [[[0, 1]]]])
+    def test_rejects_rows_that_are_not_a_table(self, rows):
+        with pytest.raises(ValueError, match="offsets must be \\(rows, K\\)"):
+            feasible_subset_rows(rows, 12, 2)
 
     def test_more_targets_than_points_never_feasible(self):
         offs = np.array([[0], [3]])
